@@ -107,10 +107,11 @@ impl DecodeOutcome {
 }
 
 /// The result of checking a committing store against the vector registers (§3.6).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreCheck {
-    /// Vector registers whose address range contains the stored address.
-    pub conflicting: Vec<VregId>,
+    /// Number of vector registers whose address range contains the stored
+    /// address.
+    pub conflicting: usize,
     /// Whether the pipeline must squash the instructions following the store.
     pub squash: bool,
 }
@@ -200,6 +201,8 @@ pub struct VectorizationEngine {
     /// fast path, so it must not allocate per invocation).
     release_scratch: Vec<VregId>,
     reclaim_scratch: Vec<VregId>,
+    /// Reusable buffer for the §3.6 conflicting-register set.
+    conflict_scratch: Vec<VregId>,
     stats: DvStats,
 }
 
@@ -224,6 +227,7 @@ impl VectorizationEngine {
             release_pending: 0,
             release_scratch: Vec::new(),
             reclaim_scratch: Vec::new(),
+            conflict_scratch: Vec::new(),
             stats: DvStats::default(),
         }
     }
@@ -335,9 +339,25 @@ impl VectorizationEngine {
         self.vrf.generation(vreg)
     }
 
+    /// Whether element `offset` of `vreg` is resolved for a consumer that
+    /// read it at allocation `generation`: re-allocated since, computed, or
+    /// poisoned (see [`VectorRegisterFile::element_resolved`]).
+    #[must_use]
+    pub fn element_resolved(&self, vreg: VregId, generation: u64, offset: usize) -> bool {
+        self.vrf.element_resolved(vreg, generation, offset)
+    }
+
     /// Marks element `offset` of `vreg` as computed (called by the vector data path).
     pub fn set_element_ready(&mut self, vreg: VregId, offset: usize) {
         self.vrf.set_ready(vreg, offset);
+    }
+
+    /// Removes and returns one vector register whose readiness inputs
+    /// (ready or poison flags, generation) changed since it was last
+    /// returned — the journal behind the pipeline's event-driven vector
+    /// wakeups (see [`VectorRegisterFile::pop_touched`]).
+    pub fn pop_touched(&mut self) -> Option<VregId> {
+        self.vrf.pop_touched()
     }
 
     // ------------------------------------------------------------- decode
@@ -699,20 +719,18 @@ impl VectorizationEngine {
     /// instructions following the store when `squash` is set.
     pub fn commit_store(&mut self, addr: u64, width: u64) -> StoreCheck {
         self.stats.stores_checked += 1;
-        let conflicting = self.vrf.conflicting_registers(addr, width);
+        let mut conflicting = std::mem::take(&mut self.conflict_scratch);
+        self.vrf
+            .conflicting_registers(addr, width, &mut conflicting);
         if conflicting.is_empty() {
+            self.conflict_scratch = conflicting;
             return StoreCheck::default();
         }
         self.stats.store_conflicts += 1;
         for &vreg in &conflicting {
             let _ = self.vrmt.invalidate_vreg(vreg);
             // Elements that have not been validated yet may hold stale data.
-            for offset in 0..self.cfg.vector_length {
-                if !self.vrf.get(vreg).elements()[offset].valid {
-                    self.vrf.poison_from(vreg, offset);
-                    break;
-                }
-            }
+            self.vrf.poison_unvalidated(vreg);
             if self.map_references(vreg) {
                 for slot in 0..self.reg_map.len() {
                     if matches!(self.reg_map[slot], Some((v, _)) if v == vreg) {
@@ -721,10 +739,12 @@ impl VectorizationEngine {
                 }
             }
         }
-        StoreCheck {
-            conflicting,
+        let check = StoreCheck {
+            conflicting: conflicting.len(),
             squash: true,
-        }
+        };
+        self.conflict_scratch = conflicting;
+        check
     }
 
     /// Commits a control instruction; taken backward branches update the GMRBB
@@ -767,13 +787,7 @@ impl VectorizationEngine {
             self.vrf
                 .allocated_ids()
                 .filter(|&id| !self.vrmt.references(id) && !self.map_references(id))
-                .filter(|&id| {
-                    self.vrf
-                        .get(id)
-                        .elements()
-                        .iter()
-                        .all(|e| (e.ready || e.poisoned) && !e.used)
-                }),
+                .filter(|&id| self.vrf.is_settled(id)),
         );
         for &id in &candidates {
             self.vrf.force_release(id);
@@ -1054,15 +1068,15 @@ mod tests {
         let inst = vectorize_load(&mut e, 0x1000, 0x8000, 8);
         // Element 0 is validated at commit.
         e.commit_validation(inst.vreg, 0, Some(xr(1)));
-        assert!(e.vrf().get(inst.vreg).elements()[0].valid);
-        assert!(!e.vrf().get(inst.vreg).elements()[0].used);
+        assert!(e.vrf().get(inst.vreg).element(0).valid);
+        assert!(!e.vrf().get(inst.vreg).element(0).used);
         // Element 1 commits next; committing it frees element 0 (next producer
         // of x1 committed).
         e.commit_validation(inst.vreg, 1, Some(xr(1)));
-        assert!(e.vrf().get(inst.vreg).elements()[0].free);
+        assert!(e.vrf().get(inst.vreg).element(0).free);
         // A later scalar write to x1 frees element 1.
         e.commit_scalar_write(xr(1));
-        assert!(e.vrf().get(inst.vreg).elements()[1].free);
+        assert!(e.vrf().get(inst.vreg).element(1).free);
     }
 
     #[test]
@@ -1073,7 +1087,7 @@ mod tests {
         e.commit_validation(inst.vreg, 0, Some(xr(1)));
         let check = e.commit_store(0x8018, 8); // inside the register's range
         assert!(check.squash);
-        assert_eq!(check.conflicting, vec![inst.vreg]);
+        assert_eq!(check.conflicting, 1);
         assert_eq!(e.stats().store_conflicts, 1);
         assert!(e.vrmt().is_empty(), "VRMT entry invalidated");
         assert!(
@@ -1081,7 +1095,7 @@ mod tests {
             "unvalidated elements poisoned"
         );
         assert!(
-            !e.vrf().get(inst.vreg).elements()[0].poisoned,
+            !e.vrf().get(inst.vreg).element(0).poisoned,
             "validated element untouched"
         );
         // A store far away does not conflict.

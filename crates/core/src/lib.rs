@@ -57,5 +57,7 @@ pub use engine::{
 };
 pub use stats::DvStats;
 pub use tl::{TableOfLoads, TlObservation};
-pub use vreg::{ElementState, ElementUsage, VectorRegister, VectorRegisterFile, VregId};
+pub use vreg::{
+    assert_vector_length, ElementState, ElementUsage, VectorRegister, VectorRegisterFile, VregId,
+};
 pub use vrmt::{LoadPattern, Operand, Vrmt, VrmtEntry};

@@ -115,19 +115,64 @@ impl SlotSet {
     }
 
     /// Iterates the members in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.words
-            .iter()
-            .enumerate()
-            .skip(self.first_hint)
-            .flat_map(|(wi, &w)| {
-                let base = wi as u32 * 64;
-                std::iter::successors((w != 0).then_some(w), |&rest| {
-                    let next = rest & (rest - 1);
-                    (next != 0).then_some(next)
-                })
-                .map(move |rest| base + rest.trailing_zeros())
-            })
+    #[must_use]
+    pub fn iter(&self) -> SlotIter<'_> {
+        let start = self.first_hint.min(self.words.len());
+        SlotIter::new(&self.words[start..], start as u32 * 64)
+    }
+
+    /// Copies the backing bitmap into `out` (cleared first): a snapshot to
+    /// walk with [`SlotIter::over`] while the set itself is mutated.
+    pub fn snapshot_into(&self, out: &mut Vec<u64>) {
+        out.clear();
+        out.extend_from_slice(&self.words);
+    }
+}
+
+/// Ascending iterator over the members of a [`SlotSet`] (or of a bitmap
+/// snapshot of one): one word load per 64 slots, one `trailing_zeros` per
+/// member.
+#[derive(Debug, Clone)]
+pub struct SlotIter<'a> {
+    words: std::slice::Iter<'a, u64>,
+    /// Slot index of bit 0 of the next word to load.
+    next_base: u32,
+    /// Slot index of bit 0 of `current`.
+    base: u32,
+    /// Members of the current word not yet returned.
+    current: u64,
+}
+
+impl<'a> SlotIter<'a> {
+    fn new(words: &'a [u64], base: u32) -> Self {
+        SlotIter {
+            words: words.iter(),
+            next_base: base,
+            base,
+            current: 0,
+        }
+    }
+
+    /// Iterates the set bits of a bitmap snapshot (see
+    /// [`SlotSet::snapshot_into`]) in ascending order.
+    #[must_use]
+    pub fn over(words: &'a [u64]) -> Self {
+        SlotIter::new(words, 0)
+    }
+}
+
+impl Iterator for SlotIter<'_> {
+    type Item = u32;
+
+    fn next(&mut self) -> Option<u32> {
+        while self.current == 0 {
+            self.current = *self.words.next()?;
+            self.base = self.next_base;
+            self.next_base += 64;
+        }
+        let bit = self.current.trailing_zeros();
+        self.current &= self.current - 1;
+        Some(self.base + bit)
     }
 }
 
@@ -161,6 +206,12 @@ mod tests {
         }
         assert_eq!(
             slots.iter().collect::<Vec<_>>(),
+            tree.iter().copied().collect::<Vec<_>>()
+        );
+        let mut snapshot = Vec::new();
+        slots.snapshot_into(&mut snapshot);
+        assert_eq!(
+            SlotIter::over(&snapshot).collect::<Vec<_>>(),
             tree.iter().copied().collect::<Vec<_>>()
         );
     }

@@ -1,7 +1,7 @@
 //! The vector register file with per-element V/R/U/F flags (Figure 8) and the
 //! allocation / freeing rules of §3.3.
 
-use crate::slotset::SlotSet;
+use crate::slotset::{SlotIter, SlotSet};
 
 /// Identifier of a vector register.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -22,7 +22,9 @@ impl std::fmt::Display for VregId {
 }
 
 /// Per-element state: the four flags of Figure 8 plus a poison bit used to
-/// propagate load mis-speculations to dependent elements.
+/// propagate load mis-speculations to dependent elements.  The register file
+/// stores these flags as lane masks; this is the per-element view of them
+/// ([`VectorRegister::element`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ElementState {
     /// V: the element holds committed (validated) data.
@@ -39,15 +41,50 @@ pub struct ElementState {
     pub poisoned: bool,
 }
 
-/// One vector register: owner PC, MRBB tag, per-element state and, for loads,
+/// The largest supported vector length: element flags are lanes of a `u64`.
+pub const MAX_VECTOR_LENGTH: usize = 64;
+
+/// Panics unless `vector_length` fits the lane masks (`1..=64`).
+///
+/// # Panics
+///
+/// Panics with a message naming the bound when `vector_length` is 0 or
+/// exceeds [`MAX_VECTOR_LENGTH`].
+pub fn assert_vector_length(vector_length: usize) {
+    assert!(
+        (1..=MAX_VECTOR_LENGTH).contains(&vector_length),
+        "vector length must be between 1 and {MAX_VECTOR_LENGTH} elements (got {vector_length})"
+    );
+}
+
+/// The lane mask `{0, …, n - 1}` (`n <= 64`).
+fn lanes_below(n: usize) -> u64 {
+    if n >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << n) - 1
+    }
+}
+
+/// One vector register: owner PC, MRBB tag, per-element flags and, for loads,
 /// the range of memory addresses the elements were fetched from (§3.6).
+///
+/// Each flag of Figure 8 (plus poison) is a lane mask: bit `i` is element
+/// `i`'s flag, and `full` holds one bit per element of the vector length, so
+/// the §3.3 freeing rules and the Figure 15 accounting are mask tests and
+/// popcounts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VectorRegister {
     allocated: bool,
     pc: u64,
     mrbb: u64,
     generation: u64,
-    elements: Vec<ElementState>,
+    full: u64,
+    valid: u64,
+    ready: u64,
+    used: u64,
+    free: u64,
+    poisoned: u64,
     addr_range: Option<(u64, u64)>,
 }
 
@@ -58,7 +95,12 @@ impl VectorRegister {
             pc: 0,
             mrbb: 0,
             generation: 0,
-            elements: vec![ElementState::default(); vector_length],
+            full: lanes_below(vector_length),
+            valid: 0,
+            ready: 0,
+            used: 0,
+            free: 0,
+            poisoned: 0,
             addr_range: None,
         }
     }
@@ -88,10 +130,21 @@ impl VectorRegister {
         self.mrbb
     }
 
-    /// The per-element state.
+    /// The flags of element `offset`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `offset` is not below the vector length.
     #[must_use]
-    pub fn elements(&self) -> &[ElementState] {
-        &self.elements
+    pub fn element(&self, offset: usize) -> ElementState {
+        let bit = self.lane(offset);
+        ElementState {
+            valid: self.valid & bit != 0,
+            ready: self.ready & bit != 0,
+            used: self.used & bit != 0,
+            free: self.free & bit != 0,
+            poisoned: self.poisoned & bit != 0,
+        }
     }
 
     /// The memory address range covered by a vectorized load, if set.
@@ -100,19 +153,32 @@ impl VectorRegister {
         self.addr_range
     }
 
+    /// The lane bit of element `offset`.
+    fn lane(&self, offset: usize) -> u64 {
+        let bit = 1u64.checked_shl(offset as u32).unwrap_or(0) & self.full;
+        assert!(bit != 0, "element {offset} is outside the vector length");
+        bit
+    }
+
     /// Rule 1 of §3.3: every element has been computed and freed.
     fn all_ready_and_free(&self) -> bool {
-        self.elements.iter().all(|e| e.ready && e.free)
+        self.ready & self.free == self.full
     }
 
     /// Rule 2 of §3.3: every validated element is freed, all elements are
     /// computed, none is in use, and the owning loop has terminated
     /// (MRBB differs from the global MRBB).
     fn releasable_after_loop(&self, gmrbb: u64) -> bool {
-        self.elements
-            .iter()
-            .all(|e| (!e.valid || e.free) && e.ready && !e.used)
+        self.valid & !self.free == 0
+            && self.ready == self.full
+            && self.used == 0
             && self.mrbb != gmrbb
+    }
+
+    /// The reclaim filter: every element is computed or poisoned and none
+    /// has an uncommitted validation.
+    fn settled(&self) -> bool {
+        (self.ready | self.poisoned) == self.full && self.used == 0
     }
 }
 
@@ -175,7 +241,7 @@ impl ElementUsage {
 /// vrf.set_ready(id, 0);
 /// vrf.mark_used(id, 0);
 /// vrf.validate(id, 0);
-/// assert!(vrf.get(id).elements()[0].valid);
+/// assert!(vrf.get(id).element(0).valid);
 /// ```
 #[derive(Debug, Clone)]
 pub struct VectorRegisterFile {
@@ -196,11 +262,18 @@ pub struct VectorRegisterFile {
     /// §3.6 store check rejects stores outside it without walking the
     /// allocated set (the overwhelmingly common case).  Widened exactly on
     /// [`VectorRegisterFile::set_addr_range`]; releasing a ranged register
-    /// only marks it stale (`addr_union_dirty`), and the next check rebuilds.
+    /// only marks it stale (`addr_union_dirty`), and the next check whose
+    /// store falls inside the stale union rebuilds it.
     addr_union: Option<(u64, u64)>,
     addr_union_dirty: bool,
-    /// Reusable snapshot buffer for scans that release while iterating.
-    scan_scratch: Vec<u32>,
+    /// Reusable bitmap snapshot of the allocated set, for scans that
+    /// release while iterating.
+    scan_scratch: Vec<u64>,
+    /// Journal of registers whose readiness inputs changed — a ready or
+    /// poison flag newly set, or a new generation — since the last
+    /// [`VectorRegisterFile::pop_touched`].  Consumers that park work on a
+    /// register (the pipeline's vector wakeups) drain it instead of polling.
+    touched: SlotSet,
 }
 
 impl VectorRegisterFile {
@@ -209,17 +282,15 @@ impl VectorRegisterFile {
     ///
     /// # Panics
     ///
-    /// Panics if `count` or `vector_length` is zero.
+    /// Panics if `count` is zero or `vector_length` is outside `1..=64`
+    /// (element flags are lanes of a `u64`).
     #[must_use]
     pub fn new(count: usize, vector_length: usize, unbounded: bool) -> Self {
         assert!(
             count > 0,
             "vector register file must have at least one register"
         );
-        assert!(
-            vector_length > 0,
-            "vector length must be at least one element"
-        );
+        assert_vector_length(vector_length);
         VectorRegisterFile {
             regs: (0..count)
                 .map(|_| VectorRegister::new(vector_length))
@@ -233,6 +304,7 @@ impl VectorRegisterFile {
             addr_union: None,
             addr_union_dirty: false,
             scan_scratch: Vec::new(),
+            touched: SlotSet::new(),
         }
     }
 
@@ -282,14 +354,19 @@ impl VectorRegisterFile {
             }
         };
         self.allocated_set.insert(idx as u32);
-        let vl = self.vector_length;
+        self.touched.insert(idx as u32);
         let reg = &mut self.regs[idx];
-        let generation = reg.generation + 1;
-        *reg = VectorRegister::new(vl);
+        // Reset in place: the register keeps its storage across generations.
         reg.allocated = true;
         reg.pc = pc;
         reg.mrbb = mrbb;
-        reg.generation = generation;
+        reg.generation += 1;
+        reg.valid = 0;
+        reg.ready = 0;
+        reg.used = 0;
+        reg.free = 0;
+        reg.poisoned = 0;
+        reg.addr_range = None;
         Some(VregId(idx as u32))
     }
 
@@ -326,45 +403,86 @@ impl VectorRegisterFile {
 
     /// Marks element `offset` as computed (R flag).
     pub fn set_ready(&mut self, id: VregId, offset: usize) {
-        self.get_mut(id).elements[offset].ready = true;
+        let reg = &mut self.regs[id.index()];
+        let bit = reg.lane(offset);
+        if reg.ready & bit == 0 {
+            reg.ready |= bit;
+            self.touched.insert(id.0);
+        }
     }
 
     /// Whether element `offset` has been computed.
     #[must_use]
     pub fn is_ready(&self, id: VregId, offset: usize) -> bool {
-        self.get(id).elements[offset].ready
+        let reg = self.get(id);
+        reg.ready & reg.lane(offset) != 0
     }
 
     /// Marks element `offset` as having a dispatched, uncommitted validation (U flag).
     pub fn mark_used(&mut self, id: VregId, offset: usize) {
-        self.get_mut(id).elements[offset].used = true;
+        let reg = self.get_mut(id);
+        reg.used |= reg.lane(offset);
     }
 
     /// Commits a validation of element `offset`: sets V and clears U.
     pub fn validate(&mut self, id: VregId, offset: usize) {
-        let e = &mut self.get_mut(id).elements[offset];
-        e.valid = true;
-        e.used = false;
+        let reg = self.get_mut(id);
+        let bit = reg.lane(offset);
+        reg.valid |= bit;
+        reg.used &= !bit;
     }
 
     /// Marks element `offset` as no longer needed (F flag).
     pub fn set_free_flag(&mut self, id: VregId, offset: usize) {
-        self.get_mut(id).elements[offset].free = true;
+        let reg = self.get_mut(id);
+        reg.free |= reg.lane(offset);
     }
 
     /// Poisons elements `from..` of a register after a failed validation, so
     /// they are never validated or reused.
     pub fn poison_from(&mut self, id: VregId, from: usize) {
-        for e in self.get_mut(id).elements[from..].iter_mut() {
-            e.poisoned = true;
-            e.used = false;
+        let reg = &mut self.regs[id.index()];
+        let lanes = reg.full & !lanes_below(from);
+        let changed = reg.poisoned & lanes != lanes;
+        reg.poisoned |= lanes;
+        reg.used &= !lanes;
+        if changed {
+            self.touched.insert(id.0);
         }
     }
 
     /// Whether element `offset` has been poisoned by a mis-speculation.
     #[must_use]
     pub fn is_poisoned(&self, id: VregId, offset: usize) -> bool {
-        self.get(id).elements[offset].poisoned
+        let reg = self.get(id);
+        reg.poisoned & reg.lane(offset) != 0
+    }
+
+    /// Whether element `offset` is resolved for a consumer that read it at
+    /// allocation `generation`: the register has since been re-allocated,
+    /// or the element is computed or poisoned.  Each of those conditions is
+    /// monotonic over a consumer's lifetime.
+    #[must_use]
+    pub fn element_resolved(&self, id: VregId, generation: u64, offset: usize) -> bool {
+        let reg = self.get(id);
+        reg.generation != generation || (reg.ready | reg.poisoned) & reg.lane(offset) != 0
+    }
+
+    /// Poisons every element from the first one not yet validated (§3.6: a
+    /// conflicting store may have made them stale).  Validated elements
+    /// keep their data.
+    pub fn poison_unvalidated(&mut self, id: VregId) {
+        let reg = self.get(id);
+        let unvalidated = reg.full & !reg.valid;
+        if unvalidated != 0 {
+            self.poison_from(id, unvalidated.trailing_zeros() as usize);
+        }
+    }
+
+    /// Removes and returns the lowest-numbered register whose ready or
+    /// poison flags or generation changed since it was last returned.
+    pub fn pop_touched(&mut self) -> Option<VregId> {
+        self.touched.pop_first().map(VregId)
     }
 
     /// Releases `id` unconditionally, recording its element usage (used when a
@@ -416,26 +534,33 @@ impl VectorRegisterFile {
     /// internal snapshot buffer for the walk.
     pub fn release_eligible_into(&mut self, gmrbb: u64, out: &mut Vec<VregId>) {
         out.clear();
-        let mut ids = std::mem::take(&mut self.scan_scratch);
-        ids.clear();
-        ids.extend(self.allocated_set.iter());
-        for &i in &ids {
+        let mut snapshot = std::mem::take(&mut self.scan_scratch);
+        self.allocated_set.snapshot_into(&mut snapshot);
+        for i in SlotIter::over(&snapshot) {
             let id = VregId(i);
             if self.try_release(id, gmrbb) {
                 out.push(id);
             }
         }
-        self.scan_scratch = ids;
+        self.scan_scratch = snapshot;
     }
 
-    /// Registers (allocated, with an address range) whose range overlaps the
-    /// store `[addr, addr + width)` — the §3.6 coherence check.  A lazily
-    /// maintained union of all allocated ranges rejects non-overlapping
-    /// stores (the overwhelmingly common case) in O(1); only stores inside
-    /// the union walk the allocated set.
-    #[must_use]
-    pub fn conflicting_registers(&mut self, addr: u64, width: u64) -> Vec<VregId> {
+    /// Clears `out` and fills it with the registers (allocated, with an
+    /// address range) whose range overlaps the store `[addr, addr + width)`
+    /// — the §3.6 coherence check — in index order.  A lazily maintained
+    /// union of all allocated ranges rejects non-overlapping stores (the
+    /// overwhelmingly common case) in O(1); only stores inside the union
+    /// walk the allocated set.  A stale union (registers released since it
+    /// was built) still covers every live range, so it is rebuilt only when
+    /// a store falls inside it.
+    pub fn conflicting_registers(&mut self, addr: u64, width: u64, out: &mut Vec<VregId>) {
+        out.clear();
         let end = addr + width.max(1) - 1;
+        let overlaps =
+            |union: Option<(u64, u64)>| matches!(union, Some((lo, hi)) if addr <= hi && end >= lo);
+        if !overlaps(self.addr_union) {
+            return;
+        }
         if self.addr_union_dirty {
             self.addr_union = self
                 .allocated_set
@@ -443,19 +568,15 @@ impl VectorRegisterFile {
                 .filter_map(|i| self.regs[i as usize].addr_range)
                 .reduce(|(lo0, hi0), (lo1, hi1)| (lo0.min(lo1), hi0.max(hi1)));
             self.addr_union_dirty = false;
+            if !overlaps(self.addr_union) {
+                return;
+            }
         }
-        match self.addr_union {
-            Some((lo, hi)) if addr <= hi && end >= lo => {}
-            _ => return Vec::new(),
-        }
-        self.allocated_set
-            .iter()
-            .filter_map(|i| {
-                self.regs[i as usize]
-                    .addr_range
-                    .and_then(|(first, last)| (addr <= last && end >= first).then_some(VregId(i)))
-            })
-            .collect()
+        out.extend(self.allocated_set.iter().filter_map(|i| {
+            self.regs[i as usize]
+                .addr_range
+                .and_then(|(first, last)| (addr <= last && end >= first).then_some(VregId(i)))
+        }));
     }
 
     /// All currently allocated registers, in index order.
@@ -465,23 +586,27 @@ impl VectorRegisterFile {
 
     /// Releases every allocated register, recording usage (end of simulation).
     pub fn release_all(&mut self) {
-        let ids: Vec<VregId> = self.allocated_ids().collect();
-        for id in ids {
-            self.force_release(id);
+        let mut snapshot = std::mem::take(&mut self.scan_scratch);
+        self.allocated_set.snapshot_into(&mut snapshot);
+        for i in SlotIter::over(&snapshot) {
+            self.force_release(VregId(i));
         }
+        self.scan_scratch = snapshot;
+    }
+
+    /// The reclaim filter of the engine's reference scan: every element of
+    /// `id` is computed or poisoned and none has an uncommitted validation.
+    #[must_use]
+    pub fn is_settled(&self, id: VregId) -> bool {
+        self.get(id).settled()
     }
 
     fn record_usage(&mut self, id: VregId) {
         let reg = &self.regs[id.index()];
-        for e in &reg.elements {
-            if e.ready && e.valid {
-                self.usage.computed_used += 1;
-            } else if e.ready {
-                self.usage.computed_not_used += 1;
-            } else {
-                self.usage.not_computed += 1;
-            }
-        }
+        let (ready, valid, full) = (reg.ready, reg.valid, reg.full);
+        self.usage.computed_used += u64::from((ready & valid).count_ones());
+        self.usage.computed_not_used += u64::from((ready & !valid).count_ones());
+        self.usage.not_computed += u64::from((full & !ready).count_ones());
         self.usage.registers_released += 1;
     }
 }
@@ -602,15 +727,15 @@ mod tests {
         let b = vrf.allocate(0x1004, 0).unwrap();
         vrf.set_addr_range(a, 0x8000, 0x8018);
         vrf.set_addr_range(b, 0x9000, 0x9018);
-        assert_eq!(vrf.conflicting_registers(0x8010, 8), vec![a]);
-        assert_eq!(
-            vrf.conflicting_registers(0x8fff, 8),
-            vec![b],
-            "touches first byte of b"
-        );
-        assert!(vrf.conflicting_registers(0x7000, 8).is_empty());
-        let both = vrf.conflicting_registers(0x8018, 0x1000);
-        assert_eq!(both, vec![a, b]);
+        let mut out = Vec::new();
+        vrf.conflicting_registers(0x8010, 8, &mut out);
+        assert_eq!(out, vec![a]);
+        vrf.conflicting_registers(0x8fff, 8, &mut out);
+        assert_eq!(out, vec![b], "touches first byte of b");
+        vrf.conflicting_registers(0x7000, 8, &mut out);
+        assert!(out.is_empty());
+        vrf.conflicting_registers(0x8018, 0x1000, &mut out);
+        assert_eq!(out, vec![a, b]);
     }
 
     #[test]
@@ -622,7 +747,7 @@ mod tests {
         assert!(!vrf.is_poisoned(id, 1));
         assert!(vrf.is_poisoned(id, 2));
         assert!(vrf.is_poisoned(id, 3));
-        assert!(!vrf.get(id).elements()[3].used, "poisoning clears U");
+        assert!(!vrf.get(id).element(3).used, "poisoning clears U");
     }
 
     #[test]
@@ -666,5 +791,80 @@ mod tests {
         vrf.force_release(id);
         vrf.force_release(id);
         assert_eq!(vrf.usage().registers_released, 1);
+    }
+
+    #[test]
+    fn touched_journal_reports_readiness_changes_once() {
+        let mut vrf = file();
+        let a = vrf.allocate(0x1, 0).unwrap();
+        let b = vrf.allocate(0x2, 0).unwrap();
+        // Allocation is a new generation: both registers are touched.
+        assert_eq!(vrf.pop_touched(), Some(a));
+        assert_eq!(vrf.pop_touched(), Some(b));
+        assert_eq!(vrf.pop_touched(), None);
+        // U/V/F changes do not affect readiness.
+        vrf.mark_used(b, 0);
+        vrf.validate(b, 0);
+        vrf.set_free_flag(b, 0);
+        assert_eq!(vrf.pop_touched(), None);
+        vrf.set_ready(b, 1);
+        vrf.set_ready(b, 1);
+        vrf.poison_from(a, 2);
+        assert_eq!(vrf.pop_touched(), Some(a));
+        assert_eq!(vrf.pop_touched(), Some(b));
+        // Re-setting flags that are already set is not a change.
+        vrf.set_ready(b, 1);
+        vrf.poison_from(a, 3);
+        assert_eq!(vrf.pop_touched(), None);
+        assert!(vrf.element_resolved(b, vrf.generation(b), 1));
+        assert!(!vrf.element_resolved(b, vrf.generation(b), 2));
+        assert!(
+            vrf.element_resolved(b, vrf.generation(b) - 1, 2),
+            "stale generation"
+        );
+    }
+
+    #[test]
+    fn poison_unvalidated_starts_at_the_first_unvalidated_element() {
+        let mut vrf = file();
+        let id = vrf.allocate(0x1, 0).unwrap();
+        vrf.validate(id, 0);
+        vrf.validate(id, 2);
+        vrf.poison_unvalidated(id);
+        let poisoned: Vec<bool> = (0..4).map(|i| vrf.get(id).element(i).poisoned).collect();
+        assert_eq!(poisoned, vec![false, true, true, true]);
+    }
+
+    #[test]
+    fn sixty_four_lanes_fit_the_masks() {
+        let mut vrf = VectorRegisterFile::new(1, 64, false);
+        let id = vrf.allocate(0x1, 0).unwrap();
+        for i in 0..64 {
+            vrf.set_ready(id, i);
+            vrf.set_free_flag(id, i);
+        }
+        assert!(vrf.get(id).element(63).ready);
+        assert!(vrf.try_release(id, 0));
+        assert_eq!(vrf.usage().computed_not_used, 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "vector length must be between 1 and 64")]
+    fn vector_length_above_64_is_rejected() {
+        let _ = VectorRegisterFile::new(4, 65, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "vector length must be between 1 and 64")]
+    fn zero_vector_length_is_rejected() {
+        let _ = VectorRegisterFile::new(4, 0, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the vector length")]
+    fn element_beyond_the_vector_length_panics() {
+        let mut vrf = file();
+        let id = vrf.allocate(0x1, 0).unwrap();
+        vrf.set_ready(id, 4);
     }
 }

@@ -252,25 +252,29 @@ impl Vrmt {
     }
 
     /// Removes every entry whose vector register is `vreg` (store-coherence
-    /// invalidation, §3.6); returns the removed entries.
-    pub fn invalidate_vreg(&mut self, vreg: VregId) -> Vec<VrmtEntry> {
-        if !self.references(vreg) {
-            return Vec::new();
-        }
-        let mut removed = Vec::new();
+    /// invalidation, §3.6); returns how many entries were removed.  The walk
+    /// stops as soon as the register's reference count is exhausted.
+    pub fn invalidate_vreg(&mut self, vreg: VregId) -> usize {
+        let Some(refs) = self.refs.get_mut(vreg.index()) else {
+            return 0;
+        };
+        let expected = std::mem::take(refs) as usize;
+        let mut removed = 0;
         for set in &mut self.sets {
+            if removed == expected {
+                break;
+            }
             let mut i = 0;
             while i < set.len() {
                 if set[i].entry.vreg == vreg {
-                    removed.push(set.swap_remove(i).entry);
+                    set.swap_remove(i);
+                    removed += 1;
                 } else {
                     i += 1;
                 }
             }
         }
-        if let Some(c) = self.refs.get_mut(vreg.index()) {
-            *c = 0;
-        }
+        debug_assert_eq!(removed, expected, "reference count matches the table");
         removed
     }
 
@@ -387,8 +391,7 @@ mod tests {
         t.insert(entry(0x1004, v[0]));
         t.insert(entry(0x1008, v[1]));
         assert!(t.references(v[0]));
-        let removed = t.invalidate_vreg(v[0]);
-        assert_eq!(removed.len(), 2);
+        assert_eq!(t.invalidate_vreg(v[0]), 2);
         assert!(!t.references(v[0]));
         assert_eq!(t.len(), 1);
         assert!(t.invalidate_pc(0x1008).is_some());

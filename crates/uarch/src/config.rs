@@ -232,8 +232,14 @@ impl UarchConfig {
     }
 
     /// Enables vectorization with a specific sizing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.vector_length` is outside `1..=64` (element flags are
+    /// lanes of a `u64`).
     #[must_use]
     pub fn with_dv_config(mut self, cfg: DvConfig) -> Self {
+        sdv_core::assert_vector_length(cfg.vector_length);
         self.vectorization = Some(cfg);
         self
     }
@@ -392,8 +398,14 @@ impl ConfigBuilder {
     }
 
     /// Enables dynamic vectorization with a specific sizing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.vector_length` is outside `1..=64` (element flags are
+    /// lanes of a `u64`).
     #[must_use]
     pub fn dv_config(mut self, cfg: DvConfig) -> Self {
+        sdv_core::assert_vector_length(cfg.vector_length);
         self.vectorization = Some(cfg);
         self
     }
@@ -528,6 +540,46 @@ mod tests {
         assert_eq!(cfg.vectorization.unwrap().vector_registers, 128);
         let cfg = cfg.with_vectorization(false);
         assert!(!cfg.vectorization_enabled());
+    }
+
+    #[test]
+    fn builder_accepts_the_full_lane_range() {
+        for vector_length in [1, 4, 64] {
+            let cfg = UarchConfig::builder()
+                .dv_config(DvConfig {
+                    vector_length,
+                    ..DvConfig::default()
+                })
+                .build();
+            assert_eq!(cfg.vectorization.unwrap().vector_length, vector_length);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "vector length must be between 1 and 64")]
+    fn builder_rejects_vector_length_above_64() {
+        let _ = UarchConfig::builder().dv_config(DvConfig {
+            vector_length: 65,
+            ..DvConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "vector length must be between 1 and 64")]
+    fn builder_rejects_zero_vector_length() {
+        let _ = UarchConfig::builder().dv_config(DvConfig {
+            vector_length: 0,
+            ..DvConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "vector length must be between 1 and 64")]
+    fn with_dv_config_rejects_vector_length_above_64() {
+        let _ = UarchConfig::four_way(1, PortKind::Wide).with_dv_config(DvConfig {
+            vector_length: 128,
+            ..DvConfig::default()
+        });
     }
 
     #[test]

@@ -38,10 +38,14 @@
 //!   in a single program-ordered ready set, tagged with their issue group at
 //!   dispatch; issue is one sorted walk over that set, and a structural
 //!   hazard masks the whole group via a bitmask for the rest of the cycle.
-//!   Entries waiting on a *vector* element (whose readiness is signalled by
-//!   the vector data path, not by a ROB completion) sit in a small separate
-//!   queue that is re-polled each cycle.  Load/store disambiguation walks an
-//!   indexed queue of in-flight stores rather than the whole ROB prefix.
+//!   Entries waiting on a *vector* element — validations, and entries whose
+//!   scalar operands are ready but which read a vector element — are parked
+//!   on a per-vector-register waiter list instead.  The engine journals
+//!   every register whose ready or poison flags or generation changed, and
+//!   the scheduler drains that journal before each issue walk, moving the
+//!   entries that are now satisfied into the ready set (event-driven, never
+//!   polled).  Load/store disambiguation walks an indexed queue of in-flight
+//!   stores rather than the whole ROB prefix.
 //! * [`Scheduler::NaiveScan`] is the original full-window scan, retained as a
 //!   reference oracle: both schedulers issue the identical instruction
 //!   sequence cycle for cycle (a property test pins this on random programs),
@@ -79,16 +83,15 @@
 //! * [`BusyPath::Batched`] (the default) dispatches a whole fetch group at a
 //!   time — the per-instruction engine interactions stay serial (VRMT decode
 //!   order is architectural), but the wakeup-scoreboard setup is deferred to
-//!   one classification pass over the group with a single waiter-arena append
-//!   run per producer — and commits maximal ready runs from the ROB head with
-//!   one stats flush and one head advance per run.
+//!   one classification pass over the group — and commits maximal ready runs
+//!   from the ROB head with one stats flush and one head advance per run.
 //! * [`BusyPath::Legacy`] keeps the original entry-at-a-time dispatch and
 //!   commit loop structure as the reference oracle.
 //!
 //! The equivalence argument for batched dispatch: deferring classification is
 //! safe because nothing between the first and last instruction of a dispatch
 //! group can change a producer's completion state (issue ran earlier in the
-//! cycle), and `vec_sources_satisfied` is monotonic.  For run-retire commit:
+//! cycle), and vector-element resolution is monotonic.  For run-retire commit:
 //! a maximal run of completed non-store entries at the head retires with no
 //! per-entry observable in between — stores, the only committing instructions
 //! with side effects that can gate or squash (§3.6), always terminate a run
@@ -207,8 +210,8 @@ pub enum Stepping {
 /// on random programs and squash storms, and by the golden-stats suite).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BusyPath {
-    /// Group dispatch (one classification pass and one waiter-arena append
-    /// run per producer) plus run-retire commit (the default).
+    /// Group dispatch (one classification pass per fetch group) plus
+    /// run-retire commit (the default).
     #[default]
     Batched,
     /// Entry-at-a-time dispatch and commit, kept as the reference oracle.
@@ -318,15 +321,23 @@ pub struct Processor {
     sched: Scheduler,
     busy_path: BusyPath,
     /// Wakeup scheduler: the single program-ordered set of issuable entries —
-    /// unissued instructions whose sources are ready, plus pending
-    /// validations (which are polled in place).  Elements are packed
-    /// [`ready_key`]s (sequence number + issue group), so the per-cycle walk
-    /// is one sorted scan instead of a head merge across per-group queues,
-    /// and a structural hazard masks a whole group via a bit in a `u16`
-    /// without touching the ROB.
+    /// unissued instructions whose sources are ready, plus validations whose
+    /// element is resolved.  Elements are packed [`ready_key`]s (sequence
+    /// number + issue group), so the per-cycle walk is one sorted scan
+    /// instead of a head merge across per-group queues, and a structural
+    /// hazard masks a whole group via a bit in a `u16` without touching the
+    /// ROB.
     ready_all: SeqSet,
-    /// Wakeup scheduler: entries waiting only on vector elements.
-    vec_pending: SeqSet,
+    /// Wakeup scheduler: per-vector-register lists of parked entries —
+    /// validations whose element is unresolved and entries whose scalar
+    /// operands are ready but which still wait on a vector element.  Each
+    /// parked entry sits on exactly one list (the register of an unresolved
+    /// element it needs) and is re-examined only when the engine's touched
+    /// journal reports that register ([`Self::drain_vector_wakeups`]).
+    /// Indexed by register; the lists keep their storage across uses.
+    vec_waiters: Vec<Vec<u64>>,
+    /// Reusable buffer swapped with a waiter list while it is drained.
+    vec_drain_scratch: Vec<u64>,
     /// Wakeup scheduler: pending completion events `(cycle, producer seq)`.
     completions: BinaryHeap<Reverse<(u64, u64)>>,
     /// In-flight stores whose address is not yet known (subset of
@@ -349,16 +360,10 @@ pub struct Processor {
     parked_epoch: Option<u64>,
     /// Reusable scratch buffer for the parking walk.
     park_scratch: Vec<u64>,
-    /// Reusable scratch buffer for the vector-pending poll.
-    vec_scratch: Vec<u64>,
     /// Reusable scratch buffer for draining waiter lists.
     wake_scratch: Vec<u64>,
     /// Reusable scratch buffer for wide-bus peer loads.
     peer_scratch: Vec<u64>,
-    /// Group-dispatch scratch: `(producer, dependent)` wakeup edges.
-    edge_scratch: Vec<(u64, u64)>,
-    /// Group-dispatch scratch: the dependents of one producer.
-    dep_scratch: Vec<u64>,
     /// Optional issue trace `(cycle, seq)` for scheduler-equivalence tests.
     issue_trace: Option<Vec<(u64, u64)>>,
     /// Optional cycle-attribution ledger (see [`Self::record_cycle_ledger`]).
@@ -377,6 +382,16 @@ pub struct Processor {
     macro_jumps: u64,
     /// Macro-step telemetry: total cycles skipped by clock jumps.
     macro_skipped_cycles: u64,
+    /// Work counter: entries put on a vector-register waiter list (first
+    /// parks plus re-parks after a wakeup that left them unresolved).
+    vec_parked: u64,
+    /// Work counter: parked entries moved into the ready set.
+    vec_promoted: u64,
+    /// Work counter: §3.6 store-conflict squashes.
+    squash_events: u64,
+    /// Work counter: ROB entries re-armed by squashes (every entry younger
+    /// than the conflicting store except already-issued stores).
+    squash_rearmed: u64,
     /// No fetch before this cycle (I-cache miss or redirect penalty).
     fetch_ready_cycle: u64,
     /// Sequence number of an unresolved mispredicted branch blocking fetch.
@@ -419,18 +434,16 @@ impl Processor {
             sched: Scheduler::default(),
             busy_path: BusyPath::default(),
             ready_all: SeqSet::new(),
-            vec_pending: SeqSet::new(),
+            vec_waiters: Vec::new(),
+            vec_drain_scratch: Vec::new(),
             completions: BinaryHeap::new(),
             unknown_stores: SeqSet::new(),
             store_lines: FastMap::default(),
             store_epoch: 0,
             parked_epoch: None,
             park_scratch: Vec::new(),
-            vec_scratch: Vec::new(),
             wake_scratch: Vec::new(),
             peer_scratch: Vec::new(),
-            edge_scratch: Vec::new(),
-            dep_scratch: Vec::new(),
             issue_trace: None,
             ledger: None,
             cycle_flags: 0,
@@ -439,6 +452,10 @@ impl Processor {
             commit_gate: 0,
             macro_jumps: 0,
             macro_skipped_cycles: 0,
+            vec_parked: 0,
+            vec_promoted: 0,
+            squash_events: 0,
+            squash_rearmed: 0,
             fetch_ready_cycle: 0,
             fetch_blocked_on: None,
             emulator_done: false,
@@ -544,10 +561,13 @@ impl Processor {
 
     /// Exports this processor's observability metrics into `registry`:
     /// the cycle ledger (as `pipeline.cycles.<bucket>` counters), the
-    /// macro-step telemetry, and the memory-hierarchy instrumentation the
-    /// stats struct does not carry (way-predictor hit breakdown, MSHR
-    /// occupancy).  Counters accumulate, so calling this for every cell of
-    /// an engine run aggregates across the whole session.
+    /// macro-step telemetry, the deterministic work counters of the vector
+    /// wakeups and §3.6 squashes (`pipeline.vector.parked` /
+    /// `pipeline.vector.promoted`, `pipeline.squash.events` /
+    /// `pipeline.squash.rearmed_entries`), and the memory-hierarchy
+    /// instrumentation the stats struct does not carry (way-predictor hit
+    /// breakdown, MSHR occupancy).  Counters accumulate, so calling this for
+    /// every cell of an engine run aggregates across the whole session.
     pub fn obs_metrics(&mut self, registry: &mut MetricsRegistry) {
         if let Some(ledger) = self.ledger.as_deref() {
             ledger.export_to(registry, "pipeline.cycles");
@@ -557,6 +577,10 @@ impl Processor {
             "pipeline.macro_step.skipped_cycles",
             self.macro_skipped_cycles,
         );
+        registry.add_counter("pipeline.vector.parked", self.vec_parked);
+        registry.add_counter("pipeline.vector.promoted", self.vec_promoted);
+        registry.add_counter("pipeline.squash.events", self.squash_events);
+        registry.add_counter("pipeline.squash.rearmed_entries", self.squash_rearmed);
         let wp = self.dmem.way_predict_stats();
         registry.add_counter("cache.l1d.way_predict.predicted_hits", wp.predicted_hits);
         registry.add_counter("cache.l1d.way_predict.scan_hits", wp.scan_hits);
@@ -836,7 +860,7 @@ impl Processor {
             let fetched = self.fetch_queue.pop_front().expect("front exists");
             let seq = self.dispatch_core(fetched);
             if self.sched == Scheduler::Wakeup {
-                self.classify_unissued(seq);
+                self.classify_group(seq);
             }
             dispatched += 1;
         }
@@ -852,7 +876,7 @@ impl Processor {
     /// legacy path.  Only the wakeup-scoreboard bookkeeping is deferred,
     /// which is safe because nothing in the rest of the group can change a
     /// producer's completion state (issue ran earlier in the cycle) and
-    /// `vec_sources_satisfied` is monotonic.
+    /// vector-element resolution is monotonic.
     fn dispatch_batched(&mut self) {
         let first = self.rob.tail();
         let mut dispatched = 0;
@@ -1009,99 +1033,130 @@ impl Processor {
         seq
     }
 
-    /// Shared scoreboard classification (used at legacy dispatch and by the
-    /// squash rebuild): counts incomplete scalar producers, registers this
-    /// entry as their waiter, and routes it to the validation / ready /
-    /// vector-pending queue its operand state calls for.
-    fn classify_unissued(&mut self, seq: u64) {
-        if self.rob.queue(seq) == Q_VALIDATION {
-            // Validations are polled in place: they enter the ready set at
-            // dispatch and issue once their element resolves.
-            self.ready_all.insert(ready_key(seq, Q_VALIDATION));
-            return;
-        }
-        let cold = self.rob.cold(seq);
-        let (src_scalar, src_vec) = (cold.src_scalar, cold.src_vec);
-        let mut pending: u8 = 0;
-        for producer in src_scalar.into_iter().flatten() {
-            if self.rob.contains(producer) && !self.rob.completed(producer, self.cycle) {
-                pending += 1;
-                let head = self.rob.waiter_head(producer);
-                let head = self.waiters.push(head, seq);
-                let _ = self.rob.swap_waiter_head(producer, head);
-            }
-        }
-        let has_vec_wait = self.engine.is_some() && src_vec.iter().any(Option::is_some);
-        self.rob.set_pending_scalar(seq, pending);
-        self.rob.set_has_vec_wait(seq, has_vec_wait);
-        if pending == 0 {
-            if has_vec_wait && !self.vec_sources_satisfied(&src_vec) {
-                self.vec_pending.insert(seq);
-            } else {
-                self.insert_ready(seq);
-            }
-        }
-    }
-
-    /// Group classification: one pass over a freshly dispatched group
-    /// (`first..tail`) computing pending counts and ready-set membership,
-    /// gathering wakeup edges, then one waiter-arena append run per producer
-    /// instead of one push per edge.  Fresh sequence numbers are maximal, so
-    /// every ready/vector-pending insert is a plain tail append.
+    /// Scoreboard classification of the unissued entries `first..tail`:
+    /// counts incomplete scalar producers, registers each entry as their
+    /// waiter, and routes it to the ready set or a vector-register waiter
+    /// list.  Used for a freshly dispatched group (both busy paths) and for
+    /// the whole window by the squash rebuild, which is why issued entries
+    /// are skipped.  Entries are visited in ascending order and the ready
+    /// set holds only older keys (or is empty, in the rebuild), so every
+    /// ready-set insert is a plain tail append.
     fn classify_group(&mut self, first: u64) {
-        let mut edges = std::mem::take(&mut self.edge_scratch);
-        edges.clear();
         for seq in first..self.rob.tail() {
-            let queue = self.rob.queue(seq);
-            if queue == Q_VALIDATION {
-                self.ready_all.extend_back(ready_key(seq, Q_VALIDATION));
+            if self.rob.issued(seq) {
                 continue;
             }
+            let queue = self.rob.queue(seq);
             let cold = self.rob.cold(seq);
+            if queue == Q_VALIDATION {
+                let ExecMode::Validation {
+                    vreg,
+                    generation,
+                    offset,
+                } = cold.mode
+                else {
+                    unreachable!("the validation group holds only validations");
+                };
+                if self.validation_ready(vreg, generation, offset) {
+                    self.ready_all.extend_back(ready_key(seq, Q_VALIDATION));
+                } else {
+                    self.park_on_vreg(seq, vreg);
+                }
+                continue;
+            }
             let (src_scalar, src_vec) = (cold.src_scalar, cold.src_vec);
             let mut pending: u8 = 0;
             for producer in src_scalar.into_iter().flatten() {
                 if self.rob.contains(producer) && !self.rob.completed(producer, self.cycle) {
                     pending += 1;
-                    edges.push((producer, seq));
+                    let head = self.rob.waiter_head(producer);
+                    let head = self.waiters.push(head, seq);
+                    let _ = self.rob.swap_waiter_head(producer, head);
                 }
             }
             let has_vec_wait = self.engine.is_some() && src_vec.iter().any(Option::is_some);
             self.rob.set_pending_scalar(seq, pending);
             self.rob.set_has_vec_wait(seq, has_vec_wait);
-            if pending == 0 {
-                if has_vec_wait && !self.vec_sources_satisfied(&src_vec) {
-                    self.vec_pending.extend_back(seq);
-                } else {
-                    if queue == Q_LOAD {
-                        // A fresh ready load has no disambiguation verdict yet.
-                        self.parked_epoch = None;
-                    }
-                    self.ready_all.extend_back(ready_key(seq, queue));
+            if pending > 0 {
+                continue;
+            }
+            if has_vec_wait {
+                if let Some(vreg) = self.first_unresolved_vec_source(&src_vec) {
+                    self.park_on_vreg(seq, vreg);
+                    continue;
                 }
             }
-        }
-        // Bulk wakeup-scoreboard setup: group the edges by producer (a fetch
-        // group holds at most 2 × issue width of them) and append each
-        // producer's run in one arena call.  List order differs from the
-        // legacy per-push order, which is invisible: waking only decrements
-        // counts and inserts into sorted sets.
-        edges.sort_unstable();
-        let mut deps = std::mem::take(&mut self.dep_scratch);
-        let mut i = 0;
-        while i < edges.len() {
-            let producer = edges[i].0;
-            deps.clear();
-            while i < edges.len() && edges[i].0 == producer {
-                deps.push(edges[i].1);
-                i += 1;
+            if queue == Q_LOAD {
+                // A fresh ready load has no disambiguation verdict yet.
+                self.parked_epoch = None;
             }
-            let head = self.rob.waiter_head(producer);
-            let head = self.waiters.push_run(head, &deps);
-            let _ = self.rob.swap_waiter_head(producer, head);
+            self.ready_all.extend_back(ready_key(seq, queue));
         }
-        self.dep_scratch = deps;
-        self.edge_scratch = edges;
+    }
+
+    /// Parks `seq` on the waiter list of vector register `vreg`, one of whose
+    /// elements it needs and which is not resolved yet.
+    fn park_on_vreg(&mut self, seq: u64, vreg: VregId) {
+        let idx = vreg.index();
+        if idx >= self.vec_waiters.len() {
+            self.vec_waiters.resize_with(idx + 1, Vec::new);
+        }
+        self.vec_waiters[idx].push(seq);
+        self.vec_parked += 1;
+    }
+
+    /// Event-driven vector wakeups: drains the engine's touched journal and
+    /// re-examines every entry parked on a touched register.  An entry whose
+    /// needed elements are now all resolved enters the ready set; one that
+    /// still waits (another element of the same register, or its other
+    /// vector source) is parked again on the register it now needs.
+    ///
+    /// Exactness: an unresolved validation or vector-waiting entry is inert
+    /// in the issue walk (its visit has no side effect and does not count
+    /// toward the issue width), resolution is monotonic over an entry's
+    /// life, and this runs before every walk, so the walk sees exactly the
+    /// ready set it would have seen polling every entry in place.
+    fn drain_vector_wakeups(&mut self) {
+        while let Some(vreg) = self
+            .engine
+            .as_mut()
+            .and_then(VectorizationEngine::pop_touched)
+        {
+            let Some(list) = self.vec_waiters.get_mut(vreg.index()) else {
+                continue;
+            };
+            if list.is_empty() {
+                continue;
+            }
+            // Swap the list out so re-parks onto the same register land in
+            // an empty list that keeps the scratch buffer's storage.
+            let mut parked = std::mem::take(&mut self.vec_drain_scratch);
+            std::mem::swap(&mut parked, list);
+            for &seq in &parked {
+                debug_assert!(
+                    self.rob.contains(seq) && !self.rob.issued(seq),
+                    "parked entries are in flight and unissued"
+                );
+                let cold = self.rob.cold(seq);
+                let unresolved = match cold.mode {
+                    ExecMode::Validation {
+                        vreg,
+                        generation,
+                        offset,
+                    } => (!self.validation_ready(vreg, generation, offset)).then_some(vreg),
+                    ExecMode::Scalar => self.first_unresolved_vec_source(&cold.src_vec),
+                };
+                match unresolved {
+                    Some(vreg) => self.park_on_vreg(seq, vreg),
+                    None => {
+                        self.vec_promoted += 1;
+                        self.insert_ready(seq);
+                    }
+                }
+            }
+            parked.clear();
+            self.vec_drain_scratch = parked;
+        }
     }
 
     /// Inserts an entry into the ready set.
@@ -1147,35 +1202,30 @@ impl Processor {
                 return false;
             }
         }
-        self.vec_sources_satisfied(&cold.src_vec)
+        self.first_unresolved_vec_source(&cold.src_vec).is_none()
     }
 
-    /// The vector half of [`Self::sources_ready`]: every vector source element
-    /// is ready, poisoned, or belongs to a re-allocated register.  Each of
+    /// The vector half of [`Self::sources_ready`]: the register of the first
+    /// vector source element that is not resolved yet — neither ready nor
+    /// poisoned, in a register not re-allocated since — if any.  Each of
     /// those conditions is monotonic over an entry's lifetime.
-    fn vec_sources_satisfied(&self, src_vec: &[Option<(VregId, u64, usize)>; 2]) -> bool {
-        if let Some(engine) = &self.engine {
-            for (vreg, generation, offset) in src_vec.iter().flatten() {
-                let reallocated = engine.vreg_generation(*vreg) != *generation;
-                if !reallocated
-                    && !engine.element_ready(*vreg, *offset)
-                    && !engine.element_poisoned(*vreg, *offset)
-                {
-                    return false;
-                }
-            }
-        }
-        true
+    fn first_unresolved_vec_source(
+        &self,
+        src_vec: &[Option<(VregId, u64, usize)>; 2],
+    ) -> Option<VregId> {
+        let engine = self.engine.as_ref()?;
+        src_vec
+            .iter()
+            .flatten()
+            .find(|&&(vreg, generation, offset)| !engine.element_resolved(vreg, generation, offset))
+            .map(|&(vreg, _, _)| vreg)
     }
 
     fn validation_ready(&self, vreg: VregId, generation: u64, offset: usize) -> bool {
-        let engine = self
-            .engine
+        self.engine
             .as_ref()
-            .expect("validations exist only with the engine");
-        engine.vreg_generation(vreg) != generation
-            || engine.element_ready(vreg, offset)
-            || engine.element_poisoned(vreg, offset)
+            .expect("validations exist only with the engine")
+            .element_resolved(vreg, generation, offset)
     }
 
     fn issue(&mut self) {
@@ -1236,41 +1286,20 @@ impl Processor {
             if pending > 0 {
                 continue;
             }
-            let src_vec = self.rob.cold(dep).src_vec;
-            if self.rob.has_vec_wait(dep) && !self.vec_sources_satisfied(&src_vec) {
-                self.vec_pending.insert(dep);
-            } else {
-                self.insert_ready(dep);
+            if self.rob.has_vec_wait(dep) {
+                let src_vec = self.rob.cold(dep).src_vec;
+                if let Some(vreg) = self.first_unresolved_vec_source(&src_vec) {
+                    self.park_on_vreg(dep, vreg);
+                    continue;
+                }
             }
+            self.insert_ready(dep);
         }
-    }
-
-    /// Re-polls entries waiting on vector elements (their readiness is driven
-    /// by the vector data path and the engine, not by ROB completions).
-    fn promote_vec_pending(&mut self) {
-        if self.vec_pending.is_empty() {
-            return;
-        }
-        let mut candidates = std::mem::take(&mut self.vec_scratch);
-        candidates.clear();
-        candidates.extend(self.vec_pending.iter().copied());
-        for seq in candidates.iter().copied() {
-            if !self.rob.contains(seq) {
-                self.vec_pending.remove(seq);
-                continue;
-            }
-            let src_vec = self.rob.cold(seq).src_vec;
-            if self.vec_sources_satisfied(&src_vec) {
-                self.vec_pending.remove(seq);
-                self.insert_ready(seq);
-            }
-        }
-        self.vec_scratch = candidates;
     }
 
     fn issue_wakeup(&mut self) {
         self.drain_completions();
-        self.promote_vec_pending();
+        self.drain_vector_wakeups();
 
         // Walk the ready set — one sorted vector already merged in program
         // order — lazily: the scan stops as soon as the issue width is
@@ -1278,9 +1307,11 @@ impl Processor {
         // functional units are all busy is masked for the rest of the cycle —
         // every later entry of that group would fail the same structural
         // hazard, so skipping it is behaviour preserving.  Failed attempts
-        // with per-entry outcomes (loads: ports, MSHRs, disambiguation;
-        // validations: element not resolved) are never masked, the walk just
-        // moves past them.  When the current element is removed (it issued),
+        // with per-entry outcomes (loads: ports, MSHRs, disambiguation) are
+        // never masked, the walk just moves past them.  Validations and
+        // vector-waiting entries are parked until their element resolves
+        // ([`Self::drain_vector_wakeups`]), so every validation in the set
+        // issues.  When the current element is removed (it issued),
         // the next one shifts into its position and the cursor stays put;
         // wide-bus peers are removed at later positions only (they are
         // younger), so the cursor stays valid.
@@ -1315,25 +1346,19 @@ impl Processor {
             }
             match queue {
                 Q_VALIDATION => {
-                    let ExecMode::Validation {
-                        vreg,
-                        generation,
-                        offset,
-                    } = self.rob.cold(seq).mode
-                    else {
-                        unreachable!("the validation group holds only validations");
-                    };
                     // Validations complete on their own once the element is
-                    // ready; they do not consume issue bandwidth, functional
-                    // units or cache ports.
-                    if self.validation_ready(vreg, generation, offset) {
-                        self.rob.set_issued(seq, true);
-                        self.rob.set_complete_cycle(seq, self.cycle + 1);
-                        self.ready_all.remove(key);
-                        self.trace_issue(seq);
-                    } else {
-                        pos += 1;
-                    }
+                    // resolved (only then do they enter the ready set); they
+                    // do not consume issue bandwidth, functional units or
+                    // cache ports.
+                    debug_assert!(
+                        matches!(self.rob.cold(seq).mode, ExecMode::Validation { vreg, generation, offset }
+                            if self.validation_ready(vreg, generation, offset)),
+                        "only resolved validations are in the ready set"
+                    );
+                    self.rob.set_issued(seq, true);
+                    self.rob.set_complete_cycle(seq, self.cycle + 1);
+                    self.ready_all.remove_at(pos);
+                    self.trace_issue(seq);
                 }
                 Q_STORE => {
                     // Stores only compute their address at issue; memory is
@@ -1342,7 +1367,7 @@ impl Processor {
                     self.rob.set_store_addr_known(seq, true);
                     self.rob.set_complete_cycle(seq, self.cycle + 1);
                     let (addr, width) = (self.rob.addr(seq), self.rob.width(seq));
-                    self.ready_all.remove(key);
+                    self.ready_all.remove_at(pos);
                     self.unknown_stores.remove(seq);
                     self.add_store_lines(addr, width);
                     self.store_epoch += 1;
@@ -1360,7 +1385,7 @@ impl Processor {
                             continue;
                         }
                     }
-                    match self.try_issue_load_wakeup(seq) {
+                    match self.try_issue_load_wakeup(seq, pos) {
                         LoadAttempt::Issued => issued += 1,
                         LoadAttempt::Retry => pos += 1,
                         // An older store's address is unknown.  The walk is in
@@ -1391,7 +1416,7 @@ impl Processor {
                         }
                         self.rob.set_issued(seq, true);
                         self.rob.set_complete_cycle(seq, self.cycle + latency);
-                        self.ready_all.remove(key);
+                        self.ready_all.remove_at(pos);
                         self.push_completion(seq);
                         self.trace_issue(seq);
                         issued += 1;
@@ -1525,8 +1550,10 @@ impl Processor {
     ///
     /// [`LoadAttempt::BlockedOnUnknownStore`] singles out the one failure the
     /// issue walk can generalise: an older store's address is still unknown,
-    /// which dooms every younger ready load to the same verdict.
-    fn try_issue_load_wakeup(&mut self, seq: u64) -> LoadAttempt {
+    /// which dooms every younger ready load to the same verdict.  `pos` is
+    /// the load's position in the ready set (the walk's cursor).
+    fn try_issue_load_wakeup(&mut self, seq: u64, pos: usize) -> LoadAttempt {
+        debug_assert_eq!(self.ready_all.get(pos), Some(ready_key(seq, Q_LOAD)));
         let ports_exhausted = self.ports.free_this_cycle() == 0;
         if ports_exhausted {
             // Without a port the load can only issue by store forwarding; a
@@ -1549,7 +1576,7 @@ impl Processor {
             if store_done {
                 self.rob.set_issued(seq, true);
                 self.rob.set_complete_cycle(seq, self.cycle + 1);
-                self.ready_all.remove(ready_key(seq, Q_LOAD));
+                self.ready_all.remove_at(pos);
                 self.push_completion(seq);
                 self.trace_issue(seq);
                 self.stats.store_forwards += 1;
@@ -1570,7 +1597,7 @@ impl Processor {
         };
         self.rob.set_issued(seq, true);
         self.rob.set_complete_cycle(seq, done);
-        self.ready_all.remove(ready_key(seq, Q_LOAD));
+        self.ready_all.remove_at(pos);
         self.push_completion(seq);
         self.trace_issue(seq);
         self.stats.load_accesses += 1;
@@ -1627,7 +1654,9 @@ impl Processor {
             return;
         }
         self.ready_all.clear();
-        self.vec_pending.clear();
+        for list in &mut self.vec_waiters {
+            list.clear();
+        }
         self.completions.clear();
         self.unknown_stores.clear();
         self.store_lines.clear();
@@ -1646,17 +1675,15 @@ impl Processor {
             }
         }
         for seq in self.rob.seqs() {
-            if self.rob.issued(seq) {
-                if self.rob.complete_cycle(seq) > self.cycle
-                    && self.rob.cold(seq).wakes_dependents()
-                {
-                    self.completions
-                        .push(Reverse((self.rob.complete_cycle(seq), seq)));
-                }
-                continue;
+            if self.rob.issued(seq)
+                && self.rob.complete_cycle(seq) > self.cycle
+                && self.rob.cold(seq).wakes_dependents()
+            {
+                self.completions
+                    .push(Reverse((self.rob.complete_cycle(seq), seq)));
             }
-            self.classify_unissued(seq);
         }
+        self.classify_group(self.rob.head());
     }
 
     // ------------------------------------------------------ naive scheduler
@@ -2120,10 +2147,12 @@ impl Processor {
     ///
     /// * no active vector instance (instances touch the data cache and the
     ///   vector FUs every cycle);
-    /// * nothing issuable: every live ready-set entry is a validation whose
-    ///   element is unresolved (non-validation entries retry with side
-    ///   effects — port grants, MSHR probes, FU acquires — every cycle), and
-    ///   no vector-pending entry is already satisfied;
+    /// * nothing issuable: after draining the engine's touched journal
+    ///   ([`Self::drain_vector_wakeups`]), every entry waiting on a vector
+    ///   element is parked on an unresolved register, so the ready set must
+    ///   hold no live entry (non-validation entries retry with side effects
+    ///   — port grants, MSHR probes, FU acquires — every cycle, and a
+    ///   validation in the set issues next cycle);
     /// * dispatch cannot make progress (empty fetch queue, full ROB/LSQ, or
     ///   the §3.2 scalar-operand block — the blocked cycles are bulk-charged);
     /// * fetch cannot make progress before its wake cycle
@@ -2144,37 +2173,17 @@ impl Processor {
         if self.vdp.as_ref().is_some_and(|v| v.active_instances() > 0) {
             return;
         }
+        // Promote now what the next walk would promote anyway: the drain is
+        // idempotent, and nothing between here and that walk reads the
+        // ready set except a squash, which rebuilds it from scratch.
+        self.drain_vector_wakeups();
         for &key in &self.ready_all {
             let seq = key_seq(key);
-            if !self.rob.contains(seq) {
-                continue; // no longer in flight: inert
+            if self.rob.contains(seq) && !self.rob.issued(seq) {
+                return; // issues or retries (with side effects) next cycle
             }
-            if self.rob.issued(seq) {
-                continue; // wide-bus peer leftover: inert
-            }
-            if key_group(key) != Q_VALIDATION {
-                return; // would retry (with side effects) every cycle
-            }
-            let ExecMode::Validation {
-                vreg,
-                generation,
-                offset,
-            } = self.rob.cold(seq).mode
-            else {
-                unreachable!("the validation group holds only validations");
-            };
-            if self.validation_ready(vreg, generation, offset) {
-                return; // issues next cycle
-            }
-        }
-        for &seq in &self.vec_pending {
-            if !self.rob.contains(seq) {
-                continue;
-            }
-            let src_vec = self.rob.cold(seq).src_vec;
-            if self.vec_sources_satisfied(&src_vec) {
-                return; // promoted (and issuable) next cycle
-            }
+            // Otherwise no longer in flight, or a wide-bus peer leftover:
+            // inert.
         }
         // Dispatch: the inputs of every break condition are frozen over the
         // window — fetch is inert, commit is gated, nothing issues, and a
@@ -2273,12 +2282,14 @@ impl Processor {
     /// §3.6: a store hit the address range of a vector register.  Every younger
     /// in-flight instruction re-executes and the front end pays a redirect.
     fn squash_younger_than_front(&mut self) {
+        self.squash_events += 1;
         for seq in self.rob.seqs().skip(1) {
             let keep = self.rob.queue(seq) == Q_STORE && self.rob.issued(seq);
             if !keep {
                 self.rob.set_issued(seq, false);
                 self.rob.set_store_addr_known(seq, false);
                 self.rob.set_complete_cycle(seq, 0);
+                self.squash_rearmed += 1;
             }
         }
         self.fetch_ready_cycle = self

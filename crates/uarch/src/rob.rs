@@ -141,17 +141,6 @@ impl WaiterArena {
         self.alloc(dep, head)
     }
 
-    /// Prepends a run of dependents to the list headed by `head` in one pass;
-    /// returns the new head.  This is the group-dispatch path: one call per
-    /// producer instead of one [`Self::push`] per (producer, dependent) edge.
-    #[must_use]
-    pub fn push_run(&mut self, mut head: u32, deps: &[u64]) -> u32 {
-        for &dep in deps {
-            head = self.alloc(dep, head);
-        }
-        head
-    }
-
     /// Drains the list headed by `head` into `out` (appending) and returns
     /// the nodes to the free list.
     pub fn drain_into(&mut self, mut head: u32, out: &mut Vec<u64>) {
@@ -546,18 +535,21 @@ mod tests {
     fn waiter_arena_recycles_without_heap_growth() {
         let mut arena = WaiterArena::with_capacity(4);
         let mut head = NO_WAITER;
-        head = arena.push(head, 10);
-        head = arena.push_run(head, &[11, 12]);
+        for dep in [10, 11, 12] {
+            head = arena.push(head, dep);
+        }
         assert_eq!(arena.stats().live, 3);
         let mut out = Vec::new();
         arena.drain_into(head, &mut out);
-        // Prepend order: the run lands in front of the first push.
+        // Prepend order: the latest push comes first.
         assert_eq!(out, vec![12, 11, 10]);
         assert_eq!(arena.stats().live, 0);
 
         // Recycled nodes: no heap growth however many rounds run.
         for _ in 0..100 {
-            let h = arena.push_run(NO_WAITER, &[1, 2, 3, 4]);
+            let h = [1, 2, 3, 4]
+                .into_iter()
+                .fold(NO_WAITER, |h, dep| arena.push(h, dep));
             arena.free_list(h);
         }
         let stats = arena.stats();
@@ -580,7 +572,8 @@ mod tests {
         // An instruction reading one producer through both operands must be
         // woken twice; the arena must not dedup.
         let mut arena = WaiterArena::with_capacity(8);
-        let head = arena.push_run(NO_WAITER, &[42, 42]);
+        let head = arena.push(NO_WAITER, 42);
+        let head = arena.push(head, 42);
         let mut out = Vec::new();
         arena.drain_into(head, &mut out);
         assert_eq!(out, vec![42, 42]);

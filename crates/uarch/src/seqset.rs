@@ -72,6 +72,17 @@ impl SeqSet {
         }
     }
 
+    /// Removes and returns the element at `pos` in ascending order — the
+    /// issue walk's cursor already knows where its current element sits, so
+    /// this skips [`Self::remove`]'s binary search.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos` is out of bounds.
+    pub fn remove_at(&mut self, pos: usize) -> u64 {
+        self.items.remove(pos)
+    }
+
     /// The smallest element.
     #[must_use]
     pub fn first(&self) -> Option<u64> {
@@ -150,5 +161,7 @@ mod tests {
         assert_eq!(s.iter().copied().collect::<Vec<_>>(), vec![4, 9, 12]);
         assert!(!s.insert(9), "extended elements are regular members");
         assert!(s.remove(9));
+        assert_eq!(s.remove_at(1), 12);
+        assert_eq!(s.iter().copied().collect::<Vec<_>>(), vec![4]);
     }
 }

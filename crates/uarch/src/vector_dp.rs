@@ -10,15 +10,23 @@
 //!   with a single access, §3.7),
 //! * lets every arithmetic instance start at most one element on a free vector
 //!   functional unit (units are fully pipelined).
+//!
+//! The steady state allocates nothing: element sets (a load's pending
+//! elements, the elements one line access serves, the Figure 13 words) are
+//! lane masks — the vector length is at most 64 — and the per-register
+//! accounting lists and the event heap keep their storage.
 
 use crate::config::FuConfig;
-use crate::fastmap::FastMap;
 use crate::fu::FuPool;
 use sdv_core::{NewVectorInstance, Operand, VectorOpKind, VectorizationEngine, VregId};
 use sdv_mem::{DataMemory, PortKind, PortSet, WideBusStats};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
-/// One element-completion event scheduled for a future cycle.
-#[derive(Debug, Clone, Copy)]
+/// One element-completion event scheduled for a future cycle, ordered by
+/// cycle first (the min-heap key).  Events due in the same cycle are
+/// delivered in any order: delivery only sets flags.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct ReadyEvent {
     cycle: u64,
     vreg: VregId,
@@ -28,32 +36,50 @@ struct ReadyEvent {
 
 /// Accounting record for one wide-bus line access made on behalf of a
 /// vectorized load (used for Figure 13: words later validated count as useful).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct AccessRecord {
     generation: u64,
-    offsets: Vec<usize>,
-    used: Vec<bool>,
+    /// Lane mask of the elements the access fetched.
+    offsets: u64,
+    /// Lane mask of those elements a committed validation consumed.
+    used: u64,
+}
+
+/// Iterates the set lanes of `mask` in ascending order.
+fn lanes(mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::successors((mask != 0).then_some(mask), |&rest| {
+        let next = rest & (rest - 1);
+        (next != 0).then_some(next)
+    })
+    .map(|rest| rest.trailing_zeros() as usize)
+}
+
+/// The lane mask `{from, …, n - 1}` (`from <= n <= 64`).
+fn lane_range(from: usize, n: usize) -> u64 {
+    let below = |k: usize| if k >= 64 { u64::MAX } else { (1u64 << k) - 1 };
+    below(n) & !below(from)
+}
+
+/// Figure 13 words used by a resolved access (histogram index).
+fn useful_words(used: u64) -> usize {
+    used.count_ones() as usize
 }
 
 /// An in-flight vector instance.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Instance {
     vreg: VregId,
     generation: u64,
     kind: VectorOpKind,
-    src1: Operand,
-    src2: Operand,
-    /// Allocation generations of the vector source registers at dispatch time
-    /// (0 for non-vector operands).  A source whose register has since been
-    /// re-allocated is treated as ready: the freeing rules only release fully
-    /// computed registers.
-    src_generations: [u64; 2],
+    /// The vector source registers with their allocation generations at
+    /// dispatch time (`None` for scalar or absent operands).  A source whose
+    /// register has since been re-allocated is treated as ready: the
+    /// freeing rules only release fully computed registers.
+    srcs: [Option<(VregId, u64)>; 2],
     /// Next element index to start.
     next: usize,
-    /// Total elements (vector length).
-    vl: usize,
-    /// For loads: element offsets whose access has not started yet.
-    pending_loads: Vec<usize>,
+    /// For loads: lane mask of the elements whose access has not started yet.
+    pending_loads: u64,
 }
 
 /// The vector data path.
@@ -62,10 +88,12 @@ pub struct VectorDatapath {
     fus: FuPool,
     vl: usize,
     instances: Vec<Instance>,
-    events: Vec<ReadyEvent>,
-    /// Open Figure-13 accounting records, grouped by destination register so
-    /// validations only touch the handful of accesses of their own register.
-    records: FastMap<VregId, Vec<AccessRecord>>,
+    /// Pending element-ready events, earliest first.
+    events: BinaryHeap<Reverse<ReadyEvent>>,
+    /// Open Figure-13 accounting records, one list per destination register
+    /// (indexed by register) so validations only touch the handful of
+    /// accesses of their own register.
+    records: Vec<Vec<AccessRecord>>,
     /// Histogram of already-resolved accesses by number of useful words.
     resolved: Vec<u64>,
     /// Total element computations started (loads and arithmetic).
@@ -82,8 +110,8 @@ impl VectorDatapath {
             fus: FuPool::new(fus),
             vl: vector_length,
             instances: Vec::new(),
-            events: Vec::new(),
-            records: FastMap::default(),
+            events: BinaryHeap::new(),
+            records: Vec::new(),
             resolved: vec![0; vector_length + 1],
             elements_started: 0,
             line_accesses: 0,
@@ -105,7 +133,7 @@ impl VectorDatapath {
     /// that before consulting this.
     #[must_use]
     pub fn next_event_cycle(&self) -> Option<u64> {
-        self.events.iter().map(|e| e.cycle).min()
+        self.events.peek().map(|Reverse(e)| e.cycle)
     }
 
     /// Total element computations started so far.
@@ -125,35 +153,31 @@ impl VectorDatapath {
         // The register is being re-used: accounting records from its previous
         // generation can no longer receive validations, so resolve them now.
         let generation = engine.vreg_generation(inst.vreg);
-        if let Some(list) = self.records.get_mut(&inst.vreg) {
-            let mut kept = Vec::new();
-            for rec in list.drain(..) {
-                if rec.generation == generation {
-                    kept.push(rec);
+        if let Some(list) = self.records.get_mut(inst.vreg.index()) {
+            let mut i = 0;
+            while i < list.len() {
+                if list[i].generation == generation {
+                    i += 1;
                 } else {
-                    let useful = rec.used.iter().filter(|&&u| u).count();
-                    self.resolved[useful.min(self.vl)] += 1;
+                    let rec = list.swap_remove(i);
+                    self.resolved[useful_words(rec.used).min(self.vl)] += 1;
                 }
             }
-            *list = kept;
         }
         let pending_loads = match inst.kind {
-            VectorOpKind::Load { .. } => (inst.start_offset..self.vl).collect(),
-            VectorOpKind::Arith { .. } => Vec::new(),
+            VectorOpKind::Load { .. } => lane_range(inst.start_offset, self.vl),
+            VectorOpKind::Arith { .. } => 0,
         };
-        let src_gen = |op: &Operand| match op {
-            Operand::Vector { vreg, .. } => engine.vreg_generation(*vreg),
-            _ => 0,
+        let src = |op: &Operand| match op {
+            Operand::Vector { vreg, .. } => Some((*vreg, engine.vreg_generation(*vreg))),
+            _ => None,
         };
         self.instances.push(Instance {
             vreg: inst.vreg,
-            generation: engine.vreg_generation(inst.vreg),
+            generation,
             kind: inst.kind,
-            src1: inst.src1,
-            src2: inst.src2,
-            src_generations: [src_gen(&inst.src1), src_gen(&inst.src2)],
+            srcs: [src(&inst.src1), src(&inst.src2)],
             next: inst.start_offset,
-            vl: self.vl,
             pending_loads,
         });
     }
@@ -161,26 +185,33 @@ impl VectorDatapath {
     /// Marks the words corresponding to a committed validation as useful in
     /// the Figure 13 accounting.
     pub fn note_validation(&mut self, vreg: VregId, generation: u64, offset: usize) {
-        let Some(list) = self.records.get_mut(&vreg) else {
+        let Some(list) = self.records.get_mut(vreg.index()) else {
             return;
         };
-        let vl = self.vl;
+        let bit = 1u64 << offset;
         let mut i = 0;
         while i < list.len() {
             let rec = &mut list[i];
             if rec.generation == generation {
-                if let Some(pos) = rec.offsets.iter().position(|&o| o == offset) {
-                    rec.used[pos] = true;
-                }
-                if rec.used.iter().all(|&u| u) {
-                    let useful = rec.used.len();
-                    self.resolved[useful.min(vl)] += 1;
+                rec.used |= rec.offsets & bit;
+                if rec.used == rec.offsets {
+                    let useful = useful_words(rec.used);
+                    self.resolved[useful.min(self.vl)] += 1;
                     list.swap_remove(i);
                     continue;
                 }
             }
             i += 1;
         }
+    }
+
+    /// Opens a Figure 13 record for a wide line access of `vreg`.
+    fn record_access(&mut self, vreg: VregId, rec: AccessRecord) {
+        let idx = vreg.index();
+        if idx >= self.records.len() {
+            self.records.resize_with(idx + 1, Vec::new);
+        }
+        self.records[idx].push(rec);
     }
 
     /// Advances the data path by one cycle.
@@ -199,114 +230,31 @@ impl VectorDatapath {
             return;
         }
         // 1. Deliver results whose latency has elapsed.
-        let mut i = 0;
-        while i < self.events.len() {
-            if self.events[i].cycle <= now {
-                let ev = self.events.swap_remove(i);
-                if engine.vreg_generation(ev.vreg) == ev.generation {
-                    engine.set_element_ready(ev.vreg, ev.offset);
-                }
-            } else {
-                i += 1;
+        while let Some(&Reverse(ev)) = self.events.peek() {
+            if ev.cycle > now {
+                break;
+            }
+            self.events.pop();
+            if engine.vreg_generation(ev.vreg) == ev.generation {
+                engine.set_element_ready(ev.vreg, ev.offset);
             }
         }
 
         self.fus.begin_cycle();
 
-        // 2. Make progress on every instance.
-        let line_bytes = dmem.line_bytes();
+        // 2. Make progress on every instance, in `instances` order: the order
+        // (including the `swap_remove` of finished instances) decides port
+        // and functional-unit arbitration.
         let mut idx = 0;
         while idx < self.instances.len() {
-            let done = {
-                let inst = &mut self.instances[idx];
-                // A released-and-reallocated register means the results are no
-                // longer wanted; drop the instance.
-                if engine.vreg_generation(inst.vreg) != inst.generation {
-                    true
-                } else {
-                    match inst.kind {
-                        VectorOpKind::Load { pattern } => {
-                            if !inst.pending_loads.is_empty()
-                                && ports.free_this_cycle() > 0
-                                && ports.try_acquire()
-                            {
-                                // Group the pending elements that fall into the
-                                // same cache line as the next one.
-                                let first_addr = pattern.addr_of(inst.pending_loads[0]);
-                                let line = first_addr & !(line_bytes - 1);
-                                let per_access = match ports.kind() {
-                                    PortKind::Wide => usize::MAX,
-                                    PortKind::Scalar => 1,
-                                };
-                                let mut batch = Vec::new();
-                                for &off in &inst.pending_loads {
-                                    if batch.len() >= per_access {
-                                        break;
-                                    }
-                                    let a = pattern.addr_of(off);
-                                    if a & !(line_bytes - 1) == line {
-                                        batch.push(off);
-                                    }
-                                }
-                                if let Some(ready_at) = dmem.access(first_addr, false, now) {
-                                    self.line_accesses += 1;
-                                    self.elements_started += batch.len() as u64;
-                                    inst.pending_loads.retain(|o| !batch.contains(o));
-                                    for &off in &batch {
-                                        self.events.push(ReadyEvent {
-                                            cycle: ready_at,
-                                            vreg: inst.vreg,
-                                            generation: inst.generation,
-                                            offset: off,
-                                        });
-                                    }
-                                    if ports.kind() == PortKind::Wide {
-                                        self.records.entry(inst.vreg).or_default().push(
-                                            AccessRecord {
-                                                generation: inst.generation,
-                                                used: vec![false; batch.len()],
-                                                offsets: batch,
-                                            },
-                                        );
-                                    }
-                                }
-                            }
-                            inst.pending_loads.is_empty()
-                        }
-                        VectorOpKind::Arith { class } => {
-                            if inst.next < inst.vl {
-                                let offset = inst.next;
-                                let ready = [
-                                    (&inst.src1, inst.src_generations[0]),
-                                    (&inst.src2, inst.src_generations[1]),
-                                ]
-                                .into_iter()
-                                .all(|(op, gen)| match op {
-                                    Operand::Vector { vreg, .. } => {
-                                        engine.vreg_generation(*vreg) != gen
-                                            || engine.element_ready(*vreg, offset)
-                                            || engine.element_poisoned(*vreg, offset)
-                                    }
-                                    _ => true,
-                                });
-                                if ready {
-                                    if let Some(latency) = self.fus.try_issue(class) {
-                                        self.elements_started += 1;
-                                        self.events.push(ReadyEvent {
-                                            cycle: now + latency,
-                                            vreg: inst.vreg,
-                                            generation: inst.generation,
-                                            offset,
-                                        });
-                                        inst.next += 1;
-                                    }
-                                }
-                            }
-                            inst.next >= inst.vl
-                        }
-                    }
-                }
-            };
+            let inst = &self.instances[idx];
+            // A released-and-reallocated register means the results are no
+            // longer wanted; drop the instance.
+            let done = engine.vreg_generation(inst.vreg) != inst.generation
+                || match inst.kind {
+                    VectorOpKind::Load { .. } => self.step_load(idx, now, dmem, ports),
+                    VectorOpKind::Arith { .. } => self.step_arith(idx, now, engine),
+                };
             if done {
                 self.instances.swap_remove(idx);
             } else {
@@ -315,13 +263,101 @@ impl VectorDatapath {
         }
     }
 
+    /// One cycle of the load instance at `idx`: at most one line access,
+    /// serving every pending element in that line (one element on a scalar
+    /// port).  Returns whether the instance is done.
+    fn step_load(
+        &mut self,
+        idx: usize,
+        now: u64,
+        dmem: &mut DataMemory,
+        ports: &mut PortSet,
+    ) -> bool {
+        let inst = self.instances[idx];
+        let VectorOpKind::Load { pattern } = inst.kind else {
+            unreachable!("step_load runs load instances only");
+        };
+        let pending = inst.pending_loads;
+        if pending == 0 || ports.free_this_cycle() == 0 || !ports.try_acquire() {
+            return pending == 0;
+        }
+        let line_mask = !(dmem.line_bytes() - 1);
+        // Group the pending elements that fall into the same cache line as
+        // the first one.
+        let first_addr = pattern.addr_of(pending.trailing_zeros() as usize);
+        let line = first_addr & line_mask;
+        let batch = match ports.kind() {
+            PortKind::Wide => lanes(pending)
+                .filter(|&off| pattern.addr_of(off) & line_mask == line)
+                .fold(0u64, |m, off| m | 1 << off),
+            PortKind::Scalar => pending & pending.wrapping_neg(),
+        };
+        let Some(ready_at) = dmem.access(first_addr, false, now) else {
+            return false; // all MSHRs busy: the port grant is wasted
+        };
+        self.line_accesses += 1;
+        self.elements_started += u64::from(batch.count_ones());
+        let pending = pending & !batch;
+        self.instances[idx].pending_loads = pending;
+        for offset in lanes(batch) {
+            self.events.push(Reverse(ReadyEvent {
+                cycle: ready_at,
+                vreg: inst.vreg,
+                generation: inst.generation,
+                offset,
+            }));
+        }
+        if ports.kind() == PortKind::Wide {
+            self.record_access(
+                inst.vreg,
+                AccessRecord {
+                    generation: inst.generation,
+                    offsets: batch,
+                    used: 0,
+                },
+            );
+        }
+        pending == 0
+    }
+
+    /// One cycle of the arithmetic instance at `idx`: starts its next
+    /// element on a free unit once the element's sources are resolved.
+    /// Returns whether the instance is done.
+    fn step_arith(&mut self, idx: usize, now: u64, engine: &VectorizationEngine) -> bool {
+        let inst = self.instances[idx];
+        let VectorOpKind::Arith { class } = inst.kind else {
+            unreachable!("step_arith runs arithmetic instances only");
+        };
+        if inst.next >= self.vl {
+            return true;
+        }
+        let offset = inst.next;
+        let ready = inst
+            .srcs
+            .iter()
+            .flatten()
+            .all(|&(vreg, generation)| engine.element_resolved(vreg, generation, offset));
+        if ready {
+            if let Some(latency) = self.fus.try_issue(class) {
+                self.elements_started += 1;
+                self.events.push(Reverse(ReadyEvent {
+                    cycle: now + latency,
+                    vreg: inst.vreg,
+                    generation: inst.generation,
+                    offset,
+                }));
+                self.instances[idx].next += 1;
+            }
+        }
+        self.instances[idx].next >= self.vl
+    }
+
     /// Flushes the Figure 13 accounting for every recorded vector-load access
     /// into `wide`, classifying words by whether a validation consumed them.
     pub fn finalize(&mut self, wide: &mut WideBusStats) {
-        for (_, list) in self.records.drain() {
-            for rec in list {
-                let useful = rec.used.iter().filter(|&&u| u).count();
-                self.resolved[useful.min(self.vl)] += 1;
+        for list in &mut self.records {
+            for rec in list.drain(..) {
+                self.resolved[useful_words(rec.used).min(self.vl)] += 1;
             }
         }
         for (useful, &count) in self.resolved.iter().enumerate() {

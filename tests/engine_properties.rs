@@ -2,9 +2,13 @@
 //! structures, independent of the pipeline.
 
 use proptest::prelude::*;
-use sdv::core::{DecodeContext, DecodeOutcome, DvConfig, TableOfLoads, VectorizationEngine};
+use sdv::core::{
+    DecodeContext, DecodeOutcome, DvConfig, ElementState, ElementUsage, TableOfLoads,
+    VectorRegisterFile, VectorizationEngine, VregId,
+};
 use sdv::emu::SparseMemory;
 use sdv::isa::ArchReg;
+use std::collections::BTreeSet;
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
@@ -104,6 +108,201 @@ proptest! {
         }
         for (addr, byte) in &model {
             prop_assert_eq!(mem.read_u8(*addr), *byte);
+        }
+    }
+}
+
+/// One operation of the lane-mask register-file model test.
+#[derive(Debug, Clone)]
+enum VrfOp {
+    Allocate { mrbb: u8 },
+    SetReady { reg: u8, offset: u8 },
+    MarkUsed { reg: u8, offset: u8 },
+    Validate { reg: u8, offset: u8 },
+    SetFree { reg: u8, offset: u8 },
+    PoisonFrom { reg: u8, from: u8 },
+    TryRelease { reg: u8, gmrbb: u8 },
+    ForceRelease { reg: u8 },
+    PopTouched,
+}
+
+fn vrf_op_strategy() -> impl Strategy<Value = VrfOp> {
+    prop_oneof![
+        (0u8..4).prop_map(|mrbb| VrfOp::Allocate { mrbb }),
+        (any::<u8>(), any::<u8>()).prop_map(|(reg, offset)| VrfOp::SetReady { reg, offset }),
+        (any::<u8>(), any::<u8>()).prop_map(|(reg, offset)| VrfOp::MarkUsed { reg, offset }),
+        (any::<u8>(), any::<u8>()).prop_map(|(reg, offset)| VrfOp::Validate { reg, offset }),
+        (any::<u8>(), any::<u8>()).prop_map(|(reg, offset)| VrfOp::SetFree { reg, offset }),
+        (any::<u8>(), any::<u8>()).prop_map(|(reg, from)| VrfOp::PoisonFrom { reg, from }),
+        (any::<u8>(), 0u8..4).prop_map(|(reg, gmrbb)| VrfOp::TryRelease { reg, gmrbb }),
+        any::<u8>().prop_map(|reg| VrfOp::ForceRelease { reg }),
+        Just(VrfOp::PopTouched),
+    ]
+}
+
+/// A per-element reference model of one vector register: the §3.3 rules
+/// and Figure 15 accounting written element by element, as the paper states
+/// them.
+#[derive(Debug, Clone, Default)]
+struct ModelReg {
+    allocated: bool,
+    mrbb: u64,
+    generation: u64,
+    elements: Vec<ElementState>,
+}
+
+impl ModelReg {
+    fn releasable(&self, gmrbb: u64) -> bool {
+        let rule1 = self.elements.iter().all(|e| e.ready && e.free);
+        let rule2 = self
+            .elements
+            .iter()
+            .all(|e| (!e.valid || e.free) && e.ready && !e.used)
+            && self.mrbb != gmrbb;
+        rule1 || rule2
+    }
+
+    fn record_usage(&self, usage: &mut ElementUsage) {
+        for e in &self.elements {
+            if e.ready && e.valid {
+                usage.computed_used += 1;
+            } else if e.ready {
+                usage.computed_not_used += 1;
+            } else {
+                usage.not_computed += 1;
+            }
+        }
+        usage.registers_released += 1;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// The lane-mask register file against a per-element model: after every
+    /// operation each element's flags, the release decisions and the
+    /// Figure 15 usage counters match, and `pop_touched` reports exactly the
+    /// registers whose ready or poison flags or generation changed.
+    #[test]
+    fn lane_mask_vrf_matches_a_per_element_model(
+        vl_choice in 0usize..6,
+        ops in proptest::collection::vec(vrf_op_strategy(), 1..120),
+    ) {
+        let vl = [1usize, 2, 4, 7, 8, 64][vl_choice];
+        let count = 4;
+        let mut vrf = VectorRegisterFile::new(count, vl, false);
+        let mut model = vec![ModelReg::default(); count];
+        let mut usage = ElementUsage::default();
+        let mut touched = BTreeSet::new();
+        // Register handles are only obtainable from `allocate`.
+        let mut ids: Vec<VregId> = Vec::new();
+        for op in &ops {
+            let pick = |reg: u8| (!ids.is_empty()).then(|| ids[reg as usize % ids.len()]);
+            match *op {
+                VrfOp::Allocate { mrbb } => {
+                    let got = vrf.allocate(0x1000, u64::from(mrbb));
+                    let want = model.iter().position(|r| !r.allocated);
+                    prop_assert_eq!(got.map(VregId::index), want, "lowest free register");
+                    if let Some(id) = got {
+                        let r = &mut model[id.index()];
+                        *r = ModelReg {
+                            allocated: true,
+                            mrbb: u64::from(mrbb),
+                            generation: r.generation + 1,
+                            elements: vec![ElementState::default(); vl],
+                        };
+                        touched.insert(id.index());
+                        if !ids.contains(&id) {
+                            ids.push(id);
+                        }
+                    }
+                }
+                VrfOp::SetReady { reg, offset } => {
+                    if let Some(id) = pick(reg) {
+                        let offset = offset as usize % vl;
+                        vrf.set_ready(id, offset);
+                        let e = &mut model[id.index()].elements[offset];
+                        if !e.ready {
+                            touched.insert(id.index());
+                        }
+                        e.ready = true;
+                    }
+                }
+                VrfOp::MarkUsed { reg, offset } => {
+                    if let Some(id) = pick(reg) {
+                        let offset = offset as usize % vl;
+                        vrf.mark_used(id, offset);
+                        model[id.index()].elements[offset].used = true;
+                    }
+                }
+                VrfOp::Validate { reg, offset } => {
+                    if let Some(id) = pick(reg) {
+                        let offset = offset as usize % vl;
+                        vrf.validate(id, offset);
+                        let e = &mut model[id.index()].elements[offset];
+                        e.valid = true;
+                        e.used = false;
+                    }
+                }
+                VrfOp::SetFree { reg, offset } => {
+                    if let Some(id) = pick(reg) {
+                        let offset = offset as usize % vl;
+                        vrf.set_free_flag(id, offset);
+                        model[id.index()].elements[offset].free = true;
+                    }
+                }
+                VrfOp::PoisonFrom { reg, from } => {
+                    if let Some(id) = pick(reg) {
+                        let from = from as usize % (vl + 1);
+                        vrf.poison_from(id, from);
+                        for e in &mut model[id.index()].elements[from..] {
+                            if !e.poisoned {
+                                touched.insert(id.index());
+                            }
+                            e.poisoned = true;
+                            e.used = false;
+                        }
+                    }
+                }
+                VrfOp::TryRelease { reg, gmrbb } => {
+                    if let Some(id) = pick(reg) {
+                        let r = &mut model[id.index()];
+                        let want = r.allocated && r.releasable(u64::from(gmrbb));
+                        prop_assert_eq!(vrf.try_release(id, u64::from(gmrbb)), want, "release decision");
+                        if want {
+                            r.record_usage(&mut usage);
+                            r.allocated = false;
+                        }
+                    }
+                }
+                VrfOp::ForceRelease { reg } => {
+                    if let Some(id) = pick(reg) {
+                        vrf.force_release(id);
+                        let r = &mut model[id.index()];
+                        if r.allocated {
+                            r.record_usage(&mut usage);
+                            r.allocated = false;
+                        }
+                    }
+                }
+                VrfOp::PopTouched => {
+                    let popped: BTreeSet<usize> =
+                        std::iter::from_fn(|| vrf.pop_touched()).map(VregId::index).collect();
+                    prop_assert_eq!(&popped, &touched, "touched journal");
+                    touched.clear();
+                }
+            }
+            for &id in &ids {
+                let r = &model[id.index()];
+                let reg = vrf.get(id);
+                prop_assert_eq!(reg.is_allocated(), r.allocated);
+                prop_assert_eq!(reg.generation(), r.generation);
+                for (offset, e) in r.elements.iter().enumerate() {
+                    prop_assert_eq!(reg.element(offset), *e, "{} element {}", id, offset);
+                }
+            }
+            prop_assert_eq!(*vrf.usage(), usage, "element usage");
+            prop_assert_eq!(vrf.allocated_count(), model.iter().filter(|r| r.allocated).count());
         }
     }
 }

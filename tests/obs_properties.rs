@@ -184,16 +184,26 @@ proptest! {
         }
     }
 
-    /// The ledger is observation-only: enabling it must not perturb the
-    /// bit-identical statistics or the issue trace.
+    /// The ledger and the metrics export are observation-only: enabling
+    /// them must not perturb the bit-identical statistics or the issue
+    /// trace, on random programs and squash storms alike.  The exported
+    /// work counters are deterministic (two observed runs agree exactly)
+    /// and consistent: every promotion was preceded by a park, and squash
+    /// counters appear exactly when §3.6 conflicts did.
     #[test]
     fn ledger_never_perturbs_stats(
         steps in proptest::collection::vec(step_strategy(), 1..8),
         iterations in 1u8..16,
         vectorize in any::<bool>(),
+        storm in any::<bool>(),
+        storm_offset in 1u8..4,
     ) {
         let steps = dedup_strided(steps);
-        let program = build_program(&steps, iterations);
+        let program = if storm {
+            build_squash_storm(storm_offset, iterations)
+        } else {
+            build_program(&steps, iterations)
+        };
         let cfg = ProcessorConfig::four_way(1, PortKind::Wide).with_vectorization(vectorize);
 
         let mut plain = Processor::new(&cfg, &program);
@@ -201,14 +211,33 @@ proptest! {
         let plain_stats = plain.run(1_000_000);
         let plain_trace = plain.take_issue_trace();
 
-        let mut observed = Processor::new(&cfg, &program);
-        observed.record_issue_trace(true);
-        observed.record_cycle_ledger(true);
-        let observed_stats = observed.run(1_000_000);
-        let observed_trace = observed.take_issue_trace();
+        let observe = || {
+            let mut observed = Processor::new(&cfg, &program);
+            observed.record_issue_trace(true);
+            observed.record_cycle_ledger(true);
+            let stats = observed.run(1_000_000);
+            let trace = observed.take_issue_trace();
+            let mut registry = MetricsRegistry::new();
+            observed.obs_metrics(&mut registry);
+            (stats, trace, registry)
+        };
+        let (observed_stats, observed_trace, registry) = observe();
 
+        let conflicts = observed_stats.dv.map_or(0, |dv| dv.store_conflicts);
         prop_assert_eq!(plain_stats, observed_stats, "stats diverge under observation");
         prop_assert_eq!(plain_trace, observed_trace, "issue trace diverges under observation");
+
+        let counter = |name: &str| registry.counter(name).expect("counter exported");
+        prop_assert!(counter("pipeline.vector.promoted") <= counter("pipeline.vector.parked"));
+        prop_assert_eq!(counter("pipeline.squash.events"), conflicts, "one squash per §3.6 conflict");
+        if conflicts == 0 {
+            prop_assert_eq!(counter("pipeline.squash.rearmed_entries"), 0);
+        }
+        if !vectorize {
+            prop_assert_eq!(counter("pipeline.vector.parked"), 0, "parking needs DV");
+        }
+        let (_, _, again) = observe();
+        prop_assert_eq!(again, registry, "work counters are deterministic");
     }
 
     /// Ring-buffer bound: recording N > capacity events keeps exactly the

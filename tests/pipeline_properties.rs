@@ -127,6 +127,21 @@ fn build_squash_storm(offset: u8, iterations: u8) -> Program {
     a.finish()
 }
 
+/// The single-port machine of the oracles: 4-way (128-entry window) or
+/// 8-way (256-entry window), with a scalar or a wide port.
+fn machine(wide: bool, eight_way: bool) -> ProcessorConfig {
+    let kind = if wide {
+        PortKind::Wide
+    } else {
+        PortKind::Scalar
+    };
+    if eight_way {
+        ProcessorConfig::eight_way(1, kind)
+    } else {
+        ProcessorConfig::four_way(1, kind)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
@@ -182,22 +197,32 @@ proptest! {
         prop_assert!(dv.scalar_arith_executed <= base.scalar_arith_executed);
     }
 
-    /// Scheduler-equivalence oracle: on random programs, the event-driven
-    /// wakeup scheduler must issue the *same instruction sequence* — cycle by
-    /// cycle, sequence number by sequence number — as the naive full-window
-    /// scan it replaced, and produce bit-identical statistics.
+    /// Scheduler-equivalence oracle: on random programs and store-coherence
+    /// squash storms, on the 4-way and the 8-way machine (256-entry window,
+    /// so more validations park at once), the event-driven wakeup scheduler
+    /// must issue the *same instruction sequence* — cycle by cycle, sequence
+    /// number by sequence number — as the naive full-window scan it
+    /// replaced, and produce bit-identical statistics.  A §3.6 squash
+    /// rebuilds every vector-register waiter list, which is where parking
+    /// would drift first.
     #[test]
     fn wakeup_scheduler_issues_the_same_sequence_as_the_full_scan_oracle(
         steps in proptest::collection::vec(step_strategy(), 1..8),
         iterations in 1u8..20,
         vectorize in any::<bool>(),
         wide in any::<bool>(),
+        storm in any::<bool>(),
+        storm_offset in 1u8..4,
+        eight_way in any::<bool>(),
     ) {
         use sdv::uarch::{Processor, Scheduler};
         let steps = dedup_strided(steps);
-        let program = build_program(&steps, iterations);
-        let kind = if wide { PortKind::Wide } else { PortKind::Scalar };
-        let cfg = ProcessorConfig::four_way(1, kind).with_vectorization(vectorize);
+        let program = if storm {
+            build_squash_storm(storm_offset, iterations)
+        } else {
+            build_program(&steps, iterations)
+        };
+        let cfg = machine(wide, eight_way).with_vectorization(vectorize);
 
         let mut wakeup = Processor::new(&cfg, &program);
         wakeup.record_issue_trace(true);
@@ -265,19 +290,28 @@ proptest! {
     /// Stepping-equivalence oracle: macro-stepping (the default, which jumps
     /// the clock over provably idle stall windows) must issue the same
     /// instruction sequence — cycle by cycle — and produce bit-identical
-    /// statistics as the per-cycle reference loop on random programs.
+    /// statistics as the per-cycle reference loop on random programs and
+    /// squash storms, on the 4-way and the 8-way machine.  The clock-jump
+    /// proof drains the vector wakeups itself, so squashes that rebuild the
+    /// waiter lists mid-window are covered here too.
     #[test]
     fn macro_stepping_matches_the_per_cycle_loop(
         steps in proptest::collection::vec(step_strategy(), 1..8),
         iterations in 1u8..20,
         vectorize in any::<bool>(),
         wide in any::<bool>(),
+        storm in any::<bool>(),
+        storm_offset in 1u8..4,
+        eight_way in any::<bool>(),
     ) {
         use sdv::uarch::{Processor, Stepping};
         let steps = dedup_strided(steps);
-        let program = build_program(&steps, iterations);
-        let kind = if wide { PortKind::Wide } else { PortKind::Scalar };
-        let cfg = ProcessorConfig::four_way(1, kind).with_vectorization(vectorize);
+        let program = if storm {
+            build_squash_storm(storm_offset, iterations)
+        } else {
+            build_program(&steps, iterations)
+        };
+        let cfg = machine(wide, eight_way).with_vectorization(vectorize);
 
         let mut macro_step = Processor::new(&cfg, &program);
         macro_step.record_issue_trace(true);
