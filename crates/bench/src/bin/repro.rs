@@ -252,8 +252,7 @@ fn main() {
     let opts = parse_args();
     let rc = opts.run;
     let mut exp = Experiment::new(rc).threads(opts.threads);
-    // Before disk_cache, so the store is born observed (either order works;
-    // this one observes the legacy-import I/O too).
+    // Before disk_cache, so the store is born observed.
     exp = exp.obs(obs_level(&opts));
     if opts.extended {
         exp = exp.workloads(Workload::extended().to_vec());
@@ -262,33 +261,11 @@ fn main() {
         exp = exp.max_retries(retries);
     }
     if !opts.no_cache {
-        let defaulted = opts.cache_dir.is_none();
         let dir = opts
             .cache_dir
             .clone()
             .unwrap_or_else(|| std::path::PathBuf::from("target/sdv-store"));
         exp = exp.disk_cache(dir);
-        // Pre-store repro versions kept their default cache at
-        // target/sdv-cache/cache.bin; when running against the default store
-        // location, import it so an existing warm cache survives the move.
-        let old_default = std::path::Path::new("target/sdv-cache/cache.bin");
-        if defaulted && old_default.exists() {
-            if let Some(store) = exp.engine().store() {
-                match sdv_sim::cachefile::import_legacy(store, old_default) {
-                    Ok(n) if n > 0 => {
-                        println!(
-                            "imported {n} entries from pre-store {}",
-                            old_default.display()
-                        );
-                    }
-                    Ok(_) => {}
-                    Err(e) => eprintln!(
-                        "warning: could not import pre-store {}: {e}",
-                        old_default.display()
-                    ),
-                }
-            }
-        }
     }
     println!(
         "# Speculative Dynamic Vectorization — reproduction run \

@@ -21,9 +21,10 @@
 //!   atomically from its surviving entries, and legacy-format shards are
 //!   upgraded in place.  Only provably-corrupt entries are lost — a follow-up
 //!   `verify` is clean.
-//! * `merge` merges result sets into `DEST`: each `SRC` may be another store
-//!   directory (e.g. a parallel job's) or a legacy single-file `cache.bin`.
-//!   Entries written by other builds are skipped, never replayed.
+//! * `merge` merges result sets into `DEST`: each `SRC` must be another store
+//!   directory (e.g. a parallel job's); an absent or non-directory `SRC` is a
+//!   command-line error, checked before anything is merged.  Entries written
+//!   by other builds are skipped, never replayed.
 //! * `gc` deletes shard files whose fingerprint differs from the kept one
 //!   (default: the current build's) plus abandoned temp files.
 //!
@@ -98,28 +99,25 @@ fn merge(dest: &Path, sources: &[PathBuf]) {
     if sources.is_empty() {
         usage_error("merge needs at least one SRC");
     }
-    let store = open(dest);
+    // An absent or non-directory SRC would otherwise read as an empty store
+    // and "merge" zero entries successfully — a typo must fail loudly
+    // instead, before any source is merged.
     for src in sources {
-        // An absent SRC would otherwise read as an empty store and "merge"
-        // zero entries successfully — a typo must fail loudly instead.
         if !src.exists() {
             usage_error(&format!("merge source {} does not exist", src.display()));
         }
-        if src.is_file() {
-            match cachefile::import_legacy(&store, src) {
-                Ok(inserted) => {
-                    println!(
-                        "merged legacy file {}: {inserted} entries inserted",
-                        src.display()
-                    );
-                }
-                Err(e) => io_error(&format!("cannot import {}: {e}", src.display())),
-            }
-        } else {
-            match store.merge_from(src) {
-                Ok(report) => println!("merged store {}: {report}", src.display()),
-                Err(e) => io_error(&format!("cannot merge {}: {e}", src.display())),
-            }
+        if !src.is_dir() {
+            usage_error(&format!(
+                "merge source {} is not a store directory",
+                src.display()
+            ));
+        }
+    }
+    let store = open(dest);
+    for src in sources {
+        match store.merge_from(src) {
+            Ok(report) => println!("merged store {}: {report}", src.display()),
+            Err(e) => io_error(&format!("cannot merge {}: {e}", src.display())),
         }
     }
 }

@@ -3,12 +3,13 @@
 //! every intact entry and quarantining the damaged bytes), and verified again
 //! (exit 0) — pinning the exit-code contract, the repair semantics, *and* the
 //! on-disk shard format (the fixture bytes are regenerated in-test and must
-//! match the committed files byte for byte).
+//! match the committed files byte for byte).  The `merge` tests pin its
+//! source contract: store directories merge, anything else is exit 2.
 //!
 //! Regenerate the fixtures after a deliberate format change with
 //! `SDV_REGEN_FIXTURES=1 cargo test -p sdv-bench --test store_cli`.
 
-use sdv_store::{serialize_shard, serialize_shard_v1};
+use sdv_store::{serialize_shard, serialize_shard_v1, Store};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -88,14 +89,20 @@ fn golden_fixture_matches_the_current_shard_format() {
     );
 }
 
-/// Copies the golden fixture into a scratch store directory.
-fn scratch_store(tag: &str) -> PathBuf {
+/// A fresh, empty scratch directory path (not created).
+fn scratch_path(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
         "sdv-store-cli-{tag}-{}-{:?}",
         std::process::id(),
         std::thread::current().id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Copies the golden fixture into a scratch store directory.
+fn scratch_store(tag: &str) -> PathBuf {
+    let dir = scratch_path(tag);
     std::fs::create_dir_all(&dir).unwrap();
     for shard in ["shard-ab.bin", "shard-cd.bin"] {
         std::fs::copy(fixture_dir().join(shard), dir.join(shard)).unwrap();
@@ -172,4 +179,67 @@ fn repair_usage_and_io_errors_keep_the_exit_contract() {
     let out = run(&["repair", "/proc/does-not-exist/store"]);
     assert_eq!(out.status.code(), Some(3), "{}", stderr(&out));
     assert!(stderr(&out).contains("cannot"), "{}", stderr(&out));
+}
+
+/// The current build's fingerprint, as the CLI reports it.
+fn current_fingerprint() -> u64 {
+    let out = run(&["fingerprint"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    u64::from_str_radix(stdout(&out).trim(), 16).expect("hex fingerprint")
+}
+
+/// A store-directory source written by this build merges into DEST (exit 0)
+/// and its entries are readable there afterwards.
+#[test]
+fn merge_unions_a_store_directory_into_dest() {
+    let root = scratch_path("merge");
+    let (src, dest) = (root.join("src"), root.join("dest"));
+    let fp = current_fingerprint();
+    let entries: Vec<(u128, Vec<u8>)> = (0..3u8)
+        .map(|i| ((u128::from(i) << 120) | 7, vec![i; 4]))
+        .collect();
+    Store::open(&src, fp)
+        .unwrap()
+        .put_batch(&entries)
+        .expect("source written");
+
+    let out = run(&["merge", dest.to_str().unwrap(), src.to_str().unwrap()]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let text = stdout(&out);
+    assert!(text.contains("merged store"), "{text}");
+    assert!(text.contains("3 entries inserted"), "{text}");
+    let merged = Store::open(&dest, fp).unwrap();
+    for (key, payload) in &entries {
+        assert_eq!(merged.get(*key).as_ref(), Some(payload));
+    }
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// An absent SRC and a file SRC are command-line errors (exit 2), rejected
+/// before DEST is created or anything merged.
+#[test]
+fn merge_rejects_absent_and_file_sources() {
+    let root = scratch_path("merge-bad");
+    std::fs::create_dir_all(&root).unwrap();
+    let dest = root.join("dest");
+    let file = root.join("notes.txt");
+    std::fs::write(&file, b"not a store").unwrap();
+
+    let out = run(&[
+        "merge",
+        dest.to_str().unwrap(),
+        root.join("absent").to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    assert!(stderr(&out).contains("does not exist"), "{}", stderr(&out));
+
+    let out = run(&["merge", dest.to_str().unwrap(), file.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("is not a store directory"),
+        "{}",
+        stderr(&out)
+    );
+    assert!(!dest.exists(), "a rejected merge leaves DEST untouched");
+    std::fs::remove_dir_all(&root).unwrap();
 }

@@ -11,8 +11,8 @@
 //! instructions are making forward progress — pipeline fill, cache-miss and
 //! dependency latency — but nothing committed this cycle and no hazard
 //! fired).  `tests/obs_properties.rs` proves exhaustiveness with a property
-//! test asserting bucket-sum ≡ `RunStats::cycles` on random programs across
-//! every stepping × busy-path combination.
+//! test asserting bucket-sum ≡ `RunStats::cycles` on random programs under
+//! both pipeline models.
 //!
 //! The ledger is deliberately *not* part of `RunStats`: results that persist
 //! to the store and the bit-identity equivalence suites stay byte-stable

@@ -1,5 +1,5 @@
 //! Serialization glue between [`crate::RunEngine`] and the persistent result
-//! store, plus the *legacy* single-file cache format it replaced.
+//! store.
 //!
 //! `CellKey → RunStats` entries persist in an [`sdv_store::Store`] (a sharded
 //! directory of versioned binary files) so repeated `repro` invocations — and
@@ -19,30 +19,20 @@
 //!   editing the model invalidates results written by earlier builds instead
 //!   of silently replaying their numbers.  The store records it per shard
 //!   file (folded with the payload version, so a layout bump also
-//!   invalidates); the legacy format records [`legacy_fingerprint`] — seeded
-//!   exactly as pre-store builds seeded it — in its header, so genuine old
-//!   `cache.bin` files still import when the model behaviour is unchanged.
+//!   invalidates).
 //!
 //! A configuration change therefore simply misses the store; a payload-layout
 //! change bumps `CACHE_VERSION`; and results from a different build are
 //! invisible.
-//!
-//! The pre-store format — one `cache.bin` per directory — survives as a read
-//! path: [`import_legacy`] merges such a file into a store, and `RunEngine`
-//! invokes it automatically when it finds one next to its store directory.
 
 use crate::engine::CellKey;
 use crate::{PortKind, ProcessorConfig, Workload};
 use sdv_core::{DvStats, ElementUsage};
 use sdv_mem::{CacheStats, PortStats, WideBusStats};
 use sdv_uarch::RunStats;
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::io::{self, Read, Write};
-use std::path::Path;
 use std::sync::OnceLock;
 
-const MAGIC: &[u8; 4] = b"SDVC";
 /// Bump whenever the serialized layout (or the hashed key content) changes.
 const CACHE_VERSION: u32 = 2;
 
@@ -79,48 +69,32 @@ pub fn key_hash(key: &CellKey) -> u128 {
     (u128::from(hi.finish()) << 64) | u128::from(lo.finish())
 }
 
-/// The behaviour hash behind both fingerprints: the full statistics of two
-/// tiny canonical cells (one vectorizing, one scalar), hashed under `seed`.
-/// Any model change that alters what those cells measure yields a different
-/// hash.  Costs a few milliseconds per distinct seed.
-fn behaviour_hash(seed: u64) -> u64 {
-    let mut h = Fnv1a::seeded(seed);
-    for (cfg, workload) in [
-        (
-            ProcessorConfig::four_way(1, PortKind::Wide).with_vectorization(true),
-            Workload::Compress,
-        ),
-        (
-            ProcessorConfig::four_way(2, PortKind::Scalar),
-            Workload::Swim,
-        ),
-    ] {
-        let stats = sdv_uarch::simulate(&cfg, &workload.build(1), 3_000);
-        let mut ser = Ser { buf: Vec::new() };
-        write_stats(&mut ser, &stats);
-        h.write(&ser.buf);
-    }
-    h.finish()
-}
-
-/// The store's producer fingerprint for this binary: the behaviour hash,
-/// additionally seeded with the payload version so a serialization-layout
-/// bump makes shards written with an older layout invisible rather than
-/// misdecoded.  Computed once per process.
+/// The store's producer fingerprint for this binary: the full statistics of
+/// two tiny canonical cells (one vectorizing, one scalar), hashed with a seed
+/// that folds in the payload version, so both a model change that alters
+/// what those cells measure and a serialization-layout bump make shards
+/// written by an older build invisible rather than misdecoded.  Computed
+/// once per process (a few milliseconds).
 #[must_use]
 pub fn simulator_fingerprint() -> u64 {
     static FINGERPRINT: OnceLock<u64> = OnceLock::new();
-    *FINGERPRINT.get_or_init(|| behaviour_hash(0xf1 ^ u64::from(CACHE_VERSION)))
-}
-
-/// The fingerprint the *legacy* single-file format records in its header:
-/// seeded exactly as the pre-store builds seeded it (the format carries the
-/// layout version as a separate header field), so a `cache.bin` written by an
-/// older build with bit-identical model behaviour still imports.
-#[must_use]
-pub fn legacy_fingerprint() -> u64 {
-    static FINGERPRINT: OnceLock<u64> = OnceLock::new();
-    *FINGERPRINT.get_or_init(|| behaviour_hash(0xf1))
+    *FINGERPRINT.get_or_init(|| {
+        let mut h = Fnv1a::seeded(0xf1 ^ u64::from(CACHE_VERSION));
+        for (cfg, workload) in [
+            (
+                ProcessorConfig::four_way(1, PortKind::Wide).with_vectorization(true),
+                Workload::Compress,
+            ),
+            (
+                ProcessorConfig::four_way(2, PortKind::Scalar),
+                Workload::Swim,
+            ),
+        ] {
+            let stats = sdv_uarch::simulate(&cfg, &workload.build(1), 3_000);
+            h.write(&stats_to_bytes(&stats));
+        }
+        h.finish()
+    })
 }
 
 /// Serializes one [`RunStats`] into the byte payload persisted per cell.
@@ -143,24 +117,6 @@ pub fn stats_from_bytes(bytes: &[u8]) -> Option<RunStats> {
     } else {
         None
     }
-}
-
-/// Imports a legacy single-file cache (the pre-store `cache.bin` format) into
-/// `store`, returning how many entries were new to it.  A file written by a
-/// different build — cache version or simulator fingerprint mismatch — is
-/// stale and imports nothing.
-///
-/// # Errors
-///
-/// Propagates I/O errors from writing the store; reading a missing or
-/// malformed legacy file is not an error (it imports zero entries).
-pub fn import_legacy(store: &sdv_store::Store, path: &Path) -> io::Result<u64> {
-    let entries = read_cache(path);
-    let batch: Vec<(u128, Vec<u8>)> = entries
-        .iter()
-        .map(|(&hash, stats)| (hash, stats_to_bytes(stats)))
-        .collect();
-    Ok(store.put_batch(&batch)?.inserted)
 }
 
 // ---------------------------------------------------------------- writing
@@ -197,7 +153,7 @@ impl Ser {
     }
 }
 
-fn write_cache_stats(s: &mut Ser, c: &CacheStats) {
+fn write_l1_stats(s: &mut Ser, c: &CacheStats) {
     s.u64(c.accesses);
     s.u64(c.hits);
     s.u64(c.misses);
@@ -235,8 +191,8 @@ fn write_stats(s: &mut Ser, r: &RunStats) {
         }
         s.u64(w.count_unused());
     });
-    write_cache_stats(s, &r.l1d);
-    write_cache_stats(s, &r.l1i);
+    write_l1_stats(s, &r.l1d);
+    write_l1_stats(s, &r.l1i);
     s.option(&r.dv, |s, d| {
         s.u64(d.loads_observed);
         s.u64(d.load_instances);
@@ -256,48 +212,6 @@ fn write_stats(s: &mut Ser, r: &RunStats) {
         s.u64(u.not_computed);
         s.u64(u.registers_released);
     });
-}
-
-/// Writes a *legacy* single-file cache holding this session's entries plus
-/// any `retained` entries from a previously loaded cache that the session did
-/// not revisit.  Written atomically via a sibling temp file.
-///
-/// The engine no longer writes this format — sessions persist into the
-/// sharded store — but the writer is kept so the [`import_legacy`] path stays
-/// honestly testable against real files.
-pub fn write_cache(
-    path: &Path,
-    entries: &HashMap<CellKey, RunStats>,
-    retained: &HashMap<u128, RunStats>,
-) -> io::Result<()> {
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    let hashed: Vec<(u128, &RunStats)> = entries
-        .iter()
-        .map(|(key, stats)| (key_hash(key), stats))
-        .collect();
-    let carried: Vec<(u128, &RunStats)> = retained
-        .iter()
-        .filter(|(hash, _)| hashed.iter().all(|(h, _)| h != *hash))
-        .map(|(&hash, stats)| (hash, stats))
-        .collect();
-    let mut s = Ser { buf: Vec::new() };
-    s.buf.extend_from_slice(MAGIC);
-    s.u32(CACHE_VERSION);
-    s.u64(legacy_fingerprint());
-    s.u64((hashed.len() + carried.len()) as u64);
-    for (hash, stats) in hashed.into_iter().chain(carried) {
-        s.u64(hash as u64);
-        s.u64((hash >> 64) as u64);
-        write_stats(&mut s, stats);
-    }
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&s.buf)?;
-    }
-    std::fs::rename(&tmp, path)
 }
 
 // ---------------------------------------------------------------- reading
@@ -330,7 +244,7 @@ impl De<'_> {
     }
 }
 
-fn read_cache_stats(d: &mut De) -> Option<CacheStats> {
+fn read_l1_stats(d: &mut De) -> Option<CacheStats> {
     Some(CacheStats {
         accesses: d.u64()?,
         hits: d.u64()?,
@@ -380,8 +294,8 @@ fn read_stats(d: &mut De) -> Option<RunStats> {
     } else {
         None
     };
-    r.l1d = read_cache_stats(d)?;
-    r.l1i = read_cache_stats(d)?;
+    r.l1d = read_l1_stats(d)?;
+    r.l1i = read_l1_stats(d)?;
     r.dv = if d.u8()? == 1 {
         Some(DvStats {
             loads_observed: d.u64()?,
@@ -412,51 +326,6 @@ fn read_stats(d: &mut De) -> Option<RunStats> {
     Some(r)
 }
 
-/// Loads a legacy cache file; returns an empty map when the file is missing,
-/// truncated, from a different cache version, or written by a build whose
-/// simulator fingerprint differs (the results would be stale).
-#[must_use]
-pub fn read_cache(path: &Path) -> HashMap<u128, RunStats> {
-    let mut bytes = Vec::new();
-    let Ok(mut f) = std::fs::File::open(path) else {
-        return HashMap::new();
-    };
-    if f.read_to_end(&mut bytes).is_err() {
-        return HashMap::new();
-    }
-    let mut d = De { buf: &bytes };
-    let Some(magic) = d.buf.split_at_checked(4) else {
-        return HashMap::new();
-    };
-    if magic.0 != MAGIC {
-        return HashMap::new();
-    }
-    d.buf = magic.1;
-    if d.u32() != Some(CACHE_VERSION) {
-        return HashMap::new();
-    }
-    if d.u64() != Some(legacy_fingerprint()) {
-        return HashMap::new();
-    }
-    let Some(count) = d.u64() else {
-        return HashMap::new();
-    };
-    let mut out = HashMap::new();
-    for _ in 0..count {
-        let Some(lo) = d.u64() else {
-            return HashMap::new();
-        };
-        let Some(hi) = d.u64() else {
-            return HashMap::new();
-        };
-        let Some(stats) = read_stats(&mut d) else {
-            return HashMap::new();
-        };
-        out.insert((u128::from(hi) << 64) | u128::from(lo), stats);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -480,41 +349,9 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_is_bit_exact_and_retains_foreign_entries() {
-        let (key, stats) = sample();
-        let dir = std::env::temp_dir().join(format!("sdv-cache-test-{}", std::process::id()));
-        let path = dir.join("cache.bin");
-        let mut entries = HashMap::new();
-        entries.insert(key.clone(), stats.clone());
-        // A previously loaded entry the session never revisited survives the
-        // rewrite (narrow sessions must not shrink a broad cache), and a
-        // stale copy of a revisited key is replaced, not duplicated.
-        let mut retained = HashMap::new();
-        retained.insert(0xdead_beef_u128, stats.clone());
-        retained.insert(key_hash(&key), RunStats::new(9));
-        write_cache(&path, &entries, &retained).expect("cache written");
-        let loaded = read_cache(&path);
-        assert_eq!(loaded.len(), 2);
-        assert_eq!(
-            loaded.get(&key_hash(&key)),
-            Some(&stats),
-            "a disk hit must be bit-identical (and session entries win)"
-        );
-        assert_eq!(loaded.get(&0xdead_beef_u128), Some(&stats));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn fingerprint_is_stable_within_a_build() {
         assert_eq!(simulator_fingerprint(), simulator_fingerprint());
         assert_ne!(simulator_fingerprint(), 0);
-        assert_eq!(legacy_fingerprint(), legacy_fingerprint());
-        assert_ne!(
-            legacy_fingerprint(),
-            simulator_fingerprint(),
-            "the store fingerprint folds in the payload version; the legacy \
-             header fingerprint must stay exactly what pre-store builds wrote"
-        );
     }
 
     #[test]
@@ -537,30 +374,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_files_import_into_a_store() {
-        let dir = std::env::temp_dir().join(format!("sdv-legacy-import-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let (key, stats) = sample();
-        let legacy = dir.join("cache.bin");
-        let mut entries = HashMap::new();
-        entries.insert(key.clone(), stats.clone());
-        write_cache(&legacy, &entries, &HashMap::new()).expect("legacy file written");
-
-        let store =
-            sdv_store::Store::open(dir.join("store"), simulator_fingerprint()).expect("store");
-        assert_eq!(import_legacy(&store, &legacy).expect("imported"), 1);
-        let payload = store.get(key_hash(&key)).expect("entry present");
-        assert_eq!(stats_from_bytes(&payload), Some(stats));
-        // Re-importing is idempotent, and a missing file imports nothing.
-        assert_eq!(import_legacy(&store, &legacy).expect("re-imported"), 0);
-        assert_eq!(
-            import_legacy(&store, &dir.join("absent.bin")).expect("no-op"),
-            0
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn key_hash_distinguishes_configs_and_budgets() {
         let (key, _) = sample();
         let mut other = key.clone();
@@ -570,29 +383,5 @@ mod tests {
         scalar.config = ProcessorConfig::four_way(1, crate::PortKind::Scalar);
         assert_ne!(key_hash(&key), key_hash(&scalar));
         assert_eq!(key_hash(&key), key_hash(&key.clone()));
-    }
-
-    #[test]
-    fn bad_files_are_discarded() {
-        let dir = std::env::temp_dir().join(format!("sdv-cache-bad-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cache.bin");
-        assert!(read_cache(&path).is_empty(), "missing file");
-        std::fs::write(&path, b"not a cache").unwrap();
-        assert!(read_cache(&path).is_empty(), "wrong magic");
-        std::fs::write(&path, b"SDVC\xff\xff\xff\xff").unwrap();
-        assert!(read_cache(&path).is_empty(), "wrong version");
-        // Right magic and version but a foreign simulator fingerprint.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&CACHE_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&(legacy_fingerprint() ^ 1).to_le_bytes());
-        bytes.extend_from_slice(&0u64.to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(
-            read_cache(&path).is_empty(),
-            "a different build's results are stale"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

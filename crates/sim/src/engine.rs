@@ -432,25 +432,13 @@ impl RunEngine {
     /// change misses) and whole shards by a simulator-behaviour fingerprint
     /// mismatch (results from a different build are invisible).
     ///
-    /// A legacy single-file `cache.bin` found in `dir` is imported into the
-    /// store on attach, so pre-store cache directories keep their contents.
     /// Failure to open the store degrades to running without one (a warning
     /// is printed); results are identical either way.
     #[must_use]
     pub fn with_disk_cache(mut self, dir: impl Into<PathBuf>) -> Self {
         let dir = dir.into();
         match sdv_store::Store::open(&dir, cachefile::simulator_fingerprint()) {
-            Ok(store) => {
-                let legacy = dir.join("cache.bin");
-                if legacy.exists() {
-                    if let Err(e) = cachefile::import_legacy(&store, &legacy) {
-                        eprintln!(
-                            "warning: could not import legacy cache {}: {e}",
-                            legacy.display()
-                        );
-                    }
-                }
-                let mut store = store;
+            Ok(mut store) => {
                 if self.obs.level() != ObsLevel::Off {
                     store.set_obs(Arc::clone(&self.obs));
                 }
@@ -468,8 +456,7 @@ impl RunEngine {
     }
 
     /// Attaches an already-open [`sdv_store::Store`] (the seam supervision
-    /// and degradation tests use to inject fault-plan-backed stores; no
-    /// legacy-cache import happens here).
+    /// and degradation tests use to inject fault-plan-backed stores).
     #[must_use]
     pub fn with_store(mut self, store: sdv_store::Store) -> Self {
         let mut store = store;
@@ -1259,32 +1246,6 @@ mod tests {
             observed.obs().trace_json().contains("\"name\": \"cell\""),
             "the cell span is in the trace"
         );
-    }
-
-    #[test]
-    fn legacy_cache_files_are_imported_on_attach() {
-        let dir = std::env::temp_dir().join(format!("sdv-engine-legacy-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cfg = ProcessorConfig::four_way(1, PortKind::Wide).with_vectorization(true);
-        let key = CellKey {
-            config: cfg.clone(),
-            workload: Workload::Compress,
-            scale: rc().scale,
-            max_insts: rc().max_insts,
-        };
-        let stats = super::simulate_cell(&key, u64::MAX, &Obs::default()).0;
-        let mut entries = HashMap::new();
-        entries.insert(key, stats.clone());
-        cachefile::write_cache(&dir.join("cache.bin"), &entries, &HashMap::new())
-            .expect("legacy cache written");
-
-        // Attaching the store imports the legacy file: the cell hits.
-        let engine = RunEngine::new(rc()).with_disk_cache(&dir);
-        let served = engine.run_cell(&cfg, Workload::Compress);
-        assert_eq!(served, stats, "legacy entries are served bit-identically");
-        assert_eq!(engine.report().simulated, 0);
-        assert_eq!(engine.report().store_hits, 1);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub use table1::Table1;
 pub use sdv_mem::PortKind;
 pub use sdv_obs::{Obs, ObsLevel};
 pub use sdv_uarch::UarchConfig as ProcessorConfig;
-pub use sdv_uarch::{BusyPath, Processor, RunStats};
+pub use sdv_uarch::{Model, Processor, RunStats};
 pub use sdv_workloads::Workload;
 
 /// The three memory front-end variants compared throughout §4.3.

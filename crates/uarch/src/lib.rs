@@ -10,14 +10,14 @@
 //! The main entry points are [`Processor`] (stateful, lets you inspect the
 //! architectural state afterwards) and the [`simulate`] convenience function.
 //!
-//! Three toggles select between fast and reference loops, all bit-identical
-//! by construction and pinned by property tests: [`Scheduler`] picks the
-//! issue engine (event-driven wakeup vs. the naive full scan), [`Stepping`]
-//! picks the clock discipline (macro-stepped jumps over proven stall windows
-//! vs. ticking every cycle), and [`BusyPath`] picks the busy-cycle loop
-//! structure (batched group dispatch and run-retire commit vs. the
-//! entry-at-a-time reference loops).  See the `pipeline` module docs for the
-//! proof obligations behind each.
+//! One knob, [`Model`], selects between the fast loop and its reference,
+//! bit-identical by construction and pinned by property tests and the golden
+//! counter sets.  [`Model::Fast`] (the default) runs the event-driven wakeup
+//! scheduler, jumps the clock over proven stall windows, and dispatches and
+//! commits whole groups; [`Model::Reference`] scans the whole window every
+//! cycle, ticks every cycle, and dispatches and commits one entry at a time.
+//! See the `pipeline` module docs for the proof obligations behind each part
+//! of the fast loop.
 //!
 //! ```
 //! use sdv_isa::{ArchReg, Asm};
@@ -61,9 +61,7 @@ pub mod vector_dp;
 
 pub use config::{ConfigBuilder, FuClassConfig, FuConfig, UarchConfig, DEFAULT_BUS_WORDS};
 pub use fu::FuPool;
-pub use pipeline::{
-    simulate, simulate_bounded, BusyPath, Processor, Scheduler, Stepping, CYCLE_BUDGET_EXCEEDED,
-};
+pub use pipeline::{simulate, simulate_bounded, Model, Processor, CYCLE_BUDGET_EXCEEDED};
 pub use rob::WaiterStats;
 // Re-exported so pipeline consumers can read the cycle-attribution ledger
 // without a direct sdv-obs dependency.

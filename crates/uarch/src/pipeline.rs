@@ -22,45 +22,55 @@
 //!   forces the younger in-flight instructions to re-execute and charges the
 //!   redirect penalty to the front end.
 //!
+//! # Two models
+//!
+//! [`Model`] selects one of two loops over the same struct-of-arrays ROB
+//! ([`crate::rob::Rob`]), indexed directly by sequence number: in-flight
+//! instructions occupy a contiguous sequence range, so `seq & mask`
+//! addresses a slot in O(1) and the busy-loop probes (`issued`,
+//! `complete_cycle`, the issue-group tag) touch dense scalar lanes instead of
+//! striding over ~150-byte entries.
+//!
+//! * [`Model::Fast`] (the default) combines the three fast-path pieces below:
+//!   the wakeup scheduler, macro-stepping and the batched busy path.
+//! * [`Model::Reference`] is the one oracle: the original full-window issue
+//!   scan, one tick per simulated cycle, and entry-at-a-time dispatch and
+//!   commit.
+//!
+//! Both issue the identical instruction sequence cycle for cycle — a
+//! property test pins issue traces and statistics on random programs and
+//! §3.6 squash storms, and `tests/golden_stats.rs` checks both models against
+//! the full per-workload counter sets — so every statistic the simulator
+//! reports is bit-identical between them.
+//!
 //! # Scheduling
 //!
-//! The ROB is a struct-of-arrays ring ([`crate::rob::Rob`]) indexed directly
-//! by sequence number: in-flight instructions occupy a contiguous sequence
-//! range, so `seq & mask` addresses a slot in O(1) and the busy-loop probes
-//! (`issued`, `complete_cycle`, the issue-group tag) touch dense scalar lanes
-//! instead of striding over ~150-byte entries.  Two interchangeable issue
-//! schedulers drive it:
-//!
-//! * [`Scheduler::Wakeup`] (the default) is event driven.  Each entry carries
-//!   a count of incomplete scalar producers; completions are scheduled on a
-//!   timing heap and, when they fire, wake their dependents through a
-//!   producer → waiters table.  Entries whose operands are all available sit
-//!   in a single program-ordered ready set, tagged with their issue group at
-//!   dispatch; issue is one sorted walk over that set, and a structural
-//!   hazard masks the whole group via a bitmask for the rest of the cycle.
-//!   Entries waiting on a *vector* element — validations, and entries whose
-//!   scalar operands are ready but which read a vector element — are parked
-//!   on a per-vector-register waiter list instead.  The engine journals
-//!   every register whose ready or poison flags or generation changed, and
-//!   the scheduler drains that journal before each issue walk, moving the
-//!   entries that are now satisfied into the ready set (event-driven, never
-//!   polled).  Load/store disambiguation walks an indexed queue of in-flight
-//!   stores rather than the whole ROB prefix.
-//! * [`Scheduler::NaiveScan`] is the original full-window scan, retained as a
-//!   reference oracle: both schedulers issue the identical instruction
-//!   sequence cycle for cycle (a property test pins this on random programs),
-//!   so every statistic the simulator reports is bit-identical between them.
+//! The fast model's issue scheduler is event driven.  Each entry carries a
+//! count of incomplete scalar producers; completions are scheduled on a
+//! timing heap and, when they fire, wake their dependents through a producer
+//! → waiters table.  Entries whose operands are all available sit in a single
+//! program-ordered ready set, tagged with their issue group at dispatch;
+//! issue is one sorted walk over that set, and a structural hazard masks the
+//! whole group via a bitmask for the rest of the cycle.  Entries waiting on a
+//! *vector* element — validations, and entries whose scalar operands are
+//! ready but which read a vector element — are parked on a per-vector-register
+//! waiter list instead.  The engine journals every register whose ready or
+//! poison flags or generation changed, and the scheduler drains that journal
+//! before each issue walk, moving the entries that are now satisfied into the
+//! ready set (event-driven, never polled).  Load/store disambiguation walks an
+//! indexed queue of in-flight stores rather than the whole ROB prefix.  The
+//! reference model instead scans the whole window every cycle.
 //!
 //! # Macro-stepping
 //!
-//! On top of the event-driven scheduler the main loop is itself event driven
-//! ([`Stepping::MacroStep`], the default):
+//! On top of the event-driven scheduler the fast model's main loop is itself
+//! event driven:
 //!
 //! * **Event-driven commit** — commit tracks the earliest cycle at which the
 //!   ROB head could possibly retire (its completion cycle when issued, the
 //!   next cycle otherwise) and is skipped entirely until then, instead of
 //!   probing the head every tick.  The skipped calls are provably pure, so
-//!   this applies under both schedulers and both stepping modes.
+//!   this applies under both models.
 //! * **Clock jumps** — when the machine is provably idle (fetch blocked or
 //!   stalled, nothing issuable in the ready set, no vector instance touching
 //!   memory), the loop consults the pending wakeup sources — the completion
@@ -69,24 +79,17 @@
 //!   ready cycle — and advances the clock straight to the earliest of them,
 //!   bulk-charging the per-cycle statistics (port-occupancy denominator,
 //!   decode-blocked cycles) for the skipped window.  Every counter stays
-//!   bit-identical to the per-cycle path, which survives as
-//!   [`Stepping::PerCycle`]; a property test pins trace-and-stats equality of
-//!   the two modes on random programs, and `tests/golden_stats.rs` holds the
-//!   full per-workload counter sets.
+//!   bit-identical to the per-cycle loop of [`Model::Reference`].
 //!
 //! # Busy paths
 //!
-//! A third toggle, [`BusyPath`], selects how the two busy-cycle stage loops
-//! are structured (both on the same SoA storage, bit-identical by the same
-//! proptest discipline as the scheduler and stepping toggles):
-//!
-//! * [`BusyPath::Batched`] (the default) dispatches a whole fetch group at a
-//!   time — the per-instruction engine interactions stay serial (VRMT decode
-//!   order is architectural), but the wakeup-scoreboard setup is deferred to
-//!   one classification pass over the group — and commits maximal ready runs
-//!   from the ROB head with one stats flush and one head advance per run.
-//! * [`BusyPath::Legacy`] keeps the original entry-at-a-time dispatch and
-//!   commit loop structure as the reference oracle.
+//! The fast model dispatches a whole fetch group at a time — the
+//! per-instruction engine interactions stay serial (VRMT decode order is
+//! architectural), but the wakeup-scoreboard setup is deferred to one
+//! classification pass over the group — and commits maximal ready runs from
+//! the ROB head with one stats flush and one head advance per run.  The
+//! reference model keeps the original entry-at-a-time dispatch and commit
+//! loops.
 //!
 //! The equivalence argument for batched dispatch: deferring classification is
 //! safe because nothing between the first and last instruction of a dispatch
@@ -174,48 +177,20 @@ fn key_group(key: u64) -> u8 {
     (key & 0x7) as u8
 }
 
-/// Which issue scheduler drives the pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Scheduler {
-    /// Event-driven wakeup scheduler with ready queues (the default).
-    #[default]
-    Wakeup,
-    /// The original O(window) per-cycle scan, kept as a reference oracle.
-    NaiveScan,
-}
-
-/// How the main loop advances the simulated clock.
+/// Which pipeline loop drives the simulation.
 ///
-/// Both modes produce bit-identical statistics and issue traces (pinned by a
-/// property test on random programs and by the golden-stats suite);
-/// [`Stepping::MacroStep`] only skips cycles it can prove would have been
-/// no-ops.
+/// Both models produce bit-identical statistics and issue traces (pinned by
+/// a property test on random programs and squash storms, and by the
+/// golden-stats suite on every workload).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Stepping {
-    /// Jump the clock over provably idle stall windows (the default).
-    ///
-    /// Requires [`Scheduler::Wakeup`]; under [`Scheduler::NaiveScan`] the
-    /// loop silently ticks per cycle (the naive scheduler has no event state
-    /// to consult).
+pub enum Model {
+    /// Event-driven wakeup issue, clock jumps over proven stall windows, and
+    /// group dispatch plus run-retire commit (the default).
     #[default]
-    MacroStep,
-    /// Tick every cycle, kept as the reference oracle.
-    PerCycle,
-}
-
-/// How the busy-cycle stage loops (dispatch, commit) are structured.
-///
-/// Both paths run on the same struct-of-arrays ROB and produce bit-identical
-/// issue traces and statistics (pinned by the `soa_matches_aos` property test
-/// on random programs and squash storms, and by the golden-stats suite).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BusyPath {
-    /// Group dispatch (one classification pass per fetch group) plus
-    /// run-retire commit (the default).
-    #[default]
-    Batched,
-    /// Entry-at-a-time dispatch and commit, kept as the reference oracle.
-    Legacy,
+    Fast,
+    /// The reference oracle: a full-window issue scan and one tick every
+    /// cycle, with entry-at-a-time dispatch and commit.
+    Reference,
 }
 
 /// Outcome of a single ready-load issue attempt in the wakeup walk.
@@ -318,8 +293,7 @@ pub struct Processor {
     /// Sequence numbers of in-flight stores, in program order: the indexed
     /// store queue used for load/store disambiguation.
     store_queue: VecDeque<u64>,
-    sched: Scheduler,
-    busy_path: BusyPath,
+    model: Model,
     /// Wakeup scheduler: the single program-ordered set of issuable entries —
     /// unissued instructions whose sources are ready, plus validations whose
     /// element is resolved.  Elements are packed [`ready_key`]s (sequence
@@ -373,7 +347,6 @@ pub struct Processor {
     /// only); consumed and cleared by [`Self::attribute_cycle`].
     cycle_flags: u8,
     cycle: u64,
-    stepping: Stepping,
     /// Event-driven commit: the earliest cycle at which the ROB head could
     /// retire, maintained by [`Self::commit`].  Commit is skipped entirely
     /// before this cycle — the skipped probes are provably pure.
@@ -431,8 +404,7 @@ impl Processor {
             map_table: vec![SrcMapping::Ready; NUM_ARCH_REGS],
             lsq_occupancy: 0,
             store_queue: VecDeque::new(),
-            sched: Scheduler::default(),
-            busy_path: BusyPath::default(),
+            model: Model::default(),
             ready_all: SeqSet::new(),
             vec_waiters: Vec::new(),
             vec_drain_scratch: Vec::new(),
@@ -448,7 +420,6 @@ impl Processor {
             ledger: None,
             cycle_flags: 0,
             cycle: 0,
-            stepping: Stepping::default(),
             commit_gate: 0,
             macro_jumps: 0,
             macro_skipped_cycles: 0,
@@ -466,40 +437,16 @@ impl Processor {
         }
     }
 
-    /// Selects the issue scheduler.  Call before [`Self::run`]; both
-    /// schedulers produce bit-identical results.
-    pub fn set_scheduler(&mut self, sched: Scheduler) {
-        self.sched = sched;
+    /// Selects the pipeline model.  Call before [`Self::run`]; both models
+    /// produce bit-identical results.
+    pub fn set_model(&mut self, model: Model) {
+        self.model = model;
     }
 
-    /// The active issue scheduler.
+    /// The active pipeline model.
     #[must_use]
-    pub fn scheduler(&self) -> Scheduler {
-        self.sched
-    }
-
-    /// Selects how the main loop advances the clock.  Call before
-    /// [`Self::run`]; both modes produce bit-identical results.
-    pub fn set_stepping(&mut self, stepping: Stepping) {
-        self.stepping = stepping;
-    }
-
-    /// The active clock-stepping mode.
-    #[must_use]
-    pub fn stepping(&self) -> Stepping {
-        self.stepping
-    }
-
-    /// Selects how the busy-cycle stage loops are structured.  Call before
-    /// [`Self::run`]; both paths produce bit-identical results.
-    pub fn set_busy_path(&mut self, path: BusyPath) {
-        self.busy_path = path;
-    }
-
-    /// The active busy-path mode.
-    #[must_use]
-    pub fn busy_path(&self) -> BusyPath {
-        self.busy_path
+    pub fn model(&self) -> Model {
+        self.model
     }
 
     /// Waiter-arena pool statistics — the hook behind the
@@ -512,7 +459,8 @@ impl Processor {
     /// Macro-stepping telemetry: `(clock jumps taken, total cycles skipped)`.
     ///
     /// Purely informational — deliberately *not* part of [`RunStats`], which
-    /// is compared bit-for-bit between stepping modes.
+    /// is compared bit-for-bit between the two models.  Always `(0, 0)` under
+    /// [`Model::Reference`], which never jumps.
     #[must_use]
     pub fn macro_step_telemetry(&self) -> (u64, u64) {
         (self.macro_jumps, self.macro_skipped_cycles)
@@ -520,7 +468,7 @@ impl Processor {
 
     /// Enables (or disables) recording of the issue trace: one `(cycle, seq)`
     /// pair per instruction, in the order issue decisions were made.  Used by
-    /// the scheduler-equivalence property test.
+    /// the fast ≡ reference differential tests.
     pub fn record_issue_trace(&mut self, enable: bool) {
         self.issue_trace = enable.then(Vec::new);
     }
@@ -539,10 +487,10 @@ impl Processor {
     /// Like the issue trace, the ledger is deliberately *not* part of
     /// [`RunStats`]: stats stay bit-identical whether or not attribution is
     /// on.  Hazard attribution (the unknown-store and structural buckets) is
-    /// recorded by the wakeup scheduler; under [`Scheduler::NaiveScan`] those
-    /// cycles land in the residual bucket, but the bucket-sum invariant
-    /// (`CycleLedger::total()` ≡ [`RunStats`] cycles) holds for every
-    /// scheduler, stepping and busy-path combination.
+    /// recorded by the fast model's wakeup scheduler; under
+    /// [`Model::Reference`] those cycles land in the residual bucket, but the
+    /// bucket-sum invariant (`CycleLedger::total()` ≡ [`RunStats`] cycles)
+    /// holds for both models.
     pub fn record_cycle_ledger(&mut self, enable: bool) {
         self.ledger = enable.then(|| Box::new(CycleLedger::new()));
         self.cycle_flags = 0;
@@ -661,7 +609,7 @@ impl Processor {
             if attributing {
                 self.attribute_cycle(committed_before);
             }
-            if self.stepping == Stepping::MacroStep {
+            if self.model == Model::Fast {
                 self.try_macro_step(max_insts);
             }
         }
@@ -823,9 +771,9 @@ impl Processor {
     // ------------------------------------------------------------- dispatch
 
     fn dispatch(&mut self) {
-        match self.busy_path {
-            BusyPath::Batched => self.dispatch_batched(),
-            BusyPath::Legacy => self.dispatch_legacy(),
+        match self.model {
+            Model::Fast => self.dispatch_batched(),
+            Model::Reference => self.dispatch_legacy(),
         }
     }
 
@@ -850,7 +798,7 @@ impl Processor {
         true
     }
 
-    /// Reference busy path: dispatch and classify one instruction at a time.
+    /// Reference model: dispatch one instruction at a time.
     fn dispatch_legacy(&mut self) {
         let mut dispatched = 0;
         while dispatched < self.cfg.issue_width {
@@ -858,22 +806,19 @@ impl Processor {
                 break;
             }
             let fetched = self.fetch_queue.pop_front().expect("front exists");
-            let seq = self.dispatch_core(fetched);
-            if self.sched == Scheduler::Wakeup {
-                self.classify_group(seq);
-            }
+            self.dispatch_core(fetched);
             dispatched += 1;
         }
     }
 
-    /// Batched busy path: dispatch a whole fetch group, then classify the
+    /// Fast model: dispatch a whole fetch group, then classify the
     /// group in one pass ([`Self::classify_group`]).
     ///
     /// The per-instruction half of dispatch is untouched — engine decode
     /// (VRMT lookups are stateful), map-table updates, the §3.2 block check
     /// and the Figure-10 window stay in fetch order, so the I$/predictor
     /// interaction and all architectural decisions are identical to the
-    /// legacy path.  Only the wakeup-scoreboard bookkeeping is deferred,
+    /// reference model.  Only the wakeup-scoreboard bookkeeping is deferred,
     /// which is safe because nothing in the rest of the group can change a
     /// producer's completion state (issue ran earlier in the cycle) and
     /// vector-element resolution is monotonic.
@@ -888,7 +833,7 @@ impl Processor {
             self.dispatch_core(fetched);
             dispatched += 1;
         }
-        if dispatched > 0 && self.sched == Scheduler::Wakeup {
+        if dispatched > 0 {
             self.classify_group(first);
         }
     }
@@ -916,10 +861,10 @@ impl Processor {
         })
     }
 
-    /// The per-instruction half of dispatch, shared by both busy paths:
-    /// engine decode, rename, Figure-10 accounting and the ROB push.
-    /// Wakeup-scoreboard classification is the caller's job.
-    fn dispatch_core(&mut self, r: Retired) -> u64 {
+    /// The per-instruction half of dispatch, shared by both models: engine
+    /// decode, rename, Figure-10 accounting and the ROB push.
+    /// Wakeup-scoreboard classification is the fast model's job.
+    fn dispatch_core(&mut self, r: Retired) {
         let class = r.inst.op.class();
 
         // Ask the vectorization engine what this instruction becomes.  For a
@@ -1010,11 +955,10 @@ impl Processor {
         }
         if r.inst.is_store() {
             self.store_queue.push_back(r.seq);
-            if self.sched == Scheduler::Wakeup {
+            if self.model == Model::Fast {
                 self.unknown_stores.insert(r.seq);
             }
         }
-        let seq = r.seq;
         let queue = if matches!(mode, ExecMode::Validation { .. }) {
             Q_VALIDATION
         } else {
@@ -1030,14 +974,12 @@ impl Processor {
             },
             queue,
         );
-        seq
     }
 
     /// Scoreboard classification of the unissued entries `first..tail`:
     /// counts incomplete scalar producers, registers each entry as their
     /// waiter, and routes it to the ready set or a vector-register waiter
-    /// list.  Used for a freshly dispatched group (both busy paths) and for
-    /// the whole window by the squash rebuild, which is why issued entries
+    /// list.  Used for a freshly dispatched group and for the whole window by the squash rebuild, which is why issued entries
     /// are skipped.  Entries are visited in ascending order and the ready
     /// set holds only older keys (or is empty, in the rebuild), so every
     /// ready-set insert is a plain tail append.
@@ -1229,9 +1171,9 @@ impl Processor {
     }
 
     fn issue(&mut self) {
-        match self.sched {
-            Scheduler::Wakeup => self.issue_wakeup(),
-            Scheduler::NaiveScan => self.issue_naive(),
+        match self.model {
+            Model::Fast => self.issue_wakeup(),
+            Model::Reference => self.issue_naive(),
         }
     }
 
@@ -1650,7 +1592,7 @@ impl Processor {
     /// Rebuilds the wakeup state from the ROB after a squash re-opened
     /// already-issued entries (rare: §3.6 store conflicts only).
     fn rebuild_scheduler(&mut self) {
-        if self.sched != Scheduler::Wakeup {
+        if self.model != Model::Fast {
             return;
         }
         self.ready_all.clear();
@@ -1688,7 +1630,7 @@ impl Processor {
 
     // ------------------------------------------------------ naive scheduler
 
-    /// Reference scheduler: the original per-cycle scan over the whole window.
+    /// Reference model: the original per-cycle scan over the whole window.
     fn issue_naive(&mut self) {
         let mut issued = 0;
         let mut seq = self.rob.head();
@@ -1862,9 +1804,9 @@ impl Processor {
     // --------------------------------------------------------------- commit
 
     fn commit(&mut self) {
-        match self.busy_path {
-            BusyPath::Batched => self.commit_runs(),
-            BusyPath::Legacy => self.commit_legacy(),
+        match self.model {
+            Model::Fast => self.commit_runs(),
+            Model::Reference => self.commit_legacy(),
         }
     }
 
@@ -1899,13 +1841,13 @@ impl Processor {
         }
         let popped = self.store_queue.pop_front();
         debug_assert_eq!(popped, Some(head), "stores commit in order");
-        if self.sched == Scheduler::Wakeup && self.rob.store_addr_known(head) {
-            // Removing a store can only remove a forwarding source,
-            // never create one, so cached no-forward verdicts (and
-            // the parked queue) stay valid: no epoch bump.
-            self.remove_store_lines(addr, width);
-        }
-        if self.sched == Scheduler::Wakeup {
+        if self.model == Model::Fast {
+            if self.rob.store_addr_known(head) {
+                // Removing a store can only remove a forwarding source,
+                // never create one, so cached no-forward verdicts (and
+                // the parked queue) stay valid: no epoch bump.
+                self.remove_store_lines(addr, width);
+            }
             // The completion event for this entry is due this cycle but
             // only fires during issue; waking the dependents now (still
             // before the issue scan) is equivalent.
@@ -1917,7 +1859,7 @@ impl Processor {
         true
     }
 
-    /// Reference busy path: the original entry-at-a-time commit loop.
+    /// Reference model: the original entry-at-a-time commit loop.
     fn commit_legacy(&mut self) {
         let mut committed = 0;
         let mut stores = 0;
@@ -1934,9 +1876,6 @@ impl Processor {
                     break;
                 }
             } else {
-                if self.sched == Scheduler::Wakeup {
-                    self.wake_waiters_of(head);
-                }
                 let cold = self.rob.pop_front().expect("front exists");
                 self.retire(&cold);
                 self.last_commit_cycle = self.cycle;
@@ -1947,7 +1886,7 @@ impl Processor {
         self.recompute_commit_gate();
     }
 
-    /// Batched busy path: drain maximal ready runs of non-store entries from
+    /// Fast model: drain maximal ready runs of non-store entries from
     /// the ROB head (one stats flush and one head advance per run); stores —
     /// the only committing instructions whose side effects can gate or
     /// squash — terminate every run and commit one at a time.
@@ -1999,9 +1938,7 @@ impl Processor {
         let mut control = 0u64;
         let mut validations = 0u64;
         for seq in head..head + run {
-            if self.sched == Scheduler::Wakeup {
-                self.wake_waiters_of(seq);
-            }
+            self.wake_waiters_of(seq);
             let (mode, dst, is_load, is_mem, is_control, pc, taken, next_pc) = {
                 let cold = self.rob.cold(seq);
                 (
@@ -2167,7 +2104,7 @@ impl Processor {
     /// the loop ticks on, preserving the no-progress assertion's ability to
     /// catch genuine deadlocks.
     fn try_macro_step(&mut self, max_insts: u64) {
-        if self.sched != Scheduler::Wakeup || self.stats.committed >= max_insts || self.finished() {
+        if self.stats.committed >= max_insts || self.finished() {
             return;
         }
         if self.vdp.as_ref().is_some_and(|v| v.active_instances() > 0) {
@@ -2243,7 +2180,7 @@ impl Processor {
         if let Some(ledger) = self.ledger.as_deref_mut() {
             // The whole window is provably idle; the per-cycle path would
             // have classified each of these cycles individually (so the two
-            // stepping modes split buckets differently), but the bucket-sum
+            // models split buckets differently), but the bucket-sum
             // invariant holds in both.
             ledger.record_many(CycleBucket::MacroStepJumped, skipped);
         }
@@ -2611,10 +2548,11 @@ mod tests {
         assert!(wide.total() > 0);
     }
 
-    #[test]
-    fn store_heavy_code_respects_coherence() {
-        // A loop that stores into the array it is also reading with a stride:
-        // the §3.6 checks must fire without corrupting architectural state.
+    /// A loop that stores into the array it is also reading with a stride:
+    /// each store writes the *next* element, which the vector load may have
+    /// prefetched, so the §3.6 checks fire and squash.  Returns the program
+    /// and the array's base address.
+    fn store_squash_loop() -> (Program, u64) {
         let mut a = Asm::new();
         let buf = a.data_u64(&vec![1u64; 128]);
         let (p, v, c) = (x(1), x(2), x(3));
@@ -2623,12 +2561,18 @@ mod tests {
         a.label("loop");
         a.ld(v, p, 0);
         a.addi(v, v, 1);
-        a.sd(v, p, 8); // write the *next* element, which the vector load may have prefetched
+        a.sd(v, p, 8);
         a.addi(p, p, 8);
         a.addi(c, c, -1);
         a.bne(c, ArchReg::ZERO, "loop");
         a.halt();
-        let program = a.finish();
+        (a.finish(), buf)
+    }
+
+    #[test]
+    fn store_heavy_code_respects_coherence() {
+        // The §3.6 checks must fire without corrupting architectural state.
+        let (program, buf) = store_squash_loop();
         let cfg = UarchConfig::four_way(1, PortKind::Wide).with_vectorization(true);
         let mut proc = Processor::new(&cfg, &program);
         let stats = proc.run(1_000_000);
@@ -2650,121 +2594,98 @@ mod tests {
         assert!(real.ipc() <= ideal.ipc() * 1.001);
     }
 
-    /// Runs `program` under both schedulers with the issue trace enabled and
-    /// asserts identical traces and statistics.
-    fn assert_schedulers_agree(program: &Program, cfg: &UarchConfig, max_insts: u64) {
-        let mut wakeup = Processor::new(cfg, program);
-        wakeup.record_issue_trace(true);
-        let wakeup_stats = wakeup.run(max_insts);
-        let wakeup_trace = wakeup.take_issue_trace();
+    /// Runs `program` under both models with the issue trace enabled and
+    /// asserts identical traces and statistics, and that the reference never
+    /// jumps; returns the fast model's macro-step telemetry so callers can
+    /// additionally assert the clock-jump fast path fired.
+    fn assert_models_agree(program: &Program, cfg: &UarchConfig, max_insts: u64) -> (u64, u64) {
+        let mut fast = Processor::new(cfg, program);
+        assert_eq!(fast.model(), Model::Fast, "default model");
+        fast.record_issue_trace(true);
+        let fast_stats = fast.run(max_insts);
+        let fast_trace = fast.take_issue_trace();
 
-        let mut naive = Processor::new(cfg, program);
-        naive.set_scheduler(Scheduler::NaiveScan);
-        naive.record_issue_trace(true);
-        let naive_stats = naive.run(max_insts);
-        let naive_trace = naive.take_issue_trace();
+        let mut reference = Processor::new(cfg, program);
+        reference.set_model(Model::Reference);
+        reference.record_issue_trace(true);
+        let reference_stats = reference.run(max_insts);
+        let reference_trace = reference.take_issue_trace();
 
-        assert_eq!(wakeup_trace, naive_trace, "issue sequences must match");
-        assert_eq!(wakeup_stats, naive_stats, "statistics must be identical");
+        assert_eq!(
+            reference.macro_step_telemetry(),
+            (0, 0),
+            "the reference never jumps"
+        );
+        assert_eq!(fast_trace, reference_trace, "issue sequences must match");
+        assert_eq!(fast_stats, reference_stats, "statistics must be identical");
+        fast.macro_step_telemetry()
     }
 
-    #[test]
-    fn wakeup_matches_naive_scan_on_kernels() {
+    /// [`assert_models_agree`] on the 4-way machine with a scalar or a wide
+    /// port and DV on or off; returns the fast model's total clock jumps.
+    fn assert_models_agree_on_four_way(program: &Program, max_insts: u64) -> u64 {
+        let mut jumps = 0;
         for vect in [false, true] {
             for kind in [PortKind::Scalar, PortKind::Wide] {
                 let cfg = UarchConfig::four_way(1, kind).with_vectorization(vect);
-                assert_schedulers_agree(&strided_sum(300), &cfg, 100_000);
-                assert_schedulers_agree(&four_stream_sum(100), &cfg, 100_000);
-                assert_schedulers_agree(&pointer_chase(64), &cfg, 100_000);
+                jumps += assert_models_agree(program, &cfg, max_insts).0;
             }
         }
+        jumps
     }
+
+    // The kernel checks split the fast-vs-reference comparison by the kernel
+    // that stresses each fast-path mechanism hardest; together they cover
+    // every kernel on every 4-way configuration.
 
     #[test]
-    fn wakeup_matches_naive_scan_under_store_squashes() {
-        // The store-coherence loop exercises squash_younger_than_front and the
-        // scheduler rebuild.
-        let mut a = Asm::new();
-        let buf = a.data_u64(&vec![1u64; 128]);
-        let (p, v, c) = (x(1), x(2), x(3));
-        a.li(p, buf as i64);
-        a.li(c, 127);
-        a.label("loop");
-        a.ld(v, p, 0);
-        a.addi(v, v, 1);
-        a.sd(v, p, 8);
-        a.addi(p, p, 8);
-        a.addi(c, c, -1);
-        a.bne(c, ArchReg::ZERO, "loop");
-        a.halt();
-        let program = a.finish();
-        let cfg = UarchConfig::four_way(1, PortKind::Wide).with_vectorization(true);
-        assert_schedulers_agree(&program, &cfg, 1_000_000);
-    }
-
-    /// Runs `program` under both busy paths (batched group dispatch +
-    /// run-retire commit vs the entry-at-a-time reference loops) with the
-    /// issue trace enabled and asserts identical traces and statistics,
-    /// under both schedulers.
-    fn assert_busy_paths_agree(program: &Program, cfg: &UarchConfig, max_insts: u64) {
-        for sched in [Scheduler::Wakeup, Scheduler::NaiveScan] {
-            let mut batched = Processor::new(cfg, program);
-            assert_eq!(batched.busy_path(), BusyPath::Batched, "default path");
-            batched.set_scheduler(sched);
-            batched.record_issue_trace(true);
-            let batched_stats = batched.run(max_insts);
-            let batched_trace = batched.take_issue_trace();
-
-            let mut legacy = Processor::new(cfg, program);
-            legacy.set_busy_path(BusyPath::Legacy);
-            legacy.set_scheduler(sched);
-            legacy.record_issue_trace(true);
-            let legacy_stats = legacy.run(max_insts);
-            let legacy_trace = legacy.take_issue_trace();
-
-            assert_eq!(
-                batched_trace, legacy_trace,
-                "issue sequences must match under {sched:?}"
-            );
-            assert_eq!(
-                batched_stats, legacy_stats,
-                "statistics must be identical under {sched:?}"
-            );
-        }
+    fn wakeup_matches_naive_scan_on_kernels() {
+        // A strided sum parks DV validations on vector registers, which the
+        // wakeup scheduler must release exactly when the full scan would.
+        assert_models_agree_on_four_way(&strided_sum(300), 100_000);
     }
 
     #[test]
     fn busy_paths_agree_on_kernels() {
-        for vect in [false, true] {
-            for kind in [PortKind::Scalar, PortKind::Wide] {
-                let cfg = UarchConfig::four_way(1, kind).with_vectorization(vect);
-                assert_busy_paths_agree(&strided_sum(300), &cfg, 100_000);
-                assert_busy_paths_agree(&four_stream_sum(100), &cfg, 100_000);
-                assert_busy_paths_agree(&pointer_chase(64), &cfg, 100_000);
-            }
-        }
+        // Four independent streams fill whole dispatch groups and retire in
+        // long runs: the batched dispatch and run-retire commit paths.
+        assert_models_agree_on_four_way(&four_stream_sum(100), 100_000);
+    }
+
+    #[test]
+    fn macro_step_matches_per_cycle_on_kernels() {
+        // A pointer chase freezes the pipeline between dependent loads.
+        let jumps = assert_models_agree_on_four_way(&pointer_chase(64), 100_000);
+        assert!(jumps > 0, "the clock-jump fast path must actually fire");
+    }
+
+    /// [`assert_models_agree`] on the store-coherence loop, after checking
+    /// that `cfg` really drives §3.6 store conflicts (and so squashes and
+    /// scheduler rebuilds).
+    fn assert_models_agree_under_store_squashes(cfg: &UarchConfig) {
+        let (program, _) = store_squash_loop();
+        let dv = simulate(cfg, &program, 1_000_000).dv.expect("dv stats");
+        assert!(dv.store_conflicts > 0, "the loop must squash");
+        assert_models_agree(&program, cfg, 1_000_000);
+    }
+
+    #[test]
+    fn wakeup_matches_naive_scan_under_store_squashes() {
+        let cfg = UarchConfig::four_way(1, PortKind::Wide).with_vectorization(true);
+        assert_models_agree_under_store_squashes(&cfg);
     }
 
     #[test]
     fn busy_paths_agree_under_store_squashes() {
-        // The store-coherence loop drives squash_younger_than_front and the
-        // scheduler rebuild through both dispatch/commit structures.
-        let mut a = Asm::new();
-        let buf = a.data_u64(&vec![1u64; 128]);
-        let (p, v, c) = (x(1), x(2), x(3));
-        a.li(p, buf as i64);
-        a.li(c, 127);
-        a.label("loop");
-        a.ld(v, p, 0);
-        a.addi(v, v, 1);
-        a.sd(v, p, 8);
-        a.addi(p, p, 8);
-        a.addi(c, c, -1);
-        a.bne(c, ArchReg::ZERO, "loop");
-        a.halt();
-        let program = a.finish();
-        let cfg = UarchConfig::four_way(1, PortKind::Wide).with_vectorization(true);
-        assert_busy_paths_agree(&program, &cfg, 1_000_000);
+        let cfg = UarchConfig::four_way(1, PortKind::Scalar).with_vectorization(true);
+        assert_models_agree_under_store_squashes(&cfg);
+    }
+
+    #[test]
+    fn macro_step_matches_per_cycle_under_store_squashes() {
+        // The 8-way window holds more squashed work to rebuild.
+        let cfg = UarchConfig::eight_way(1, PortKind::Wide).with_vectorization(true);
+        assert_models_agree_under_store_squashes(&cfg);
     }
 
     #[test]
@@ -2785,69 +2706,6 @@ mod tests {
             waiters.capacity
         );
         assert_eq!(waiters.live, 0, "every waiter list drained by halt");
-    }
-
-    /// Runs `program` under both stepping modes with the issue trace enabled
-    /// and asserts identical traces and statistics; returns the macro-step
-    /// telemetry so callers can additionally assert the fast path fired.
-    fn assert_steppings_agree(program: &Program, cfg: &UarchConfig, max_insts: u64) -> (u64, u64) {
-        let mut macro_step = Processor::new(cfg, program);
-        assert_eq!(macro_step.stepping(), Stepping::MacroStep, "default mode");
-        macro_step.record_issue_trace(true);
-        let macro_stats = macro_step.run(max_insts);
-        let macro_trace = macro_step.take_issue_trace();
-
-        let mut per_cycle = Processor::new(cfg, program);
-        per_cycle.set_stepping(Stepping::PerCycle);
-        per_cycle.record_issue_trace(true);
-        let per_cycle_stats = per_cycle.run(max_insts);
-        let per_cycle_trace = per_cycle.take_issue_trace();
-
-        assert_eq!(
-            per_cycle.macro_step_telemetry(),
-            (0, 0),
-            "per-cycle never jumps"
-        );
-        assert_eq!(macro_trace, per_cycle_trace, "issue sequences must match");
-        assert_eq!(macro_stats, per_cycle_stats, "statistics must be identical");
-        macro_step.macro_step_telemetry()
-    }
-
-    #[test]
-    fn macro_step_matches_per_cycle_on_kernels() {
-        let mut total_jumps = 0;
-        for vect in [false, true] {
-            for kind in [PortKind::Scalar, PortKind::Wide] {
-                let cfg = UarchConfig::four_way(1, kind).with_vectorization(vect);
-                total_jumps += assert_steppings_agree(&strided_sum(300), &cfg, 100_000).0;
-                total_jumps += assert_steppings_agree(&four_stream_sum(100), &cfg, 100_000).0;
-                total_jumps += assert_steppings_agree(&pointer_chase(64), &cfg, 100_000).0;
-            }
-        }
-        assert!(
-            total_jumps > 0,
-            "the clock-jump fast path must actually fire"
-        );
-    }
-
-    #[test]
-    fn macro_step_matches_per_cycle_under_store_squashes() {
-        let mut a = Asm::new();
-        let buf = a.data_u64(&vec![1u64; 128]);
-        let (p, v, c) = (x(1), x(2), x(3));
-        a.li(p, buf as i64);
-        a.li(c, 127);
-        a.label("loop");
-        a.ld(v, p, 0);
-        a.addi(v, v, 1);
-        a.sd(v, p, 8);
-        a.addi(p, p, 8);
-        a.addi(c, c, -1);
-        a.bne(c, ArchReg::ZERO, "loop");
-        a.halt();
-        let program = a.finish();
-        let cfg = UarchConfig::four_way(1, PortKind::Wide).with_vectorization(true);
-        assert_steppings_agree(&program, &cfg, 1_000_000);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! waiter lists churned allocations.
 
 use sdv_mem::PortKind;
-use sdv_uarch::{BusyPath, Processor, UarchConfig};
+use sdv_uarch::{Processor, UarchConfig};
 use sdv_workloads::Workload;
 
 #[test]
@@ -32,21 +32,5 @@ fn swim_steady_state_performs_no_waiter_allocations() {
             waiters.capacity
         );
         assert_eq!(waiters.live, 0, "all waiter lists drained (vect={vect})");
-    }
-}
-
-#[test]
-fn both_busy_paths_stay_allocation_free_on_swim() {
-    let program = Workload::Swim.build(2);
-    let cfg = UarchConfig::four_way(1, PortKind::Wide).with_vectorization(true);
-    for path in [BusyPath::Batched, BusyPath::Legacy] {
-        let mut proc = Processor::new(&cfg, &program);
-        proc.set_busy_path(path);
-        proc.run(1_000_000);
-        assert_eq!(
-            proc.waiter_stats().heap_growths,
-            0,
-            "no waiter heap growth under {path:?}"
-        );
     }
 }

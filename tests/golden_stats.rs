@@ -8,7 +8,7 @@
 //! disambiguation or memory-model change that alters timing by a single cycle
 //! fails this test; performance work must be behaviour-preserving.
 
-use sdv::sim::{PortKind, ProcessorConfig, Workload};
+use sdv::sim::{Model, PortKind, Processor, ProcessorConfig, Workload};
 
 const SCALE: u64 = 1;
 const MAX_INSTS: u64 = 10_000;
@@ -377,116 +377,94 @@ fn config(label: &str) -> ProcessorConfig {
     }
 }
 
+/// Runs every golden cell under `model` and asserts all ten counters.
+fn assert_every_cell_matches(model: Model) {
+    for &(
+        label,
+        workload,
+        cycles,
+        committed,
+        validations,
+        mem,
+        arith,
+        mispred,
+        used,
+        not_used,
+        not_comp,
+        released,
+    ) in GOLDEN
+    {
+        let cfg = config(label);
+        let program = workload.build(SCALE);
+        let mut proc = Processor::new(&cfg, &program);
+        proc.set_model(model);
+        let stats = proc.run(MAX_INSTS);
+        let ctx = format!("{model:?} {label}/{workload}");
+        assert_eq!(stats.cycles, cycles, "{ctx}: cycles");
+        assert_eq!(stats.committed, committed, "{ctx}: committed");
+        assert_eq!(
+            stats.committed_validations, validations,
+            "{ctx}: validations"
+        );
+        assert_eq!(stats.memory_accesses, mem, "{ctx}: memory accesses");
+        assert_eq!(
+            stats.scalar_arith_executed, arith,
+            "{ctx}: scalar arithmetic"
+        );
+        assert_eq!(stats.mispredictions, mispred, "{ctx}: mispredictions");
+        let usage = stats.element_usage.unwrap_or_default();
+        assert_eq!(usage.computed_used, used, "{ctx}: elements computed+used");
+        assert_eq!(usage.computed_not_used, not_used, "{ctx}: computed, unused");
+        assert_eq!(usage.not_computed, not_comp, "{ctx}: never computed");
+        assert_eq!(
+            usage.registers_released, released,
+            "{ctx}: registers released"
+        );
+    }
+}
+
+/// The default (fast) model reproduces every golden counter set.
 #[test]
 fn run_stats_match_the_pre_refactor_build_exactly() {
-    for &(
-        label,
-        workload,
-        cycles,
-        committed,
-        validations,
-        mem,
-        arith,
-        mispred,
-        used,
-        not_used,
-        not_comp,
-        released,
-    ) in GOLDEN
-    {
-        let cfg = config(label);
-        let program = workload.build(SCALE);
-        let stats = sdv::uarch::simulate(&cfg, &program, MAX_INSTS);
-        let ctx = format!("{label}/{workload}");
-        assert_eq!(stats.cycles, cycles, "{ctx}: cycles");
-        assert_eq!(stats.committed, committed, "{ctx}: committed");
-        assert_eq!(
-            stats.committed_validations, validations,
-            "{ctx}: validations"
-        );
-        assert_eq!(stats.memory_accesses, mem, "{ctx}: memory accesses");
-        assert_eq!(
-            stats.scalar_arith_executed, arith,
-            "{ctx}: scalar arithmetic"
-        );
-        assert_eq!(stats.mispredictions, mispred, "{ctx}: mispredictions");
-        let usage = stats.element_usage.unwrap_or_default();
-        assert_eq!(usage.computed_used, used, "{ctx}: elements computed+used");
-        assert_eq!(usage.computed_not_used, not_used, "{ctx}: computed, unused");
-        assert_eq!(usage.not_computed, not_comp, "{ctx}: never computed");
-        assert_eq!(
-            usage.registers_released, released,
-            "{ctx}: registers released"
-        );
-    }
+    assert_eq!(
+        Model::default(),
+        Model::Fast,
+        "the fast model is the default"
+    );
+    assert_every_cell_matches(Model::Fast);
 }
 
-/// Every golden cell through the legacy busy path: the entry-at-a-time
-/// dispatch/commit reference loops must reproduce the full golden counter
-/// sets bit-for-bit (the default batched path is pinned by
-/// `run_stats_match_the_pre_refactor_build_exactly` above).
+/// The reference model — full-window scan, per-cycle ticks, entry-at-a-time
+/// (legacy) dispatch and commit — reproduces the same counter sets on every
+/// cell.
 #[test]
 fn legacy_busy_path_matches_the_golden_stats_on_every_cell() {
-    for &(
-        label,
-        workload,
-        cycles,
-        committed,
-        validations,
-        mem,
-        arith,
-        mispred,
-        used,
-        not_used,
-        not_comp,
-        released,
-    ) in GOLDEN
-    {
-        let cfg = config(label);
-        let program = workload.build(SCALE);
-        let mut proc = sdv::uarch::Processor::new(&cfg, &program);
-        proc.set_busy_path(sdv::uarch::BusyPath::Legacy);
-        let stats = proc.run(MAX_INSTS);
-        let ctx = format!("legacy busy path {label}/{workload}");
-        assert_eq!(stats.cycles, cycles, "{ctx}: cycles");
-        assert_eq!(stats.committed, committed, "{ctx}: committed");
-        assert_eq!(
-            stats.committed_validations, validations,
-            "{ctx}: validations"
-        );
-        assert_eq!(stats.memory_accesses, mem, "{ctx}: memory accesses");
-        assert_eq!(
-            stats.scalar_arith_executed, arith,
-            "{ctx}: scalar arithmetic"
-        );
-        assert_eq!(stats.mispredictions, mispred, "{ctx}: mispredictions");
-        let usage = stats.element_usage.unwrap_or_default();
-        assert_eq!(usage.computed_used, used, "{ctx}: elements computed+used");
-        assert_eq!(usage.computed_not_used, not_used, "{ctx}: computed, unused");
-        assert_eq!(usage.not_computed, not_comp, "{ctx}: never computed");
-        assert_eq!(
-            usage.registers_released, released,
-            "{ctx}: registers released"
-        );
-    }
+    assert_every_cell_matches(Model::Reference);
 }
 
-/// The same cells through the oracle scheduler: the naive full-window scan
-/// must reproduce the identical golden numbers.
+/// On every fifth golden cell the reference model's full-window-scan
+/// scheduler reaches the golden cycle count by issuing the fast model's exact
+/// instruction sequence, so the two agree cycle by cycle, not only in total.
 #[test]
 fn oracle_scheduler_matches_the_golden_stats_too() {
-    for &(label, workload, cycles, _, validations, mem, ..) in GOLDEN.iter().step_by(5) {
+    for &(label, workload, cycles, ..) in GOLDEN.iter().step_by(5) {
         let cfg = config(label);
         let program = workload.build(SCALE);
-        let mut proc = sdv::uarch::Processor::new(&cfg, &program);
-        proc.set_scheduler(sdv::uarch::Scheduler::NaiveScan);
-        let stats = proc.run(MAX_INSTS);
-        let ctx = format!("oracle {label}/{workload}");
-        assert_eq!(stats.cycles, cycles, "{ctx}: cycles");
-        assert_eq!(
-            stats.committed_validations, validations,
-            "{ctx}: validations"
+        let traces = [Model::Fast, Model::Reference].map(|model| {
+            let mut proc = Processor::new(&cfg, &program);
+            proc.set_model(model);
+            proc.record_issue_trace(true);
+            let stats = proc.run(MAX_INSTS);
+            assert_eq!(stats.cycles, cycles, "{model:?} {label}/{workload}: cycles");
+            proc.take_issue_trace()
+        });
+        assert!(
+            !traces[0].is_empty(),
+            "{label}/{workload}: something must issue"
         );
-        assert_eq!(stats.memory_accesses, mem, "{ctx}: memory accesses");
+        assert!(
+            traces[0] == traces[1],
+            "{label}/{workload}: issue sequences diverge"
+        );
     }
 }

@@ -3,8 +3,7 @@
 //! The load-bearing one is the cycle-attribution **exhaustiveness proof**:
 //! with the ledger enabled, every simulated cycle must land in exactly one
 //! [`CycleBucket`], so the bucket-sum equals `RunStats::cycles` — on random
-//! programs, squash storms, and every stepping × busy-path × scheduler
-//! combination.  The remaining tests pin that the ledger never perturbs the
+//! programs, squash storms, and both pipeline models.  The remaining tests pin that the ledger never perturbs the
 //! bit-identical statistics discipline and that the tracer's ring bound
 //! drops oldest-first with an exact counter.
 
@@ -12,7 +11,7 @@ use proptest::prelude::*;
 use sdv::isa::{ArchReg, Asm, Program};
 use sdv::obs::{CycleBucket, EventTracer, MetricsRegistry, TraceEvent};
 use sdv::sim::{PortKind, ProcessorConfig};
-use sdv::uarch::{BusyPath, Processor, Scheduler, Stepping};
+use sdv::uarch::{Model, Processor};
 
 /// A small recipe for one loop iteration of a generated program (the same
 /// generator family as `tests/pipeline_properties.rs`).
@@ -109,7 +108,7 @@ fn dedup_strided(steps: Vec<Step>) -> Vec<Step> {
 }
 
 /// Store-coherence storm (§3.6 squash pressure), same shape as the
-/// busy-path equivalence suite uses.
+/// fast ≡ reference differential uses.
 fn build_squash_storm(offset: u8, iterations: u8) -> Program {
     let mut a = Asm::new();
     let array = a.data_u64(&vec![1u64; 256]);
@@ -130,12 +129,12 @@ fn build_squash_storm(offset: u8, iterations: u8) -> Program {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// Exhaustiveness: the bucket-sum equals the `RunStats` cycle total on
-    /// every stepping × busy-path combination (and both schedulers), so the
-    /// taxonomy is total — no cycle is dropped or double-charged.  Buckets
-    /// themselves legitimately differ between stepping modes (a macro-step
-    /// jump charges its window to `macro_step_jumped` where the per-cycle
-    /// loop classifies each cycle individually); only the sum is invariant.
+    /// Exhaustiveness: the bucket-sum equals the `RunStats` cycle total
+    /// under both models, so the taxonomy is total — no cycle is dropped or
+    /// double-charged.  Buckets themselves legitimately differ between the
+    /// models (a macro-step jump charges its window to `macro_step_jumped`
+    /// where the reference's per-cycle loop classifies each cycle
+    /// individually); only the sum is invariant.
     #[test]
     fn bucket_sum_equals_total_cycles(
         steps in proptest::collection::vec(step_strategy(), 1..8),
@@ -144,7 +143,6 @@ proptest! {
         wide in any::<bool>(),
         storm in any::<bool>(),
         storm_offset in 1u8..4,
-        naive in any::<bool>(),
     ) {
         let steps = dedup_strided(steps);
         let program = if storm {
@@ -154,33 +152,28 @@ proptest! {
         };
         let kind = if wide { PortKind::Wide } else { PortKind::Scalar };
         let cfg = ProcessorConfig::four_way(1, kind).with_vectorization(vectorize);
-        let sched = if naive { Scheduler::NaiveScan } else { Scheduler::Wakeup };
 
-        for stepping in [Stepping::MacroStep, Stepping::PerCycle] {
-            for busy_path in [BusyPath::Batched, BusyPath::Legacy] {
-                let mut proc = Processor::new(&cfg, &program);
-                proc.set_scheduler(sched);
-                proc.set_stepping(stepping);
-                proc.set_busy_path(busy_path);
-                proc.record_cycle_ledger(true);
-                let stats = proc.run(1_000_000);
-                let ledger = proc.cycle_ledger().expect("ledger enabled");
-                prop_assert_eq!(
-                    ledger.total(), stats.cycles,
-                    "bucket-sum must equal total cycles ({:?}/{:?}/{:?}): {:?}",
-                    sched, stepping, busy_path, ledger
-                );
-                prop_assert!(
-                    ledger.get(CycleBucket::Committing) > 0,
-                    "a completed run must have committing cycles"
-                );
-                // The committed stream retires at most commit-width per
-                // cycle, so committing cycles bound the instruction count.
-                prop_assert!(
-                    ledger.get(CycleBucket::Committing) * cfg.commit_width as u64
-                        >= stats.committed
-                );
-            }
+        for model in [Model::Fast, Model::Reference] {
+            let mut proc = Processor::new(&cfg, &program);
+            proc.set_model(model);
+            proc.record_cycle_ledger(true);
+            let stats = proc.run(1_000_000);
+            let ledger = proc.cycle_ledger().expect("ledger enabled");
+            prop_assert_eq!(
+                ledger.total(), stats.cycles,
+                "bucket-sum must equal total cycles ({:?}): {:?}",
+                model, ledger
+            );
+            prop_assert!(
+                ledger.get(CycleBucket::Committing) > 0,
+                "a completed run must have committing cycles"
+            );
+            // The committed stream retires at most commit-width per
+            // cycle, so committing cycles bound the instruction count.
+            prop_assert!(
+                ledger.get(CycleBucket::Committing) * cfg.commit_width as u64
+                    >= stats.committed
+            );
         }
     }
 

@@ -127,7 +127,7 @@ fn build_squash_storm(offset: u8, iterations: u8) -> Program {
     a.finish()
 }
 
-/// The single-port machine of the oracles: 4-way (128-entry window) or
+/// The single-port machine of the fast ≡ reference differential: 4-way (128-entry window) or
 /// 8-way (256-entry window), with a scalar or a wide port.
 fn machine(wide: bool, eight_way: bool) -> ProcessorConfig {
     let kind = if wide {
@@ -197,14 +197,15 @@ proptest! {
         prop_assert!(dv.scalar_arith_executed <= base.scalar_arith_executed);
     }
 
-    /// Scheduler-equivalence oracle: on random programs and store-coherence
-    /// squash storms, on the 4-way and the 8-way machine (256-entry window,
-    /// so more validations park at once), the event-driven wakeup scheduler
-    /// must issue the *same instruction sequence* — cycle by cycle, sequence
-    /// number by sequence number — as the naive full-window scan it
-    /// replaced, and produce bit-identical statistics.  A §3.6 squash
-    /// rebuilds every vector-register waiter list, which is where parking
-    /// would drift first.
+    // The fast ≡ reference differential, 72 cases over three strategies: on
+    // random programs and store-coherence squash storms, with a scalar or a
+    // wide port and DV on or off.  A §3.6 squash rebuilds the whole wakeup
+    // scoreboard and every vector-register waiter list, and the clock-jump
+    // proof drains the vector wakeups itself, which is where the fast model
+    // would drift first.
+
+    /// Wakeup issue ≡ full-window scan, on the 4-way and the 8-way machine
+    /// (256-entry window, so more validations park at once).
     #[test]
     fn wakeup_scheduler_issues_the_same_sequence_as_the_full_scan_oracle(
         steps in proptest::collection::vec(step_strategy(), 1..8),
@@ -215,38 +216,13 @@ proptest! {
         storm_offset in 1u8..4,
         eight_way in any::<bool>(),
     ) {
-        use sdv::uarch::{Processor, Scheduler};
-        let steps = dedup_strided(steps);
-        let program = if storm {
-            build_squash_storm(storm_offset, iterations)
-        } else {
-            build_program(&steps, iterations)
-        };
+        let program = differential_program(steps, iterations, storm, storm_offset);
         let cfg = machine(wide, eight_way).with_vectorization(vectorize);
-
-        let mut wakeup = Processor::new(&cfg, &program);
-        wakeup.record_issue_trace(true);
-        let wakeup_stats = wakeup.run(1_000_000);
-        let wakeup_trace = wakeup.take_issue_trace();
-
-        let mut oracle = Processor::new(&cfg, &program);
-        oracle.set_scheduler(Scheduler::NaiveScan);
-        oracle.record_issue_trace(true);
-        let oracle_stats = oracle.run(1_000_000);
-        let oracle_trace = oracle.take_issue_trace();
-
-        prop_assert!(!wakeup_trace.is_empty(), "something must issue");
-        prop_assert_eq!(&wakeup_trace, &oracle_trace, "issue sequences diverge");
-        prop_assert_eq!(wakeup_stats, oracle_stats, "statistics diverge");
+        check_fast_matches_reference(&program, &cfg)?;
     }
 
-    /// Busy-path-equivalence oracle (`SoA ≡ AoS`): the batched busy path —
-    /// struct-of-arrays ROB lanes, group dispatch with bulk waiter-arena
-    /// setup, run-retire commit — must issue the same instruction sequence,
-    /// cycle by cycle, and produce bit-identical statistics as the legacy
-    /// entry-at-a-time loops, on random programs *and* on store-coherence
-    /// squash storms (§3.6 squashes rebuild the whole scoreboard, which is
-    /// where a struct-of-arrays port would drift first).
+    /// Batched struct-of-arrays busy path ≡ entry-at-a-time loops (`SoA ≡
+    /// AoS`), on the 4-way machine.
     #[test]
     fn soa_matches_aos(
         steps in proptest::collection::vec(step_strategy(), 1..8),
@@ -256,44 +232,13 @@ proptest! {
         storm in any::<bool>(),
         storm_offset in 1u8..4,
     ) {
-        use sdv::uarch::{BusyPath, Processor, Scheduler};
-        let steps = dedup_strided(steps);
-        let program = if storm {
-            build_squash_storm(storm_offset, iterations)
-        } else {
-            build_program(&steps, iterations)
-        };
-        let kind = if wide { PortKind::Wide } else { PortKind::Scalar };
-        let cfg = ProcessorConfig::four_way(1, kind).with_vectorization(vectorize);
-
-        for sched in [Scheduler::Wakeup, Scheduler::NaiveScan] {
-            let mut batched = Processor::new(&cfg, &program);
-            prop_assert_eq!(batched.busy_path(), BusyPath::Batched, "default path");
-            batched.set_scheduler(sched);
-            batched.record_issue_trace(true);
-            let batched_stats = batched.run(1_000_000);
-            let batched_trace = batched.take_issue_trace();
-
-            let mut legacy = Processor::new(&cfg, &program);
-            legacy.set_busy_path(BusyPath::Legacy);
-            legacy.set_scheduler(sched);
-            legacy.record_issue_trace(true);
-            let legacy_stats = legacy.run(1_000_000);
-            let legacy_trace = legacy.take_issue_trace();
-
-            prop_assert!(!batched_trace.is_empty(), "something must issue");
-            prop_assert_eq!(&batched_trace, &legacy_trace, "issue sequences diverge");
-            prop_assert_eq!(batched_stats, legacy_stats, "statistics diverge");
-        }
+        let program = differential_program(steps, iterations, storm, storm_offset);
+        let cfg = machine(wide, false).with_vectorization(vectorize);
+        check_fast_matches_reference(&program, &cfg)?;
     }
 
-    /// Stepping-equivalence oracle: macro-stepping (the default, which jumps
-    /// the clock over provably idle stall windows) must issue the same
-    /// instruction sequence — cycle by cycle — and produce bit-identical
-    /// statistics as the per-cycle reference loop on random programs and
-    /// squash storms, on the 4-way and the 8-way machine.  The clock-jump
-    /// proof drains the vector wakeups itself, so squashes that rebuild the
-    /// waiter lists mid-window are covered here too.
+    /// Macro-stepping ≡ the per-cycle loop, on the 4-way and the 8-way
+    /// machine.
     #[test]
     fn macro_stepping_matches_the_per_cycle_loop(
         steps in proptest::collection::vec(step_strategy(), 1..8),
@@ -304,28 +249,56 @@ proptest! {
         storm_offset in 1u8..4,
         eight_way in any::<bool>(),
     ) {
-        use sdv::uarch::{Processor, Stepping};
-        let steps = dedup_strided(steps);
-        let program = if storm {
-            build_squash_storm(storm_offset, iterations)
-        } else {
-            build_program(&steps, iterations)
-        };
+        let program = differential_program(steps, iterations, storm, storm_offset);
         let cfg = machine(wide, eight_way).with_vectorization(vectorize);
-
-        let mut macro_step = Processor::new(&cfg, &program);
-        macro_step.record_issue_trace(true);
-        let macro_stats = macro_step.run(1_000_000);
-        let macro_trace = macro_step.take_issue_trace();
-
-        let mut per_cycle = Processor::new(&cfg, &program);
-        per_cycle.set_stepping(Stepping::PerCycle);
-        per_cycle.record_issue_trace(true);
-        let per_cycle_stats = per_cycle.run(1_000_000);
-        let per_cycle_trace = per_cycle.take_issue_trace();
-
-        prop_assert!(!macro_trace.is_empty(), "something must issue");
-        prop_assert_eq!(&macro_trace, &per_cycle_trace, "issue sequences diverge");
-        prop_assert_eq!(macro_stats, per_cycle_stats, "statistics diverge");
+        check_fast_matches_reference(&program, &cfg)?;
     }
+}
+
+/// The program one differential case runs: a squash storm or a random loop.
+fn differential_program(
+    steps: Vec<Step>,
+    iterations: u8,
+    storm: bool,
+    storm_offset: u8,
+) -> Program {
+    if storm {
+        build_squash_storm(storm_offset, iterations)
+    } else {
+        build_program(&dedup_strided(steps), iterations)
+    }
+}
+
+/// Runs `program` under the fast model (wakeup issue, clock jumps, group
+/// dispatch, run-retire commit) and the reference model (full-window scan,
+/// per-cycle ticks, entry-at-a-time dispatch and commit): both must issue the
+/// *same instruction sequence* — cycle by cycle, sequence number by sequence
+/// number — and produce bit-identical statistics, and the reference must
+/// never jump the clock.
+fn check_fast_matches_reference(
+    program: &Program,
+    cfg: &ProcessorConfig,
+) -> Result<(), TestCaseError> {
+    use sdv::uarch::Model;
+    let mut fast = Processor::new(cfg, program);
+    prop_assert_eq!(fast.model(), Model::Fast, "default model");
+    fast.record_issue_trace(true);
+    let fast_stats = fast.run(1_000_000);
+    let fast_trace = fast.take_issue_trace();
+
+    let mut reference = Processor::new(cfg, program);
+    reference.set_model(Model::Reference);
+    reference.record_issue_trace(true);
+    let reference_stats = reference.run(1_000_000);
+    let reference_trace = reference.take_issue_trace();
+
+    prop_assert!(!fast_trace.is_empty(), "something must issue");
+    prop_assert_eq!(
+        reference.macro_step_telemetry(),
+        (0, 0),
+        "the reference never jumps"
+    );
+    prop_assert_eq!(&fast_trace, &reference_trace, "issue sequences diverge");
+    prop_assert_eq!(fast_stats, reference_stats, "statistics diverge");
+    Ok(())
 }

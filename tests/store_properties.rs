@@ -1,6 +1,6 @@
 //! Integration tests for the persistent result store: property-based
-//! round-trips, merge commutativity, the legacy import path, and concurrent
-//! engine sessions sharing one store directory.
+//! round-trips, merge commutativity, and concurrent engine sessions sharing
+//! one store directory.
 
 use proptest::prelude::*;
 use sdv::sim::{cachefile, PortKind, ProcessorConfig, RunConfig, RunEngine, Workload};
@@ -95,36 +95,6 @@ fn quick() -> RunConfig {
         scale: 1,
         max_insts: 8_000,
     }
-}
-
-/// A legacy single-file `cache.bin` dropped into a store directory is
-/// imported on attach: its cells hit without any simulation.
-#[test]
-fn legacy_cache_file_seeds_a_fresh_store() {
-    let dir = tmp_dir("legacy");
-    let cfg = ProcessorConfig::four_way(1, PortKind::Wide).with_vectorization(true);
-
-    // Produce a real result and write it in the legacy format only.
-    let producer = RunEngine::new(quick());
-    let stats = producer.run_cell(&cfg, Workload::Swim);
-    let key = sdv::sim::CellKey {
-        config: cfg.clone(),
-        workload: Workload::Swim,
-        scale: quick().scale,
-        max_insts: quick().max_insts,
-    };
-    let mut entries = HashMap::new();
-    entries.insert(key, stats.clone());
-    cachefile::write_cache(&dir.join("cache.bin"), &entries, &HashMap::new())
-        .expect("legacy cache written");
-
-    let engine = RunEngine::new(quick()).with_disk_cache(&dir);
-    assert_eq!(engine.run_cell(&cfg, Workload::Swim), stats);
-    let report = engine.report();
-    assert_eq!(report.simulated, 0, "the legacy entry was imported and hit");
-    assert_eq!(report.store_hits, 1);
-    assert!(engine.store().expect("attached").verify().unwrap().is_ok());
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Two engine sessions populating one store directory concurrently corrupt
