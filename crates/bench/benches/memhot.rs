@@ -1,11 +1,11 @@
-//! Criterion micro-bench for the PR-4 hot paths: `Cache::access` under
-//! hit-heavy and miss-heavy mixes (way-predicted fast path vs the `NaiveScan`
-//! reference) and the batched emulator hand-off (`Emulator::step_group` vs
-//! per-instruction `step`).
+//! Criterion micro-bench for the memory and front-end hot paths:
+//! `Cache::access` under hit-heavy and miss-heavy mixes (way-predicted fast
+//! path vs the `NaiveScan` reference) and the batched emulator hand-off
+//! (`Emulator::step_group` vs per-instruction `step`).
 //!
-//! Like the figure benches, `cargo bench -- --test` doubles as a smoke test;
-//! the absolute numbers feed the "make the per-access hot path O(1)" work
-//! tracked in `BENCH_pr4.json`.
+//! Like the figure benches, `cargo bench -- --test` doubles as a smoke test.
+//! The absolute numbers are a local probe, not a gate: end-to-end
+//! regressions are caught by the `perfbench` benchmark (`BENCHMARK.json`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use sdv_emu::Emulator;

@@ -5,7 +5,7 @@
 //!       [--table1] [--fig N]... [--headline] [--all] [--extended]
 //!       [--vl L1,L2,...] [--vregs R1,R2,...]
 //!       [--csv PATH] [--metrics-json PATH] [--trace PATH]
-//!       [--timing-json PATH] [--store-dir DIR | --no-cache]
+//!       [--store-dir DIR | --no-cache]
 //!       [--fail-fast] [--max-retries N]
 //! ```
 //!
@@ -20,8 +20,8 @@
 //!
 //! Results additionally persist across invocations: the session's
 //! `CellKey → RunStats` results are merged into a sharded result store under
-//! `target/sdv-store/` (override with `--store-dir`; `--cache-dir` is the
-//! pre-store alias; disable with `--no-cache`), so re-running `repro` with an
+//! `target/sdv-store/` (override with `--store-dir`; disable with
+//! `--no-cache`), so re-running `repro` with an
 //! unchanged configuration serves every cell from disk, and parallel jobs can
 //! safely share one store directory (see the `sdv-store` tool for `merge`,
 //! `verify`, `gc` and `stats`).  `--vl`/`--vregs` add DV-sizing axes
@@ -46,10 +46,10 @@
 //! runs with `sdv-obs diff`).  `--trace PATH` additionally records
 //! Chrome-trace events (per-cell spans, store I/O waits, retry/degradation
 //! markers) loadable in Perfetto or `chrome://tracing`.  Either flag ends the
-//! run with a one-line observability summary on stderr.  `--timing-json PATH`
-//! (deprecated) still writes the pre-obs `sdv-engine-timing/1` document;
-//! every field it carries also appears in `--metrics-json` under
-//! `engine.timing.*` / `engine.cell.*`.
+//! run with a one-line observability summary on stderr.
+//!
+//! Exit codes: 0 success, 1 some cells failed, 2 command-line error (a
+//! usage banner is printed), 3 an output file could not be written.
 //!
 //! The output rows mirror the series plotted in the paper; `EXPERIMENTS.md`
 //! records a paper-vs-measured comparison produced with `--standard`.
@@ -71,28 +71,54 @@ struct Options {
     csv: Option<std::path::PathBuf>,
     metrics_json: Option<std::path::PathBuf>,
     trace: Option<std::path::PathBuf>,
-    timing_json: Option<std::path::PathBuf>,
-    cache_dir: Option<std::path::PathBuf>,
+    store_dir: Option<std::path::PathBuf>,
     no_cache: bool,
     fail_fast: bool,
     max_retries: Option<u32>,
 }
 
+const USAGE: &str = "usage: repro [--quick|--standard|--thorough] [--threads N]
+             [--table1] [--fig N]... [--headline] [--all] [--extended]
+             [--vl L1,L2,...] [--vregs R1,R2,...]
+             [--csv PATH] [--metrics-json PATH] [--trace PATH]
+             [--store-dir DIR | --no-cache]
+             [--fail-fast] [--max-retries N]";
+
+fn usage_error(message: &str) -> ! {
+    eprintln!("repro: {message}\n{USAGE}");
+    std::process::exit(2)
+}
+
+/// A requested output file could not be written: the command line was fine,
+/// so no usage banner, and an exit code distinct from failed cells (1).
+fn write_output(path: &std::path::Path, what: &str, contents: &str) {
+    if let Err(e) = std::fs::write(path, contents) {
+        eprintln!("repro: cannot write {what} to {}: {e}", path.display());
+        std::process::exit(3);
+    }
+}
+
+/// The path operand of `flag`.
+fn parse_path(flag: &str, value: Option<String>) -> std::path::PathBuf {
+    value
+        .unwrap_or_else(|| usage_error(&format!("{flag} requires a path")))
+        .into()
+}
+
 /// Parses a `--vl`/`--vregs` style comma-separated list of positive sizes.
 fn parse_sizes(flag: &str, value: Option<String>) -> Vec<usize> {
-    let value = value.unwrap_or_else(|| panic!("{flag} requires a comma-separated list"));
-    let sizes: Vec<usize> = value
+    let value =
+        value.unwrap_or_else(|| usage_error(&format!("{flag} requires a comma-separated list")));
+    value
         .split(',')
         .map(|v| {
             v.trim()
                 .parse()
                 .ok()
                 .filter(|&n| n > 0)
-                .unwrap_or_else(|| panic!("{flag}: `{v}` is not a positive integer"))
+                .unwrap_or_else(|| usage_error(&format!("{flag}: `{v}` is not a positive integer")))
         })
-        .collect();
-    assert!(!sizes.is_empty(), "{flag} requires at least one value");
-    sizes
+        .collect()
 }
 
 fn parse_args() -> Options {
@@ -108,8 +134,7 @@ fn parse_args() -> Options {
         csv: None,
         metrics_json: None,
         trace: None,
-        timing_json: None,
-        cache_dir: None,
+        store_dir: None,
         no_cache: false,
         fail_fast: false,
         max_retries: None,
@@ -126,7 +151,7 @@ fn parse_args() -> Options {
                     .next()
                     .and_then(|v| v.parse().ok())
                     .filter(|&n| n > 0)
-                    .unwrap_or_else(|| panic!("--threads requires a positive integer"));
+                    .unwrap_or_else(|| usage_error("--threads requires a positive integer"));
             }
             "--table1" => {
                 opts.table1 = true;
@@ -140,7 +165,7 @@ fn parse_args() -> Options {
                 let n = args
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| panic!("--fig requires a figure number"));
+                    .unwrap_or_else(|| usage_error("--fig requires a figure number"));
                 opts.figures.push(n);
                 any_selection = true;
             }
@@ -148,59 +173,19 @@ fn parse_args() -> Options {
             "--extended" => opts.extended = true,
             "--vl" => opts.vector_lengths = Some(parse_sizes("--vl", args.next())),
             "--vregs" => opts.vector_registers = Some(parse_sizes("--vregs", args.next())),
-            "--csv" => {
-                let path = args
-                    .next()
-                    .unwrap_or_else(|| panic!("--csv requires a path"));
-                opts.csv = Some(path.into());
-            }
-            "--metrics-json" => {
-                let path = args
-                    .next()
-                    .unwrap_or_else(|| panic!("--metrics-json requires a path"));
-                opts.metrics_json = Some(path.into());
-            }
-            "--trace" => {
-                let path = args
-                    .next()
-                    .unwrap_or_else(|| panic!("--trace requires a path"));
-                opts.trace = Some(path.into());
-            }
-            // Deprecated: superseded by --metrics-json (every timing field
-            // appears there under engine.timing.* / engine.cell.*).  Kept as
-            // a working alias for existing tooling.
-            "--timing-json" => {
-                let path = args
-                    .next()
-                    .unwrap_or_else(|| panic!("--timing-json requires a path"));
-                opts.timing_json = Some(path.into());
-            }
-            // `--cache-dir` is the pre-store spelling; both point the engine
-            // at the same sharded store directory.
-            "--store-dir" | "--cache-dir" => {
-                let dir = args
-                    .next()
-                    .unwrap_or_else(|| panic!("{arg} requires a directory"));
-                opts.cache_dir = Some(dir.into());
-            }
+            "--csv" => opts.csv = Some(parse_path("--csv", args.next())),
+            "--metrics-json" => opts.metrics_json = Some(parse_path("--metrics-json", args.next())),
+            "--trace" => opts.trace = Some(parse_path("--trace", args.next())),
+            "--store-dir" => opts.store_dir = Some(parse_path("--store-dir", args.next())),
             "--no-cache" => opts.no_cache = true,
             "--fail-fast" => opts.fail_fast = true,
             "--max-retries" => {
                 opts.max_retries =
                     Some(args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                        panic!("--max-retries requires a non-negative integer")
+                        usage_error("--max-retries requires a non-negative integer")
                     }));
             }
-            other => {
-                panic!(
-                    "unknown argument `{other}` \
-                     (try --all, --fig N, --table1, --headline, --threads N, \
-                      --extended, --vl L1,L2, --vregs R1,R2, --csv PATH, \
-                      --metrics-json PATH, --trace PATH, --timing-json PATH, \
-                      --store-dir DIR, --no-cache, \
-                      --fail-fast, --max-retries N)"
-                )
-            }
+            other => usage_error(&format!("unknown argument `{other}`")),
         }
     }
     if !any_selection {
@@ -262,7 +247,7 @@ fn main() {
     }
     if !opts.no_cache {
         let dir = opts
-            .cache_dir
+            .store_dir
             .clone()
             .unwrap_or_else(|| std::path::PathBuf::from("target/sdv-store"));
         exp = exp.disk_cache(dir);
@@ -321,7 +306,7 @@ fn main() {
 
     if let Some(path) = &opts.csv {
         let sweep = sweep.get_or_insert_with(|| exp.sweep(&grid));
-        std::fs::write(path, report::sweep_csv(sweep)).expect("CSV written");
+        write_output(path, "the sweep CSV", &report::sweep_csv(sweep));
         println!("sweep surface written to {}", path.display());
         check_fail_fast(&exp, opts.fail_fast);
     }
@@ -344,19 +329,12 @@ fn main() {
     println!("{}", exp.report());
     let timing = exp.timing();
     println!("{timing}");
-    if let Some(path) = &opts.timing_json {
-        std::fs::write(path, report::timing_json(&timing)).expect("timing JSON written");
-        println!(
-            "engine timing written to {} (deprecated; prefer --metrics-json)",
-            path.display()
-        );
-    }
     if let Some(path) = &opts.metrics_json {
-        std::fs::write(path, report::metrics_json(exp.engine())).expect("metrics JSON written");
+        write_output(path, "metrics", &report::metrics_json(exp.engine()));
         println!("metrics written to {}", path.display());
     }
     if let Some(path) = &opts.trace {
-        std::fs::write(path, exp.engine().obs().trace_json()).expect("trace written");
+        write_output(path, "the trace", &exp.engine().obs().trace_json());
         println!(
             "trace written to {} (load in Perfetto or chrome://tracing)",
             path.display()

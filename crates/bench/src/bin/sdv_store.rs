@@ -18,9 +18,10 @@
 //!   run it after restoring a store from a CI cache.
 //! * `repair` salvages every intact entry of a damaged store: corrupt bytes
 //!   are quarantined under `DIR/quarantine/`, each damaged shard is rewritten
-//!   atomically from its surviving entries, and legacy-format shards are
-//!   upgraded in place.  Only provably-corrupt entries are lost — a follow-up
-//!   `verify` is clean.
+//!   atomically from its surviving entries, and a file with an unreadable
+//!   header (bad magic, or a shard-format version other than the current
+//!   one) is quarantined whole.  Only provably-corrupt entries are lost — a
+//!   follow-up `verify` is clean.
 //! * `merge` merges result sets into `DEST`: each `SRC` must be another store
 //!   directory (e.g. a parallel job's); an absent or non-directory `SRC` is a
 //!   command-line error, checked before anything is merged.  Entries written

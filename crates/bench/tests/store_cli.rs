@@ -2,14 +2,17 @@
 //! damaged-store fixture is verified (exit 1), repaired (exit 0, salvaging
 //! every intact entry and quarantining the damaged bytes), and verified again
 //! (exit 0) — pinning the exit-code contract, the repair semantics, *and* the
-//! on-disk shard format (the fixture bytes are regenerated in-test and must
-//! match the committed files byte for byte).  The `merge` tests pin its
-//! source contract: store directories merge, anything else is exit 2.
+//! on-disk shard format (the `shard-ab.bin` bytes are regenerated in-test and
+//! must match the committed file byte for byte).  `shard-cd.bin` is a frozen
+//! version-1 file from before the per-entry CRC: the store no longer reads
+//! that format, so it must come out of the flow as an unreadable file,
+//! quarantined whole.  The `merge` tests pin its source contract: store
+//! directories merge, anything else is exit 2.
 //!
-//! Regenerate the fixtures after a deliberate format change with
+//! Regenerate `shard-ab.bin` after a deliberate format change with
 //! `SDV_REGEN_FIXTURES=1 cargo test -p sdv-bench --test store_cli`.
 
-use sdv_store::{serialize_shard, serialize_shard_v1, Store};
+use sdv_store::{serialize_shard, Store};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -55,15 +58,6 @@ fn fixture_bytes_ab() -> Vec<u8> {
     bytes
 }
 
-/// Shard `cd`, legacy version 1 (CRC-less), structurally clean: `repair`
-/// must upgrade it in place without losing an entry.
-fn fixture_bytes_cd() -> Vec<u8> {
-    let entries: HashMap<u128, Vec<u8>> = (0..3u32)
-        .map(|i| ((0xcd_u128 << 120) | u128::from(i), vec![0xcd; 4]))
-        .collect();
-    serialize_shard_v1(FIXTURE_FP, &entries)
-}
-
 /// The committed fixture must equal the bytes the current code generates —
 /// this is the format pin: any serialization change shows up as a byte diff
 /// here before it can silently invalidate real stores.
@@ -73,20 +67,9 @@ fn golden_fixture_matches_the_current_shard_format() {
     if std::env::var_os("SDV_REGEN_FIXTURES").is_some() {
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("shard-ab.bin"), fixture_bytes_ab()).unwrap();
-        std::fs::write(dir.join("shard-cd.bin"), fixture_bytes_cd()).unwrap();
     }
-    let committed_ab = std::fs::read(dir.join("shard-ab.bin")).expect("committed fixture");
-    let committed_cd = std::fs::read(dir.join("shard-cd.bin")).expect("committed fixture");
-    assert_eq!(
-        committed_ab,
-        fixture_bytes_ab(),
-        "shard format drifted (v2)"
-    );
-    assert_eq!(
-        committed_cd,
-        fixture_bytes_cd(),
-        "shard format drifted (v1)"
-    );
+    let committed = std::fs::read(dir.join("shard-ab.bin")).expect("committed fixture");
+    assert_eq!(committed, fixture_bytes_ab(), "shard format drifted");
 }
 
 /// A fresh, empty scratch directory path (not created).
@@ -111,8 +94,8 @@ fn scratch_store(tag: &str) -> PathBuf {
 }
 
 /// The headline acceptance flow: verify flags the damage (exit 1), repair
-/// salvages every intact entry and quarantines the corrupt bytes (exit 0),
-/// and a second verify is clean (exit 0).
+/// salvages every intact entry, quarantines the corrupt bytes and the
+/// unreadable version-1 file (exit 0), and a second verify is clean (exit 0).
 #[test]
 fn verify_repair_verify_on_the_golden_fixture() {
     let dir = scratch_store("repair");
@@ -123,19 +106,25 @@ fn verify_repair_verify_on_the_golden_fixture() {
     let text = stdout(&out);
     assert!(text.contains("1 corrupt entry"), "{text}");
     assert!(text.contains("entry 2: crc mismatch"), "{text}");
-    assert!(text.contains("legacy v1 shard file"), "{text}");
+    assert!(text.contains("shard-cd.bin: version 1"), "{text}");
 
     let out = run(&["repair", dir_s]);
     assert!(out.status.success(), "{}", stderr(&out));
     let text = stdout(&out);
-    assert!(text.contains("2 repaired"), "{text}");
-    assert!(text.contains("7 entries recovered"), "{text}");
+    assert!(text.contains("1 repaired"), "{text}");
+    assert!(text.contains("4 entries recovered"), "{text}");
     assert!(text.contains("1 quarantined"), "{text}");
-    assert!(text.contains("1 legacy shard(s) upgraded"), "{text}");
+    assert!(text.contains("1 unreadable file(s) quarantined"), "{text}");
 
-    // The damaged bytes survive, exactly the victim entry's 31 bytes.
+    // The damaged bytes survive: exactly the victim entry's 31 bytes, and
+    // the version-1 file byte for byte.
     let quarantined = std::fs::read(dir.join("quarantine/shard-ab.bad")).unwrap();
     assert_eq!(quarantined.len(), 31);
+    assert_eq!(
+        std::fs::read(dir.join("quarantine/shard-cd.bad")).unwrap(),
+        std::fs::read(fixture_dir().join("shard-cd.bin")).unwrap()
+    );
+    assert!(!dir.join("shard-cd.bin").exists());
 
     let out = run(&["verify", dir_s]);
     assert!(
@@ -143,18 +132,13 @@ fn verify_repair_verify_on_the_golden_fixture() {
         "verify is clean after repair: {}",
         stdout(&out)
     );
-    let text = stdout(&out);
-    assert!(text.contains("OK"), "{text}");
-    assert!(
-        !text.contains("legacy"),
-        "the v1 shard was upgraded: {text}"
-    );
+    assert!(stdout(&out).contains("OK"), "{}", stdout(&out));
 
     // Repairing a healthy store is a no-op.
     let out = run(&["repair", dir_s]);
     assert!(out.status.success());
     assert!(
-        stdout(&out).contains("2 clean, 0 repaired"),
+        stdout(&out).contains("1 clean, 0 repaired"),
         "{}",
         stdout(&out)
     );

@@ -86,90 +86,14 @@ pub fn sweep_csv(sweep: &PortSweep) -> String {
     out
 }
 
-/// CSV for the engine's per-cell wall-clock accounting:
-/// `config,workload,cycles,wall_seconds,cycles_per_second`.
-#[must_use]
-pub fn timing_csv(timing: &crate::EngineTiming) -> String {
-    let mut out = String::from("config,workload,cycles,wall_seconds,cycles_per_second\n");
-    for cell in &timing.cells {
-        out.push_str(&row([
-            cell.label.clone(),
-            cell.workload.name().to_string(),
-            cell.cycles.to_string(),
-            cell.wall.as_secs_f64().to_string(),
-            cell.cycles_per_second().to_string(),
-        ]));
-        out.push('\n');
-    }
-    out
-}
-
-/// Minimal JSON string escaping (labels and workload names are plain ASCII,
-/// but quotes/backslashes must never corrupt the document).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Machine-readable JSON for the engine's wall-clock accounting — the payload
-/// behind `repro --timing-json` and the CI perf-regression gate
-/// (`tools/timing_diff.py` compares `cycles_per_second` against a committed
-/// `BENCH_*.json` baseline).
-#[must_use]
-pub fn timing_json(timing: &crate::EngineTiming) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"sdv-engine-timing/1\",\n");
-    out.push_str(&format!("  \"cells\": {},\n", timing.cells.len()));
-    out.push_str(&format!(
-        "  \"simulated_cycles\": {},\n",
-        timing.simulated_cycles
-    ));
-    out.push_str(&format!(
-        "  \"wall_seconds\": {},\n",
-        timing.wall.as_secs_f64()
-    ));
-    out.push_str(&format!(
-        "  \"session_seconds\": {},\n",
-        timing.session.as_secs_f64()
-    ));
-    out.push_str(&format!(
-        "  \"cycles_per_second\": {},\n",
-        timing.cycles_per_second()
-    ));
-    out.push_str("  \"per_cell\": [\n");
-    for (i, cell) in timing.cells.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"config\": \"{}\", \"workload\": \"{}\", \"cycles\": {}, \
-             \"wall_seconds\": {}, \"cycles_per_second\": {}}}{}\n",
-            json_escape(&cell.label),
-            json_escape(cell.workload.name()),
-            cell.cycles,
-            cell.wall.as_secs_f64(),
-            cell.cycles_per_second(),
-            if i + 1 == timing.cells.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 /// Machine-readable metrics for a whole engine session — the payload behind
 /// `repro --metrics-json` (schema `sdv-obs-metrics/1`, see
 /// `docs/OBSERVABILITY.md`).  Folds the engine's live observability registry
 /// (pipeline cycle attribution, cache/store instrumentation) together with
 /// the [`crate::EngineReport`] counters and [`crate::EngineTiming`]
 /// wall-clock accounting, so one document carries everything
-/// `sdv-obs summarize` / `sdv-obs diff` need.  This supersedes
-/// [`timing_json`]: every `sdv-engine-timing/1` field appears here under an
-/// `engine.timing.*` or `engine.cell.*` name.
+/// `sdv-obs summarize` / `sdv-obs diff` need; the wall-clock accounting
+/// appears under `engine.timing.*` and `engine.cell.*` names.
 #[must_use]
 pub fn metrics_json(engine: &crate::RunEngine) -> String {
     let mut registry = engine.obs().snapshot();
@@ -335,16 +259,6 @@ mod tests {
     }
 
     #[test]
-    fn timing_csv_lists_simulated_cells() {
-        let engine = engine();
-        let _ = fig3(&engine, &[Workload::Compress]);
-        let csv = timing_csv(&engine.timing());
-        assert!(csv.starts_with("config,workload,cycles,wall_seconds"));
-        assert_eq!(csv.lines().count(), 2, "one simulated cell");
-        assert!(csv.contains("compress"));
-    }
-
-    #[test]
     fn metrics_json_folds_registry_report_and_timing() {
         let engine = engine().with_obs(sdv_obs::ObsLevel::Metrics);
         let _ = fig3(&engine, &[Workload::Compress]);
@@ -359,20 +273,5 @@ mod tests {
             "per-cell timing is folded in: {json}"
         );
         assert_eq!(reg.gauge("engine.store.degraded"), Some(0.0));
-    }
-
-    #[test]
-    fn timing_json_is_well_formed() {
-        let engine = engine();
-        let _ = fig3(&engine, &[Workload::Compress, Workload::Swim]);
-        let json = timing_json(&engine.timing());
-        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        assert!(json.contains("\"schema\": \"sdv-engine-timing/1\""));
-        assert!(json.contains("\"cells\": 2"));
-        assert!(json.contains("\"cycles_per_second\": "));
-        assert!(json.contains("\"workload\": \"compress\""));
-        // Exactly one per-cell row per simulated cell, comma-separated.
-        assert_eq!(json.matches("\"config\":").count(), 2);
-        assert_eq!(json_escape("a\"b\\c\n"), "a\\\"b\\\\c\\u000a");
     }
 }

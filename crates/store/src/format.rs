@@ -1,7 +1,7 @@
 //! Shard-file binary format: serialization, checksums, and a fault-tolerant
 //! scanner.
 //!
-//! # Layout (version 2, current)
+//! # Layout (version 2)
 //!
 //! ```text
 //! magic "SDVS" | version u32 | fingerprint u64 | count u64
@@ -11,10 +11,9 @@
 //! The per-entry CRC32 (IEEE polynomial) covers `key_lo | key_hi |
 //! payload_len | payload` — everything the entry claims — so a bit flip
 //! anywhere in an entry is attributable to *that entry*, and
-//! [`crate::Store::repair`] can salvage its neighbours.  Version 1 files
-//! (identical layout minus the `crc32` field) are still read; entries from
-//! them simply carry no per-entry integrity data until a repair rewrites the
-//! shard at the current version.
+//! [`crate::Store::repair`] can salvage its neighbours.  Any other version
+//! — including the CRC-less version 1 of earlier releases — is an unreadable
+//! header.
 //!
 //! # Scanning
 //!
@@ -27,11 +26,9 @@
 use std::collections::HashMap;
 
 pub(crate) const MAGIC: &[u8; 4] = b"SDVS";
-/// Bump whenever the shard-file layout changes; older readable versions are
-/// listed in [`MIN_READ_VERSION`]..=[`STORE_VERSION`].
+/// Bump whenever the shard-file layout changes; [`scan_shard`] reads only
+/// this version.
 pub const STORE_VERSION: u32 = 2;
-/// Oldest shard-file version [`scan_shard`] still understands.
-pub const MIN_READ_VERSION: u32 = 1;
 
 // -------------------------------------------------------------------- crc32
 
@@ -82,28 +79,11 @@ fn entry_crc(key: u128, payload: &[u8]) -> u32 {
 /// the truncation property tests all rely on this.
 #[must_use]
 pub fn serialize_shard(fingerprint: u64, entries: &HashMap<u128, Vec<u8>>) -> Vec<u8> {
-    serialize_with_version(STORE_VERSION, fingerprint, entries)
-}
-
-/// Serializes entries in the legacy CRC-less version-1 layout.
-///
-/// Only for tests and fixtures proving that old shards stay readable; the
-/// store itself always writes the current version.
-#[must_use]
-pub fn serialize_shard_v1(fingerprint: u64, entries: &HashMap<u128, Vec<u8>>) -> Vec<u8> {
-    serialize_with_version(1, fingerprint, entries)
-}
-
-fn serialize_with_version(
-    version: u32,
-    fingerprint: u64,
-    entries: &HashMap<u128, Vec<u8>>,
-) -> Vec<u8> {
     let mut keys: Vec<&u128> = entries.keys().collect();
     keys.sort_unstable();
     let mut out = Vec::new();
     out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&version.to_le_bytes());
+    out.extend_from_slice(&STORE_VERSION.to_le_bytes());
     out.extend_from_slice(&fingerprint.to_le_bytes());
     out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
     for key in keys {
@@ -115,9 +95,7 @@ fn serialize_with_version(
                 .expect("payload fits u32")
                 .to_le_bytes(),
         );
-        if version >= 2 {
-            out.extend_from_slice(&entry_crc(*key, payload).to_le_bytes());
-        }
+        out.extend_from_slice(&entry_crc(*key, payload).to_le_bytes());
         out.extend_from_slice(payload);
     }
     out
@@ -140,8 +118,6 @@ pub struct ShardFault {
 /// The outcome of leniently scanning one shard file.
 #[derive(Debug, Clone, Default)]
 pub struct ShardScan {
-    /// The file's format version (1 or 2).
-    pub version: u32,
     /// The producer fingerprint the file was written under.
     pub fingerprint: u64,
     /// Every entry whose bytes checked out.
@@ -151,12 +127,10 @@ pub struct ShardScan {
 }
 
 impl ShardScan {
-    /// `true` when the file parsed without a single fault at the current
-    /// format version (version-1 files are readable but not *clean* — a
-    /// repair pass upgrades them).
+    /// `true` when the file parsed without a single fault.
     #[must_use]
     pub fn is_clean(&self) -> bool {
-        self.faults.is_empty() && self.version == STORE_VERSION
+        self.faults.is_empty()
     }
 
     /// Total entries lost to faults (corrupt, truncated, or duplicate).
@@ -219,15 +193,12 @@ pub fn scan_shard(bytes: &[u8]) -> Result<ShardScan, String> {
         return Err("bad magic".into());
     }
     let version = c.u32()?;
-    if !(MIN_READ_VERSION..=STORE_VERSION).contains(&version) {
-        return Err(format!(
-            "version {version}, expected {MIN_READ_VERSION}..={STORE_VERSION}"
-        ));
+    if version != STORE_VERSION {
+        return Err(format!("version {version}, expected {STORE_VERSION}"));
     }
     let fingerprint = c.u64()?;
     let count = c.u64()?;
     let mut scan = ShardScan {
-        version,
         fingerprint,
         ..ShardScan::default()
     };
@@ -237,7 +208,7 @@ pub fn scan_shard(bytes: &[u8]) -> Result<ShardScan, String> {
             let lo = c.u64()?;
             let hi = c.u64()?;
             let len = c.u32()?;
-            let stored_crc = if version >= 2 { Some(c.u32()?) } else { None };
+            let stored_crc = c.u32()?;
             let payload = c.take(len as usize)?;
             Ok::<_, String>((lo, hi, stored_crc, payload))
         })();
@@ -256,18 +227,16 @@ pub fn scan_shard(bytes: &[u8]) -> Result<ShardScan, String> {
             }
         };
         let key = (u128::from(hi) << 64) | u128::from(lo);
-        if let Some(stored) = stored_crc {
-            let computed = entry_crc(key, payload);
-            if stored != computed {
-                scan.faults.push(ShardFault {
-                    what: format!(
-                        "entry {i}: crc mismatch (stored {stored:#010x}, computed {computed:#010x})"
-                    ),
-                    range: (start, c.pos),
-                    entries_lost: 1,
-                });
-                continue;
-            }
+        let computed = entry_crc(key, payload);
+        if stored_crc != computed {
+            scan.faults.push(ShardFault {
+                what: format!(
+                    "entry {i}: crc mismatch (stored {stored_crc:#010x}, computed {computed:#010x})"
+                ),
+                range: (start, c.pos),
+                entries_lost: 1,
+            });
+            continue;
         }
         if scan.entries.insert(key, payload.to_vec()).is_some() {
             scan.faults.push(ShardFault {
@@ -300,21 +269,14 @@ mod tests {
     }
 
     #[test]
-    fn clean_round_trip_both_versions() {
+    fn clean_round_trip() {
         let mut entries = HashMap::new();
         entries.insert(1u128 << 120 | 7, vec![1, 2, 3]);
         entries.insert(1u128 << 120 | 9, vec![]);
-        for (bytes, version) in [
-            (serialize_shard(0xfeed, &entries), STORE_VERSION),
-            (serialize_shard_v1(0xfeed, &entries), 1),
-        ] {
-            let scan = scan_shard(&bytes).unwrap();
-            assert_eq!(scan.version, version);
-            assert_eq!(scan.fingerprint, 0xfeed);
-            assert_eq!(scan.entries, entries);
-            assert!(scan.faults.is_empty());
-            assert_eq!(scan.is_clean(), version == STORE_VERSION);
-        }
+        let scan = scan_shard(&serialize_shard(0xfeed, &entries)).unwrap();
+        assert_eq!(scan.fingerprint, 0xfeed);
+        assert_eq!(scan.entries, entries);
+        assert!(scan.is_clean());
     }
 
     #[test]

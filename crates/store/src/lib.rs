@@ -13,7 +13,7 @@
 //! A store is a directory of up to 256 *shard* files, `shard-00.bin` …
 //! `shard-ff.bin`, where an entry lives in the shard named by the top byte of
 //! its key.  Each shard file is a small versioned binary blob (version 2;
-//! version-1 files, which lack the per-entry `crc32`, are still readable):
+//! a file at any other version reads as an unreadable shard):
 //!
 //! ```text
 //! magic "SDVS" | version u32 | fingerprint u64 | count u64
@@ -72,10 +72,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, PoisonError, RwLock};
 
 pub use fault::{Fault, FaultPlan, IoOp};
-pub use format::{
-    crc32, scan_shard, serialize_shard, serialize_shard_v1, ShardFault, ShardScan,
-    MIN_READ_VERSION, STORE_VERSION,
-};
+pub use format::{crc32, scan_shard, serialize_shard, ShardFault, ShardScan, STORE_VERSION};
 pub use io::{ObservedIo, RealIo, StoreIo};
 pub use sdv_obs::{Obs, ObsLevel};
 
@@ -199,9 +196,6 @@ pub struct VerifyReport {
     /// duplicates) across all readable shards — what [`Store::repair`]
     /// would quarantine.
     pub corrupt_entries: u64,
-    /// Readable shard files still in the legacy CRC-less format (version 1);
-    /// [`Store::repair`] upgrades them.
-    pub legacy_shards: u64,
     /// Structural problems found; empty for a healthy store.
     pub errors: Vec<String>,
 }
@@ -237,13 +231,6 @@ impl std::fmt::Display for VerifyReport {
                 )
             }
         )?;
-        if self.legacy_shards > 0 {
-            write!(
-                f,
-                " ({} legacy v1 shard file(s); run repair to upgrade)",
-                self.legacy_shards
-            )?;
-        }
         for e in &self.errors {
             write!(f, "\n  - {e}")?;
         }
@@ -256,9 +243,9 @@ impl std::fmt::Display for VerifyReport {
 pub struct RepairReport {
     /// Shard files examined.
     pub scanned_shards: u64,
-    /// Shard files that were already clean at the current version.
+    /// Shard files that were already clean.
     pub clean_shards: u64,
-    /// Damaged or legacy shard files atomically rewritten.
+    /// Damaged shard files atomically rewritten.
     pub repaired_shards: u64,
     /// Intact entries carried over into rewritten shards.
     pub recovered_entries: u64,
@@ -268,8 +255,6 @@ pub struct RepairReport {
     pub quarantined_bytes: u64,
     /// Files whose header was unreadable, moved whole into `quarantine/`.
     pub quarantined_files: u64,
-    /// Legacy version-1 shard files upgraded to the current format.
-    pub upgraded_shards: u64,
 }
 
 impl RepairReport {
@@ -285,16 +270,14 @@ impl std::fmt::Display for RepairReport {
         write!(
             f,
             "scanned {} shard files: {} clean, {} repaired ({} entries recovered, \
-             {} quarantined, {} damaged bytes), {} unreadable file(s) quarantined, \
-             {} legacy shard(s) upgraded",
+             {} quarantined, {} damaged bytes), {} unreadable file(s) quarantined",
             self.scanned_shards,
             self.clean_shards,
             self.repaired_shards,
             self.recovered_entries,
             self.quarantined_entries,
             self.quarantined_bytes,
-            self.quarantined_files,
-            self.upgraded_shards
+            self.quarantined_files
         )
     }
 }
@@ -692,9 +675,6 @@ impl Store {
                         ));
                     }
                     report.corrupt_entries += scan.corrupt_entries();
-                    if scan.version < STORE_VERSION {
-                        report.legacy_shards += 1;
-                    }
                     for key in scan.entries.keys() {
                         if shard_of(*key) != shard {
                             report.errors.push(format!(
@@ -716,13 +696,13 @@ impl Store {
         Ok(report)
     }
 
-    /// Repairs every damaged or legacy shard file: salvages the intact
-    /// entries, quarantines the damaged bytes under `quarantine/`, and
-    /// atomically rewrites the shard at the current format version — losing
-    /// only provably-corrupt entries, never the shard.  Files whose header is
-    /// unreadable are moved whole into `quarantine/`.  Shards are repaired
-    /// under their writer lock, and each file's own fingerprint is preserved
-    /// (repair heals stale shards without adopting them).
+    /// Repairs every damaged shard file: salvages the intact entries,
+    /// quarantines the damaged bytes under `quarantine/`, and atomically
+    /// rewrites the shard — losing only provably-corrupt entries, never the
+    /// shard.  Files whose header is unreadable (bad magic, a version other
+    /// than [`STORE_VERSION`]) are moved whole into `quarantine/`.  Shards
+    /// are repaired under their writer lock, and each file's own fingerprint
+    /// is preserved (repair heals stale shards without adopting them).
     ///
     /// # Errors
     ///
@@ -749,9 +729,6 @@ impl Store {
                         self.quarantine_ranges(shard, &bytes, &scan.faults)?;
                     report.quarantined_entries += scan.corrupt_entries();
                     report.recovered_entries += scan.entries.len() as u64;
-                    if scan.version < STORE_VERSION && scan.faults.is_empty() {
-                        report.upgraded_shards += 1;
-                    }
                     self.write_shard_atomic(
                         shard,
                         &path,
@@ -1135,28 +1112,47 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A version-1 shard: the current layout with the version field set to 1
+    /// (its version-1 entries lacked the CRC, but the header alone decides).
+    fn version_1_shard(fingerprint: u64, entries: &ShardEntries) -> Vec<u8> {
+        let mut bytes = serialize_shard(fingerprint, entries);
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        bytes
+    }
+
     #[test]
-    fn legacy_v1_shards_read_and_upgrade() {
-        let dir = tmp_dir("v1-upgrade");
+    fn version_1_shards_are_misses_and_gc_reclaims_them() {
+        let dir = tmp_dir("v1-retired");
         fs::create_dir_all(&dir).unwrap();
         let mut entries = HashMap::new();
         entries.insert(key(2, 1), vec![1, 2, 3]);
         entries.insert(key(2, 2), vec![4]);
-        fs::write(shard_path(&dir, 2), serialize_shard_v1(1, &entries)).unwrap();
+        let path = shard_path(&dir, 2);
+        fs::write(&path, version_1_shard(1, &entries)).unwrap();
         let store = Store::open(&dir, 1).unwrap();
-        assert_eq!(store.get(key(2, 1)), Some(vec![1, 2, 3]), "v1 readable");
+        assert_eq!(store.get(key(2, 1)), None, "never adopted");
         let verify = store.verify().unwrap();
-        assert!(verify.is_ok());
-        assert_eq!(verify.legacy_shards, 1);
-        assert!(verify.to_string().contains("legacy"));
+        assert!(!verify.is_ok());
+        assert_eq!(verify.shards, 0);
+        assert!(verify.errors[0].contains("version 1"), "{verify}");
+        let gc = store.gc(1).unwrap();
+        assert_eq!((gc.kept_shards, gc.removed_shards), (0, 1));
+        assert!(!path.exists(), "gc reclaims it");
+
+        fs::write(&path, version_1_shard(1, &entries)).unwrap();
         let report = store.repair().unwrap();
-        assert_eq!(report.upgraded_shards, 1);
-        assert_eq!(report.recovered_entries, 2);
-        let bytes = fs::read(shard_path(&dir, 2)).unwrap();
-        let scan = scan_shard(&bytes).unwrap();
-        assert!(scan.is_clean(), "upgraded to the current version");
-        assert_eq!(store.verify().unwrap().legacy_shards, 0);
-        assert_eq!(store.get(key(2, 2)), Some(vec![4]), "entries survive");
+        assert_eq!(report.quarantined_files, 1, "quarantined whole");
+        assert_eq!((report.repaired_shards, report.recovered_entries), (0, 0));
+        assert!(!path.exists());
+        assert!(dir.join("quarantine").join("shard-02.bad").exists());
+        assert!(store.verify().unwrap().is_ok());
+
+        // A writer quarantines it too, and rewrites the shard without it.
+        fs::write(&path, version_1_shard(1, &entries)).unwrap();
+        store.put_batch(&[(key(2, 9), vec![9])]).unwrap();
+        assert!(dir.join("quarantine").join("shard-02.1.bad").exists());
+        assert_eq!(store.entries().unwrap().len(), 1);
+        assert_eq!(store.get(key(2, 2)), None);
         fs::remove_dir_all(&dir).unwrap();
     }
 
