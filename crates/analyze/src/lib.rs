@@ -162,7 +162,7 @@ mod tests {
     }
 
     /// Every in-tree kernel must analyze clean — the static mirror of the
-    /// acceptance criterion enforced end-to-end by `sdv-analyze check` in CI.
+    /// gate `sdv-analyze check` enforces end to end in CI.
     #[test]
     fn all_sixteen_kernels_analyze_clean() {
         for w in sdv_workloads::Workload::extended() {

@@ -123,7 +123,7 @@ fn parse_sizes(flag: &str, value: Option<String>) -> Vec<usize> {
 
 fn parse_args() -> Options {
     let mut opts = Options {
-        run: sdv_bench::repro_run_config(),
+        run: RunConfig::standard(),
         threads: 1,
         table1: false,
         figures: Vec::new(),

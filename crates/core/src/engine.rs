@@ -510,7 +510,7 @@ impl VectorizationEngine {
             (last, first)
         };
         self.vrf.set_addr_range(vreg, lo, hi + next.width - 1);
-        self.insert_vrmt(VrmtEntry {
+        self.vrmt.insert(VrmtEntry {
             pc,
             vreg,
             offset: 0,
@@ -576,7 +576,7 @@ impl VectorizationEngine {
             src2: Operand::None,
             load: Some(pattern),
         };
-        self.insert_vrmt(entry);
+        self.vrmt.insert(entry);
         self.vrf.mark_used(vreg, 0);
         self.set_reg_map(dst.flat_index(), Some((vreg, 0)));
         self.stats.load_instances += 1;
@@ -628,7 +628,7 @@ impl VectorizationEngine {
             src2: ops[1],
             load: None,
         };
-        self.insert_vrmt(entry);
+        self.vrmt.insert(entry);
         self.vrf.mark_used(vreg, start_offset);
         self.set_reg_map(dst.flat_index(), Some((vreg, start_offset)));
         self.stats.arith_instances += 1;
@@ -643,14 +643,6 @@ impl VectorizationEngine {
                 src2: ops[1],
             },
         })
-    }
-
-    fn insert_vrmt(&mut self, entry: VrmtEntry) {
-        if let Some(evicted) = self.vrmt.insert(entry) {
-            // The evicted instruction loses its mapping; its register will be
-            // reclaimed by the freeing rules or the reference scan.
-            let _ = evicted;
-        }
     }
 
     fn describe_operand(&self, src: Option<(ArchReg, u64)>) -> Operand {

@@ -521,17 +521,9 @@ impl VectorRegisterFile {
         }
     }
 
-    /// Applies the freeing rules to every allocated register; returns the
-    /// registers released.
-    pub fn release_eligible(&mut self, gmrbb: u64) -> Vec<VregId> {
-        let mut out = Vec::new();
-        self.release_eligible_into(gmrbb, &mut out);
-        out
-    }
-
-    /// Allocation-free form of [`VectorRegisterFile::release_eligible`]:
-    /// clears `out` and fills it with the released registers, reusing an
-    /// internal snapshot buffer for the walk.
+    /// Applies the freeing rules to every allocated register: clears `out`
+    /// and fills it with the registers released, reusing an internal
+    /// snapshot buffer for the walk.
     pub fn release_eligible_into(&mut self, gmrbb: u64, out: &mut Vec<VregId>) {
         out.clear();
         let mut snapshot = std::mem::take(&mut self.scan_scratch);
@@ -759,7 +751,8 @@ mod tests {
             vrf.set_ready(a, i);
             vrf.set_free_flag(a, i);
         }
-        let released = vrf.release_eligible(0);
+        let mut released = Vec::new();
+        vrf.release_eligible_into(0, &mut released);
         assert_eq!(released, vec![a]);
         vrf.release_all();
         assert_eq!(vrf.allocated_count(), 0);

@@ -200,7 +200,9 @@ impl Vrmt {
     }
 
     /// Inserts (or replaces) the entry for `entry.pc`; returns an evicted
-    /// entry if the set was full.
+    /// entry if the set was full.  The evicted instruction only loses its
+    /// mapping: its register is reclaimed by the freeing rules or the
+    /// reference scan.
     pub fn insert(&mut self, entry: VrmtEntry) -> Option<VrmtEntry> {
         self.stamp += 1;
         let stamp = self.stamp;

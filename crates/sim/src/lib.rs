@@ -65,10 +65,10 @@ pub use experiment::Experiment;
 pub use figures::*;
 pub use grid::{CellSpec, SweepGrid};
 pub use report::*;
-pub use runner::{run_program, run_suite, run_workload, RunConfig, SuiteResult};
+pub use runner::{RunConfig, SuiteResult};
 pub use table1::Table1;
 
-// Re-exported so downstream users (examples, benches) need only this crate.
+// Re-exported so downstream users (examples, tests, binaries) need only this crate.
 pub use sdv_mem::PortKind;
 pub use sdv_obs::{Obs, ObsLevel};
 pub use sdv_uarch::UarchConfig as ProcessorConfig;

@@ -1,8 +1,7 @@
-//! Run drivers: simulate workloads on processor configurations and aggregate
-//! suite-level statistics.
+//! Run budgets and suite-level aggregates.  Cells are simulated by the
+//! [`RunEngine`](crate::RunEngine), whose `suite`/`suites` return a
+//! [`SuiteResult`].
 
-use crate::ProcessorConfig;
-use sdv_isa::Program;
 use sdv_uarch::RunStats;
 use sdv_workloads::Workload;
 
@@ -10,8 +9,7 @@ use sdv_workloads::Workload;
 ///
 /// The paper simulates 100 M instructions per benchmark; that is far more than
 /// needed for the synthetic kernels to reach steady state, so the default
-/// budgets are smaller (and the bench harness uses larger ones than the test
-/// suite).
+/// budgets are smaller (and `repro` uses larger ones than the test suite).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RunConfig {
     /// Outer-iteration scale passed to [`Workload::build`].
@@ -30,7 +28,7 @@ impl RunConfig {
         }
     }
 
-    /// The default budget used by the bench harness.
+    /// The default budget, used by `repro` unless overridden.
     #[must_use]
     pub fn standard() -> Self {
         RunConfig {
@@ -53,21 +51,6 @@ impl Default for RunConfig {
     fn default() -> Self {
         RunConfig::standard()
     }
-}
-
-/// Simulates `program` on `cfg` for at most `max_insts` committed instructions.
-///
-/// Thin convenience wrapper over [`sdv_uarch::simulate`].
-#[must_use]
-pub fn run_program(cfg: &ProcessorConfig, program: &Program, max_insts: u64) -> RunStats {
-    sdv_uarch::simulate(cfg, program, max_insts)
-}
-
-/// Builds and simulates one workload.
-#[must_use]
-pub fn run_workload(workload: Workload, cfg: &ProcessorConfig, rc: &RunConfig) -> RunStats {
-    let program = workload.build(rc.scale);
-    run_program(cfg, &program, rc.max_insts)
 }
 
 /// The result of running a set of workloads on one configuration.
@@ -179,21 +162,10 @@ impl SuiteResult {
     }
 }
 
-/// Runs every workload in `workloads` on `cfg`.
-#[must_use]
-pub fn run_suite(workloads: &[Workload], cfg: &ProcessorConfig, rc: &RunConfig) -> SuiteResult {
-    SuiteResult {
-        runs: workloads
-            .iter()
-            .map(|&w| (w, run_workload(w, cfg, rc)))
-            .collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PortKind;
+    use crate::{PortKind, ProcessorConfig, RunEngine};
 
     #[test]
     fn run_configs_scale_budgets() {
@@ -206,7 +178,7 @@ mod tests {
     fn suite_runs_and_aggregates() {
         let cfg = ProcessorConfig::four_way(1, PortKind::Wide);
         let rc = RunConfig::quick();
-        let suite = run_suite(&[Workload::Compress, Workload::Swim], &cfg, &rc);
+        let suite = RunEngine::new(rc).suite(&[Workload::Compress, Workload::Swim], &cfg);
         assert_eq!(suite.runs.len(), 2);
         assert!(suite.get(Workload::Compress).is_some());
         assert!(suite.get(Workload::Go).is_none());

@@ -7,7 +7,7 @@
 //! SimpleScalar's `sim-outorder`, extended with the speculative dynamic
 //! vectorization mechanism of the paper.
 //!
-//! Modelling notes (also recorded in `DESIGN.md`):
+//! Modelling notes:
 //!
 //! * Wrong-path instructions are not executed.  When the front end predicts a
 //!   branch incorrectly, fetch stalls until the branch resolves plus a

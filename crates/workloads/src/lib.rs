@@ -6,7 +6,7 @@
 //! SDV ISA, that mimics the *dynamic properties the mechanism cares about*:
 //! the stride distribution of its loads (Figure 1), the fraction of
 //! vectorizable work (Figure 3), pointer-chasing vs. array traversal, branch
-//! predictability and integer/FP mix.  `DESIGN.md` records this substitution.
+//! predictability and integer/FP mix.
 //!
 //! Every kernel is exposed through [`Workload`]:
 //!

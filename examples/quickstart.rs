@@ -7,7 +7,8 @@
 //! ```
 
 use sdv::isa::{ArchReg, Asm};
-use sdv::sim::{run_program, PortKind, ProcessorConfig};
+use sdv::sim::{PortKind, ProcessorConfig};
+use sdv::uarch::simulate;
 
 fn main() {
     // A loop reading four independent strided streams and accumulating them —
@@ -48,8 +49,8 @@ fn main() {
         "running {} static instructions on the 4-way, 1 wide-port processor…\n",
         program.len()
     );
-    let baseline = run_program(&baseline_cfg, &program, budget);
-    let dv = run_program(&dv_cfg, &program, budget);
+    let baseline = simulate(&baseline_cfg, &program, budget);
+    let dv = simulate(&dv_cfg, &program, budget);
 
     println!("                       baseline (1pIM)   with DV (1pV)");
     println!(

@@ -17,7 +17,7 @@
 //! * [`uarch`] — the cycle-level out-of-order superscalar pipeline.
 //! * [`workloads`] — synthetic SPEC95-analogue kernels.
 //! * [`store`] — the sharded, mergeable, concurrency-safe result store.
-//! * [`sim`] — experiment configurations, runners and figure generators.
+//! * [`sim`] — experiment configurations, the run engine and figure generators.
 //!
 //! # Quickstart
 //!
@@ -27,7 +27,7 @@
 //!
 //! let program = Workload::Compress.build(1);
 //! let cfg = ProcessorConfig::four_way(1, PortKind::Wide).with_vectorization(true);
-//! let stats = sdv::sim::run_program(&cfg, &program, 50_000);
+//! let stats = sdv::uarch::simulate(&cfg, &program, 50_000);
 //! assert!(stats.ipc() > 0.0);
 //! assert!(stats.committed_validations > 0);
 //! ```

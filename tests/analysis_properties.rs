@@ -19,7 +19,8 @@
 use sdv::analyze::{analyze, Rule, Severity};
 use sdv::emu::Emulator;
 use sdv::isa::{ArchReg, Asm};
-use sdv::sim::{run_workload, PortKind, ProcessorConfig, RunConfig};
+use sdv::sim::{PortKind, ProcessorConfig, RunConfig};
+use sdv::uarch::simulate;
 use sdv::workloads::Workload;
 
 const RC: RunConfig = RunConfig {
@@ -91,8 +92,9 @@ fn dynamic_footprint_stays_inside_the_static_envelope() {
 fn vector_mode_fraction_stays_under_the_static_bound() {
     let cfg = ProcessorConfig::four_way(1, PortKind::Wide).with_vectorization(true);
     for w in Workload::extended() {
-        let envelope = analyze(&w.build(RC.scale)).envelope;
-        let stats = run_workload(w, &cfg, &RC);
+        let program = w.build(RC.scale);
+        let envelope = analyze(&program).envelope;
+        let stats = simulate(&cfg, &program, RC.max_insts);
         assert!(
             stats.vector_mode_fraction() <= envelope.vectorizable_bound + 1e-9,
             "{w}: dynamic vector-mode fraction {:.4} exceeds static bound {:.4}",
@@ -110,7 +112,7 @@ fn vector_mode_fraction_stays_under_the_static_bound() {
     let program = a.finish();
     let envelope = analyze(&program).envelope;
     assert_eq!(envelope.vectorizable_bound, 0.0);
-    let stats = sdv::sim::run_program(&cfg, &program, RC.max_insts);
+    let stats = simulate(&cfg, &program, RC.max_insts);
     assert_eq!(stats.vector_mode_fraction(), 0.0);
 }
 

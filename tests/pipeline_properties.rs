@@ -4,6 +4,7 @@
 //! without deadlock, and leave identical architectural state.
 
 use proptest::prelude::*;
+use sdv::core::DvConfig;
 use sdv::emu::Emulator;
 use sdv::isa::{ArchReg, Asm, Program};
 use sdv::sim::{PortKind, ProcessorConfig};
@@ -142,6 +143,27 @@ fn machine(wide: bool, eight_way: bool) -> ProcessorConfig {
     }
 }
 
+/// The DV sizings the differential draws from: the paper's default, vector
+/// length 2 or 8 instead of 4, and 16 vector registers instead of 128.
+fn dv_sizing(index: usize) -> DvConfig {
+    let default = DvConfig::default();
+    match index {
+        0 => default,
+        1 => DvConfig {
+            vector_length: 2,
+            ..default
+        },
+        2 => DvConfig {
+            vector_length: 8,
+            ..default
+        },
+        _ => DvConfig {
+            vector_registers: 16,
+            ..default
+        },
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
@@ -205,7 +227,8 @@ proptest! {
     // would drift first.
 
     /// Wakeup issue ≡ full-window scan, on the 4-way and the 8-way machine
-    /// (256-entry window, so more validations park at once).
+    /// (256-entry window, so more validations park at once), with DV at one
+    /// of the [`dv_sizing`]s.
     #[test]
     fn wakeup_scheduler_issues_the_same_sequence_as_the_full_scan_oracle(
         steps in proptest::collection::vec(step_strategy(), 1..8),
@@ -215,9 +238,14 @@ proptest! {
         storm in any::<bool>(),
         storm_offset in 1u8..4,
         eight_way in any::<bool>(),
+        sizing in 0usize..4,
     ) {
         let program = differential_program(steps, iterations, storm, storm_offset);
-        let cfg = machine(wide, eight_way).with_vectorization(vectorize);
+        let cfg = if vectorize {
+            machine(wide, eight_way).with_dv_config(dv_sizing(sizing))
+        } else {
+            machine(wide, eight_way)
+        };
         check_fast_matches_reference(&program, &cfg)?;
     }
 

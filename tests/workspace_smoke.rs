@@ -3,7 +3,8 @@
 //! and dynamic vectorization must not cost IPC on the paper's most
 //! vectorizable kernel (swim).
 
-use sdv::sim::{run_program, PortKind, ProcessorConfig};
+use sdv::sim::{PortKind, ProcessorConfig};
+use sdv::uarch::simulate;
 use sdv::workloads::Workload;
 
 const MAX_INSTS: u64 = 20_000;
@@ -19,7 +20,7 @@ fn every_workload_builds_and_runs_with_and_without_vectorization() {
         );
         for vectorize in [false, true] {
             let cfg = ProcessorConfig::four_way(1, PortKind::Wide).with_vectorization(vectorize);
-            let stats = run_program(&cfg, &program, MAX_INSTS);
+            let stats = simulate(&cfg, &program, MAX_INSTS);
             assert!(
                 stats.committed >= MIN_COMMITTED,
                 "{workload} (vectorize={vectorize}): committed only {} instructions",
@@ -49,8 +50,8 @@ fn stridemix_and_histo_have_pinned_smoke_behaviour() {
     let mut vectorized = Vec::new();
     for workload in [Workload::StrideMix, Workload::Histo] {
         let program = workload.build(1);
-        let scalar = run_program(&scalar_cfg, &program, MAX_INSTS);
-        let vector = run_program(&vector_cfg, &program, MAX_INSTS);
+        let scalar = simulate(&scalar_cfg, &program, MAX_INSTS);
+        let vector = simulate(&vector_cfg, &program, MAX_INSTS);
         for stats in [&scalar, &vector] {
             assert!(
                 stats.committed >= MIN_COMMITTED,
@@ -108,8 +109,8 @@ fn vectorization_does_not_cost_ipc_on_swim() {
     let program = Workload::Swim.build(1);
     let scalar_cfg = ProcessorConfig::four_way(1, PortKind::Wide);
     let vector_cfg = scalar_cfg.clone().with_vectorization(true);
-    let scalar = run_program(&scalar_cfg, &program, MAX_INSTS);
-    let vector = run_program(&vector_cfg, &program, MAX_INSTS);
+    let scalar = simulate(&scalar_cfg, &program, MAX_INSTS);
+    let vector = simulate(&vector_cfg, &program, MAX_INSTS);
     assert!(
         vector.ipc() >= scalar.ipc(),
         "swim: vectorized IPC {:.3} fell below scalar IPC {:.3}",
