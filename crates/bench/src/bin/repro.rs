@@ -6,7 +6,7 @@
 //!       [--vl L1,L2,...] [--vregs R1,R2,...]
 //!       [--csv PATH] [--metrics-json PATH] [--trace PATH]
 //!       [--store-dir DIR | --no-cache]
-//!       [--fail-fast] [--max-retries N]
+//!       [--fail-fast]
 //! ```
 //!
 //! With no selection arguments everything is regenerated.  All generators
@@ -31,13 +31,13 @@
 //! blocked matmul, mixed-stride streams, irregular histogram updates) to
 //! every generator.
 //!
-//! The run is *supervised*: a cell that panics or exceeds its cycle budget is
-//! recorded as failed while every other cell still completes, the failures
-//! are summarised at the end, and the exit code is 1 exactly when cells
-//! failed (`--fail-fast` instead stops at the first generator with a failed
-//! cell).  Store I/O is retried with backoff (`--max-retries N`, default 2);
-//! an unusable `--store-dir` degrades to in-memory caching with a warning
-//! rather than aborting the sweep.
+//! The run is *supervised*: a cell that panics (including the pipeline's
+//! no-progress assertion) is recorded as failed while every other cell still
+//! completes, the failures are summarised at the end, and the exit code is 1
+//! exactly when cells failed (`--fail-fast` instead stops at the first
+//! generator with a failed cell).  Store writes are retried twice with
+//! backoff; an unusable `--store-dir` degrades to in-memory caching with a
+//! warning rather than aborting the sweep.
 //!
 //! Observability (`docs/OBSERVABILITY.md`): `--metrics-json PATH` collects
 //! the unified metrics registry — cycle-attribution buckets, cache and store
@@ -74,7 +74,6 @@ struct Options {
     store_dir: Option<std::path::PathBuf>,
     no_cache: bool,
     fail_fast: bool,
-    max_retries: Option<u32>,
 }
 
 const USAGE: &str = "usage: repro [--quick|--standard|--thorough] [--threads N]
@@ -82,7 +81,7 @@ const USAGE: &str = "usage: repro [--quick|--standard|--thorough] [--threads N]
              [--vl L1,L2,...] [--vregs R1,R2,...]
              [--csv PATH] [--metrics-json PATH] [--trace PATH]
              [--store-dir DIR | --no-cache]
-             [--fail-fast] [--max-retries N]";
+             [--fail-fast]";
 
 fn usage_error(message: &str) -> ! {
     eprintln!("repro: {message}\n{USAGE}");
@@ -137,7 +136,6 @@ fn parse_args() -> Options {
         store_dir: None,
         no_cache: false,
         fail_fast: false,
-        max_retries: None,
     };
     let mut args = std::env::args().skip(1).peekable();
     let mut any_selection = false;
@@ -179,12 +177,6 @@ fn parse_args() -> Options {
             "--store-dir" => opts.store_dir = Some(parse_path("--store-dir", args.next())),
             "--no-cache" => opts.no_cache = true,
             "--fail-fast" => opts.fail_fast = true,
-            "--max-retries" => {
-                opts.max_retries =
-                    Some(args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                        usage_error("--max-retries requires a non-negative integer")
-                    }));
-            }
             other => usage_error(&format!("unknown argument `{other}`")),
         }
     }
@@ -241,9 +233,6 @@ fn main() {
     exp = exp.obs(obs_level(&opts));
     if opts.extended {
         exp = exp.workloads(Workload::extended().to_vec());
-    }
-    if let Some(retries) = opts.max_retries {
-        exp = exp.max_retries(retries);
     }
     if !opts.no_cache {
         let dir = opts

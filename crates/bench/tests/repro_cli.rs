@@ -26,6 +26,7 @@ fn usage_errors_exit_2_and_name_the_flag() {
         (&["--threads", "0"][..], "--threads"),
         (&["--timing-json", "t.json"][..], "--timing-json"),
         (&["--cache-dir", "store"][..], "--cache-dir"),
+        (&["--max-retries", "3"][..], "--max-retries"),
     ] {
         let out = run(args);
         let err = stderr(&out);

@@ -326,12 +326,6 @@ impl VectorizationEngine {
         self.vrf.is_ready(vreg, offset)
     }
 
-    /// Whether element `offset` of `vreg` has been poisoned by a mis-speculation.
-    #[must_use]
-    pub fn element_poisoned(&self, vreg: VregId, offset: usize) -> bool {
-        self.vrf.is_poisoned(vreg, offset)
-    }
-
     /// The allocation generation of `vreg`, used by the pipeline to detect
     /// that a register it was tracking has been released and re-allocated.
     #[must_use]

@@ -125,11 +125,6 @@ impl Emulator {
         &self.mem
     }
 
-    /// Mutable access to the emulated memory (useful for tests that poke data).
-    pub fn memory_mut(&mut self) -> &mut SparseMemory {
-        &mut self.mem
-    }
-
     /// The program being executed.
     #[must_use]
     pub fn program(&self) -> &Program {

@@ -1,7 +1,7 @@
 //! Cycle-attribution ledger: every simulated pipeline cycle lands in exactly
 //! one bucket.
 //!
-//! The pipeline classifies each cycle of `run_bounded` as it retires (see
+//! The pipeline classifies each cycle of `Processor::run` as it retires (see
 //! `Processor::attribute_cycle` in `sdv-uarch`), and macro-step jumps charge
 //! the cycles they skip to [`CycleBucket::MacroStepJumped`] in bulk — this
 //! folds the former `macro_step_telemetry` side channel into the same

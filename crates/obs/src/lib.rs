@@ -100,21 +100,15 @@ impl Default for Obs {
 }
 
 impl Obs {
-    /// Creates a handle at `level` with the default trace capacity.
+    /// Creates a handle at `level` whose tracer keeps at most
+    /// [`DEFAULT_TRACE_CAPACITY`] events (oldest dropped first).
     #[must_use]
     pub fn new(level: ObsLevel) -> Self {
-        Self::with_trace_capacity(level, DEFAULT_TRACE_CAPACITY)
-    }
-
-    /// Creates a handle at `level` whose tracer keeps at most `capacity`
-    /// events (oldest dropped first).
-    #[must_use]
-    pub fn with_trace_capacity(level: ObsLevel, capacity: usize) -> Self {
         Self {
             level,
             epoch: Instant::now(),
             registry: Mutex::new(MetricsRegistry::new()),
-            tracer: Mutex::new(EventTracer::new(capacity)),
+            tracer: Mutex::new(EventTracer::new(DEFAULT_TRACE_CAPACITY)),
         }
     }
 

@@ -73,26 +73,8 @@ pub struct CellKey {
     pub max_insts: u64,
 }
 
-/// Why a supervised cell failed instead of producing statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum CellFailure {
-    /// The simulation exceeded its per-cell cycle-budget watchdog
-    /// (see [`RunEngine::with_cycle_budget`]).
-    CycleBudget,
-    /// The simulation panicked (a modelling bug or a poisoned input).
-    Panic,
-}
-
-impl std::fmt::Display for CellFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CellFailure::CycleBudget => write!(f, "cycle-budget exceeded"),
-            CellFailure::Panic => write!(f, "panic"),
-        }
-    }
-}
-
-/// Per-cell diagnostics for a supervised simulation that failed.
+/// Per-cell diagnostics for a supervised simulation that panicked (a
+/// modelling bug, a poisoned input, or the pipeline's no-progress assertion).
 ///
 /// The supervisor ([`RunEngine::run_cells`]) catches the failure, records it,
 /// and keeps the rest of the sweep going; callers read the tally from
@@ -104,9 +86,7 @@ pub struct CellError {
     pub label: String,
     /// The workload that failed.
     pub workload: Workload,
-    /// How the cell failed.
-    pub kind: CellFailure,
-    /// The panic message (or watchdog diagnostic).
+    /// The panic message.
     pub message: String,
 }
 
@@ -114,8 +94,8 @@ impl std::fmt::Display for CellError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "cell {}/{} FAILED ({}): {}",
-            self.label, self.workload, self.kind, self.message
+            "cell {}/{} FAILED (panic): {}",
+            self.label, self.workload, self.message
         )
     }
 }
@@ -128,7 +108,7 @@ pub struct EngineReport {
     pub requested: u64,
     /// Unique cells actually simulated.
     pub simulated: u64,
-    /// Unique cells whose supervised simulation failed (panic or watchdog);
+    /// Unique cells whose supervised simulation failed (they panicked);
     /// details via [`RunEngine::failures`].
     pub failed_cells: u64,
     /// Unique cells served from the persistent result store.
@@ -278,13 +258,13 @@ impl std::fmt::Display for EngineTiming {
 }
 
 /// How many newly simulated results accumulate before [`RunEngine`] persists
-/// them to an attached store on its own (see
-/// [`RunEngine::with_persist_every`]).
-pub const DEFAULT_PERSIST_EVERY: u64 = 64;
+/// them to an attached store on its own, so a crashed or killed sweep loses
+/// at most one window of simulation work.
+const PERSIST_EVERY: u64 = 64;
 
-/// Default bounded-retry count for transient store I/O failures during
-/// [`RunEngine::persist`] (see [`RunEngine::with_max_retries`]).
-pub const DEFAULT_MAX_RETRIES: u32 = 2;
+/// Retries (with exponential backoff from 10 ms) for transient store I/O
+/// failures during [`RunEngine::persist`].
+const PERSIST_RETRIES: u32 = 2;
 
 /// Deduplicating, memoizing, parallel executor for simulation cells.
 ///
@@ -305,8 +285,10 @@ pub const DEFAULT_MAX_RETRIES: u32 = 2;
 /// ```
 ///
 /// Attach a store directory with [`Self::with_disk_cache`] to reuse results
-/// across processes; long sweeps then persist automatically every
-/// [`DEFAULT_PERSIST_EVERY`] new results (see [`Self::with_persist_every`]).
+/// across processes; long sweeps then persist automatically every 64 new
+/// results.  A periodic persist that still fails after its retries degrades
+/// the engine to in-memory caching ([`Self::store_degraded`]) and keeps
+/// simulating.
 pub struct RunEngine {
     rc: RunConfig,
     threads: usize,
@@ -320,19 +302,11 @@ pub struct RunEngine {
     created: Instant,
     /// The persistent result store sessions are served from and persisted to.
     store: Option<sdv_store::Store>,
-    /// Persist automatically once this many new results accumulate (0 = off).
-    persist_every: u64,
     /// Newly simulated results not yet flushed by a periodic persist.
     unpersisted: AtomicU64,
     /// Pre-flight verdicts memoized by program content hash: `None` = clean,
     /// `Some(summary)` = rejected with that error summary.
     preflight: Mutex<HashMap<u64, Option<String>>>,
-    /// Per-cell watchdog: a supervised simulation may spend at most this many
-    /// simulated cycles (`u64::MAX` = unbounded).
-    cycle_budget: u64,
-    /// Retries (with exponential backoff) for transient store I/O failures
-    /// during [`Self::persist`].
-    max_retries: u32,
     /// Failed cells, memoized so a panicking cell is attempted exactly once
     /// per session.
     failed: Mutex<HashMap<CellKey, CellError>>,
@@ -377,11 +351,8 @@ impl RunEngine {
             timing: Mutex::new(EngineTiming::default()),
             created: Instant::now(),
             store: None,
-            persist_every: DEFAULT_PERSIST_EVERY,
             unpersisted: AtomicU64::new(0),
             preflight: Mutex::new(HashMap::new()),
-            cycle_budget: u64::MAX,
-            max_retries: DEFAULT_MAX_RETRIES,
             failed: Mutex::new(HashMap::new()),
             failed_cells: AtomicU64::new(0),
             store_disabled: AtomicBool::new(false),
@@ -467,47 +438,12 @@ impl RunEngine {
         self
     }
 
-    /// Sets the per-cell watchdog budget in *simulated cycles*: a supervised
-    /// cell that exceeds it fails with [`CellFailure::CycleBudget`] instead
-    /// of hanging the sweep.  `u64::MAX` (the default) never fires; normal
-    /// runs are bit-identical either way.
-    #[must_use]
-    pub fn with_cycle_budget(mut self, max_cycles: u64) -> Self {
-        self.cycle_budget = max_cycles;
-        self
-    }
-
-    /// Sets how many times [`Self::persist`] retries a failed store write
-    /// (with exponential backoff) before giving up.  The default is
-    /// [`DEFAULT_MAX_RETRIES`].
-    #[must_use]
-    pub fn with_max_retries(mut self, retries: u32) -> Self {
-        self.max_retries = retries;
-        self
-    }
-
     /// Test seam: `hook` runs inside the supervised worker immediately before
     /// each simulation, so tests can inject panics or delays into specific
     /// cells and prove the supervision machinery contains them.
     #[must_use]
     pub fn with_cell_hook(mut self, hook: CellHook) -> Self {
         self.cell_hook = Some(hook);
-        self
-    }
-
-    /// Sets the periodic-persist window: with a store attached, the engine
-    /// calls [`Self::persist`] on its own every time `n` new results have
-    /// accumulated, so a crashed or killed sweep loses at most one window of
-    /// simulation work.  `0` disables the automatic flush (results are then
-    /// only written by an explicit [`Self::persist`] call).  The default is
-    /// [`DEFAULT_PERSIST_EVERY`].
-    ///
-    /// An automatic flush that still fails after its retries degrades the
-    /// engine to in-memory caching ([`Self::store_degraded`]) and keeps
-    /// simulating.
-    #[must_use]
-    pub fn with_persist_every(mut self, n: u64) -> Self {
-        self.persist_every = n;
         self
     }
 
@@ -562,8 +498,8 @@ impl RunEngine {
     /// write is a read–merge–write under the shard's writer lock), so a
     /// narrow run never shrinks a broad store.
     ///
-    /// Transient I/O failures are retried up to [`Self::with_max_retries`]
-    /// times with exponential backoff before the error surfaces.
+    /// Transient I/O failures are retried twice with exponential backoff
+    /// (10 ms, then 20 ms) before the error surfaces.
     ///
     /// # Errors
     ///
@@ -590,7 +526,7 @@ impl RunEngine {
                         .fetch_add(put.inserted, Ordering::Relaxed);
                     return Ok(());
                 }
-                Err(e) if attempt < self.max_retries => {
+                Err(e) if attempt < PERSIST_RETRIES => {
                     attempt += 1;
                     self.note_persist_retry(&e, attempt, delay);
                     std::thread::sleep(delay);
@@ -612,16 +548,15 @@ impl RunEngine {
             "store persist retry",
             "store",
             &[
-                ("attempt", format!("{attempt}/{}", self.max_retries)),
+                ("attempt", format!("{attempt}/{PERSIST_RETRIES}")),
                 ("backoff", format!("{delay:?}")),
                 ("error", e.to_string()),
             ],
         );
         if !self.persist_warned.swap(true, Ordering::SeqCst) {
             eprintln!(
-                "warning: store persist failed ({e}); retry {attempt}/{} in {delay:?} \
-                 (further retries are counted silently — see the end-of-run summary)",
-                self.max_retries
+                "warning: store persist failed ({e}); retry {attempt}/{PERSIST_RETRIES} in {delay:?} \
+                 (further retries are counted silently — see the end-of-run summary)"
             );
         }
     }
@@ -769,7 +704,7 @@ impl RunEngine {
     /// Cells already in the session cache are not re-simulated; cells repeated
     /// within the batch are simulated once.  The unique misses execute on up
     /// to [`Self::threads`] worker threads, each simulation *supervised*: a
-    /// panicking or watchdog-stopped cell is caught, recorded as a
+    /// panicking cell is caught, recorded as a
     /// [`CellError`] (tallied in [`EngineReport::failed_cells`], detailed by
     /// [`Self::failures`]), and returns all-zero [`RunStats`] in its input
     /// slot — the rest of the batch completes normally, and the failed cell
@@ -882,7 +817,6 @@ impl RunEngine {
                         &[
                             ("label", error.label.clone()),
                             ("workload", error.workload.to_string()),
-                            ("kind", error.kind.to_string()),
                         ],
                     );
                     let mut failed = recover(self.failed.lock());
@@ -926,44 +860,30 @@ impl RunEngine {
         results
     }
 
-    /// Runs one cell under supervision: panics (including the cycle-budget
-    /// watchdog's) are caught and classified instead of unwinding into the
-    /// batch machinery.
+    /// Runs one cell under supervision: a panic is caught and recorded
+    /// instead of unwinding into the batch machinery.
     fn supervised_simulate(&self, key: &CellKey) -> Result<(RunStats, Duration), CellError> {
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             if let Some(hook) = &self.cell_hook {
                 hook(key);
             }
-            simulate_cell(key, self.cycle_budget, &self.obs)
+            simulate_cell(key, &self.obs)
         }));
-        match outcome {
-            Ok(timed) => Ok(timed),
-            Err(payload) => {
-                let message = panic_message(&*payload);
-                let kind = if message.contains(sdv_uarch::CYCLE_BUDGET_EXCEEDED) {
-                    CellFailure::CycleBudget
-                } else {
-                    CellFailure::Panic
-                };
-                Err(CellError {
-                    label: key.config.label(),
-                    workload: key.workload,
-                    kind,
-                    message,
-                })
-            }
-        }
+        outcome.map_err(|payload| CellError {
+            label: key.config.label(),
+            workload: key.workload,
+            message: panic_message(&*payload),
+        })
     }
 
     /// Periodic-persist bookkeeping: flushes the session cache to the store
-    /// once enough new results have accumulated (see
-    /// [`Self::with_persist_every`]).
+    /// once [`PERSIST_EVERY`] new results have accumulated.
     fn maybe_persist(&self, newly_cached: u64) {
-        if self.store().is_none() || self.persist_every == 0 || newly_cached == 0 {
+        if self.store().is_none() || newly_cached == 0 {
             return;
         }
         let pending = newly_cached + self.unpersisted.fetch_add(newly_cached, Ordering::Relaxed);
-        if pending < self.persist_every {
+        if pending < PERSIST_EVERY {
             return;
         }
         self.unpersisted.store(0, Ordering::Relaxed);
@@ -1014,27 +934,22 @@ pub fn preflight_program(program: &Program) -> Result<(), String> {
     }
 }
 
-/// The one place a cell becomes a simulation.  The cycle-budget watchdog
-/// panics (with [`sdv_uarch::CYCLE_BUDGET_EXCEEDED`] in the message) when the
-/// budget is exhausted; the supervisor classifies that for the caller.
+/// The one place a cell becomes a simulation.
 ///
 /// With metrics enabled the run records a cycle-attribution ledger and
 /// exports it (plus the memory-hierarchy instrumentation) into the shared
 /// registry; with tracing enabled the whole cell becomes one span.  Both
 /// observe-only paths produce bit-identical [`RunStats`].
-fn simulate_cell(key: &CellKey, max_cycles: u64, obs: &Obs) -> (RunStats, Duration) {
+fn simulate_cell(key: &CellKey, obs: &Obs) -> (RunStats, Duration) {
     let start = Instant::now();
     let t0 = obs.now_micros();
     let program = key.workload.build(key.scale);
-    let stats = if obs.metrics_enabled() {
-        let mut proc = sdv_uarch::Processor::new(&key.config, &program);
-        proc.record_cycle_ledger(true);
-        let stats = proc.run_bounded(key.max_insts, max_cycles);
+    let mut proc = sdv_uarch::Processor::new(&key.config, &program);
+    proc.record_cycle_ledger(obs.metrics_enabled());
+    let stats = proc.run(key.max_insts);
+    if obs.metrics_enabled() {
         obs.with_registry(|registry| proc.obs_metrics(registry));
-        stats
-    } else {
-        sdv_uarch::simulate_bounded(&key.config, &program, key.max_insts, max_cycles)
-    };
+    }
     obs.span(
         "cell",
         "engine",
@@ -1058,6 +973,28 @@ mod tests {
             scale: 1,
             max_insts: 8_000,
         }
+    }
+
+    /// One periodic-persist window of distinct cells: the 16 extended
+    /// kernels on 4 configurations (64 = [`PERSIST_EVERY`]), with a short
+    /// budget so crossing the real window stays cheap.
+    fn persist_window() -> (RunConfig, Vec<(ProcessorConfig, Workload)>) {
+        let cfgs = [
+            ProcessorConfig::four_way(1, PortKind::Wide),
+            ProcessorConfig::four_way(1, PortKind::Wide).with_vectorization(true),
+            ProcessorConfig::four_way(2, PortKind::Scalar),
+            ProcessorConfig::eight_way(1, PortKind::Wide),
+        ];
+        let cells: Vec<_> = cfgs
+            .iter()
+            .flat_map(|cfg| Workload::extended().map(|w| (cfg.clone(), w)))
+            .collect();
+        assert_eq!(cells.len() as u64, PERSIST_EVERY);
+        let rc = RunConfig {
+            scale: 1,
+            max_insts: 1_000,
+        };
+        (rc, cells)
     }
 
     #[test]
@@ -1128,35 +1065,26 @@ mod tests {
     fn periodic_persist_flushes_without_an_explicit_call() {
         let dir = std::env::temp_dir().join(format!("sdv-engine-periodic-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cfg = ProcessorConfig::four_way(1, PortKind::Wide);
+        let (rc, cells) = persist_window();
+        let (head, last) = cells.split_at(cells.len() - 1);
 
-        // Window of 2: the first cell stays unflushed, the second batch
-        // crosses the window and persists both on its own.
-        let engine = RunEngine::new(rc())
-            .with_disk_cache(&dir)
-            .with_persist_every(2);
-        let _ = engine.run_cell(&cfg, Workload::Compress);
+        // One cell short of the window nothing is flushed; the last cell
+        // crosses it and persists every accumulated result on its own.
+        let engine = RunEngine::new(rc).with_disk_cache(&dir);
+        let _ = engine.run_cells(head);
         assert_eq!(engine.report().store_inserts, 0, "below the window");
-        let _ = engine.run_cell(&cfg, Workload::Swim);
+        let _ = engine.run_cells(last);
         assert_eq!(
             engine.report().store_inserts,
-            2,
+            PERSIST_EVERY,
             "crossing the window flushes every accumulated result"
         );
 
-        // A crashed sweep (no explicit persist) left both cells durable.
-        let reader = RunEngine::new(rc()).with_disk_cache(&dir);
-        let _ = reader.run_cell(&cfg, Workload::Compress);
-        let _ = reader.run_cell(&cfg, Workload::Swim);
-        assert_eq!(reader.report().store_hits, 2);
+        // A crashed sweep (no explicit persist) left the whole window durable.
+        let reader = RunEngine::new(rc).with_disk_cache(&dir);
+        let _ = reader.run_cells(&cells);
+        assert_eq!(reader.report().store_hits, PERSIST_EVERY);
         assert_eq!(reader.report().simulated, 0);
-
-        // `0` disables the automatic flush entirely.
-        let manual = RunEngine::new(rc())
-            .with_disk_cache(&dir)
-            .with_persist_every(0);
-        let _ = manual.run_cell(&cfg, Workload::Li);
-        assert_eq!(manual.report().store_inserts, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1335,28 +1263,9 @@ mod tests {
         assert!(report.to_string().contains("FAILED"), "{report}");
         let failures = engine.failures();
         assert_eq!(failures.len(), 1);
-        assert_eq!(failures[0].kind, CellFailure::Panic);
         assert_eq!(failures[0].workload, Workload::Swim);
         assert!(failures[0].message.contains("injected cell failure"));
         assert!(failures[0].to_string().contains("FAILED"));
-    }
-
-    #[test]
-    fn cycle_budget_exhaustion_is_a_typed_failure() {
-        let engine = RunEngine::new(rc()).with_cycle_budget(4);
-        let cfg = ProcessorConfig::four_way(1, PortKind::Wide);
-        let stats = engine.run_cell(&cfg, Workload::Compress);
-        assert_eq!(stats, RunStats::new(0));
-        let failures = engine.failures();
-        assert_eq!(failures.len(), 1);
-        assert_eq!(failures[0].kind, CellFailure::CycleBudget);
-        assert!(
-            failures[0]
-                .message
-                .contains(sdv_uarch::CYCLE_BUDGET_EXCEEDED),
-            "{}",
-            failures[0].message
-        );
     }
 
     #[test]
@@ -1382,29 +1291,31 @@ mod tests {
     fn persist_failure_degrades_to_in_memory_caching() {
         let dir = std::env::temp_dir().join(format!("sdv-engine-degrade-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let io = Arc::new(sdv_store::FaultPlan::new().with_fault(
-            sdv_store::IoOp::Write,
-            0,
-            sdv_store::Fault::Enospc,
-        ));
+        // ENOSPC on the first try and on both retries.
+        let io = Arc::new(
+            (0..=u64::from(PERSIST_RETRIES)).fold(sdv_store::FaultPlan::new(), |plan, nth| {
+                plan.with_fault(sdv_store::IoOp::Write, nth, sdv_store::Fault::Enospc)
+            }),
+        );
         let store = sdv_store::Store::open_with_io(&dir, 1, io).expect("store opens");
-        let engine = RunEngine::new(rc())
-            .with_store(store)
-            .with_persist_every(1)
-            .with_max_retries(0);
-        let cfg = ProcessorConfig::four_way(1, PortKind::Wide);
-        let stats = engine.run_cell(&cfg, Workload::Compress);
-        assert!(stats.cycles > 0, "the simulation itself succeeds");
+        let (rc, cells) = persist_window();
+        let engine = RunEngine::new(rc).with_store(store);
+        let stats = engine.run_cells(&cells);
+        assert!(
+            stats.iter().all(|s| s.cycles > 0),
+            "the simulations themselves succeed"
+        );
+        assert_eq!(engine.persist_retries(), u64::from(PERSIST_RETRIES));
         assert!(
             engine.store_degraded(),
-            "ENOSPC with no retries degrades to in-memory caching"
+            "ENOSPC past every retry degrades to in-memory caching"
         );
         assert!(engine.store().is_none());
         assert!(engine.persist().is_ok(), "persist is a no-op once degraded");
         // Later cells keep working from the in-memory cache.
-        let again = engine.run_cell(&cfg, Workload::Compress);
+        let again = engine.run_cells(&cells);
         assert_eq!(stats, again);
-        assert_eq!(engine.report().simulated, 1);
+        assert_eq!(engine.report().simulated, PERSIST_EVERY);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1418,27 +1329,27 @@ mod tests {
             sdv_store::Fault::Eio,
         ));
         let store = sdv_store::Store::open_with_io(&dir, 1, io).expect("store opens");
-        let engine = RunEngine::new(rc())
-            .with_store(store)
-            .with_persist_every(1)
-            .with_max_retries(2);
-        let cfg = ProcessorConfig::four_way(1, PortKind::Wide);
-        let _ = engine.run_cell(&cfg, Workload::Compress);
+        let (rc, cells) = persist_window();
+        let engine = RunEngine::new(rc).with_store(store);
+        let _ = engine.run_cells(&cells);
         assert!(
             !engine.store_degraded(),
             "a transient EIO is absorbed by the retry loop"
         );
-        let key = CellKey {
-            config: cfg,
-            workload: Workload::Compress,
-            scale: rc().scale,
-            max_insts: rc().max_insts,
-        };
+        assert_eq!(engine.persist_retries(), 1);
         let reopened = sdv_store::Store::open(&dir, 1).expect("store reopens");
-        assert!(
-            reopened.get(cachefile::key_hash(&key)).is_some(),
-            "the retried persist landed on disk"
-        );
+        for (cfg, workload) in cells {
+            let key = CellKey {
+                config: cfg,
+                workload,
+                scale: rc.scale,
+                max_insts: rc.max_insts,
+            };
+            assert!(
+                reopened.get(cachefile::key_hash(&key)).is_some(),
+                "the retried persist landed on disk"
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

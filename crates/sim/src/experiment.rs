@@ -103,14 +103,6 @@ impl Experiment {
         self
     }
 
-    /// Sets the store-persist retry budget (see
-    /// [`RunEngine::with_max_retries`]).
-    #[must_use]
-    pub fn max_retries(mut self, retries: u32) -> Self {
-        self.engine = self.engine.with_max_retries(retries);
-        self
-    }
-
     /// Per-cell failure details for this session, sorted for stable output
     /// (see [`RunEngine::failures`]).
     #[must_use]

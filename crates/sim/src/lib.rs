@@ -58,8 +58,7 @@ pub mod runner;
 pub mod table1;
 
 pub use engine::{
-    preflight_program, CellError, CellFailure, CellKey, CellTiming, EngineReport, EngineTiming,
-    RunEngine, DEFAULT_MAX_RETRIES, DEFAULT_PERSIST_EVERY,
+    preflight_program, CellError, CellKey, CellTiming, EngineReport, EngineTiming, RunEngine,
 };
 pub use experiment::Experiment;
 pub use figures::*;

@@ -1,60 +1,16 @@
-//! CSV export for the figure generators.
+//! Machine-readable exports behind `repro`'s file flags.
 //!
-//! The `repro` binary prints human-readable tables; for plotting the
-//! reproduction against the paper it is more convenient to have the same data
-//! as CSV.  Every function here is pure (string in-memory), so callers decide
+//! The `repro` binary prints human-readable tables; for plotting and diffing
+//! it also writes two documents: [`sweep_csv`], the Figure 11/12 port sweep
+//! as CSV (`--csv`), and [`metrics_json`], a whole session's metrics
+//! (`--metrics-json`).  Both are pure (string in-memory), so callers decide
 //! where to write.
 
-use crate::figures::{Fig1, Fig13, Fig15, Fig7, PortSweep, WorkloadSeries};
+use crate::figures::PortSweep;
 
 /// Escapes nothing (all our fields are simple), just joins cells with commas.
 fn row<I: IntoIterator<Item = String>>(cells: I) -> String {
     cells.into_iter().collect::<Vec<_>>().join(",")
-}
-
-/// CSV for Figure 1: `stride,specint_fraction,specfp_fraction`.
-#[must_use]
-pub fn fig1_csv(fig: &Fig1) -> String {
-    let mut out = String::from("stride,specint,specfp\n");
-    for s in 0..10 {
-        out.push_str(&row([
-            s.to_string(),
-            fig.int.fraction(s).to_string(),
-            fig.fp.fraction(s).to_string(),
-        ]));
-        out.push('\n');
-    }
-    out
-}
-
-/// CSV for any per-workload series (Figures 3, 9, 10, 14): `workload,value`.
-#[must_use]
-pub fn series_csv(series: &WorkloadSeries) -> String {
-    let mut out = String::from("workload,value\n");
-    for (w, v) in &series.rows {
-        out.push_str(&row([w.name().to_string(), v.to_string()]));
-        out.push('\n');
-    }
-    out.push_str(&row(["INT".to_string(), series.int_mean().to_string()]));
-    out.push('\n');
-    out.push_str(&row(["FP".to_string(), series.fp_mean().to_string()]));
-    out.push('\n');
-    out
-}
-
-/// CSV for Figure 7: `workload,real_ipc,ideal_ipc`.
-#[must_use]
-pub fn fig7_csv(fig: &Fig7) -> String {
-    let mut out = String::from("workload,real_ipc,ideal_ipc\n");
-    for (w, real, ideal) in &fig.rows {
-        out.push_str(&row([
-            w.name().to_string(),
-            real.to_string(),
-            ideal.to_string(),
-        ]));
-        out.push('\n');
-    }
-    out
 }
 
 /// CSV for the Figure 11/12 sweep (and extended §4.3 grids):
@@ -135,44 +91,10 @@ pub fn metrics_json(engine: &crate::RunEngine) -> String {
     registry.to_json()
 }
 
-/// CSV for Figure 13: `workload,used1,used2,used3,used4,unused`.
-#[must_use]
-pub fn fig13_csv(fig: &Fig13) -> String {
-    let mut out = String::from("workload,used1,used2,used3,used4,unused\n");
-    for (w, used, unused) in &fig.rows {
-        out.push_str(&row([
-            w.name().to_string(),
-            used[0].to_string(),
-            used[1].to_string(),
-            used[2].to_string(),
-            used[3].to_string(),
-            unused.to_string(),
-        ]));
-        out.push('\n');
-    }
-    out
-}
-
-/// CSV for Figure 15: `workload,computed_used,computed_not_used,not_computed`.
-#[must_use]
-pub fn fig15_csv(fig: &Fig15) -> String {
-    let mut out = String::from("workload,computed_used,computed_not_used,not_computed\n");
-    for (w, used, not_used, not_comp) in &fig.rows {
-        out.push_str(&row([
-            w.name().to_string(),
-            used.to_string(),
-            not_used.to_string(),
-            not_comp.to_string(),
-        ]));
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::figures::{fig1, fig13, fig15, fig3, fig7, port_sweep};
+    use crate::figures::{fig3, port_sweep};
     use crate::runner::RunConfig;
     use crate::{MachineWidth, RunEngine, SweepGrid, Workload};
 
@@ -184,36 +106,6 @@ mod tests {
     }
 
     const WS: [Workload; 2] = [Workload::Compress, Workload::Swim];
-
-    #[test]
-    fn fig1_csv_has_ten_stride_rows() {
-        let csv = fig1_csv(&fig1(&engine(), &WS));
-        assert_eq!(csv.lines().count(), 11);
-        assert!(csv.starts_with("stride,specint,specfp"));
-    }
-
-    #[test]
-    fn series_csv_includes_means() {
-        let csv = series_csv(&fig3(&engine(), &WS));
-        assert!(csv.contains("compress,"));
-        assert!(csv.contains("swim,"));
-        assert!(csv.contains("INT,"));
-        assert!(csv.contains("FP,"));
-    }
-
-    #[test]
-    fn fig7_and_fig13_and_fig15_csvs_have_one_row_per_workload() {
-        let engine = engine();
-        assert_eq!(fig7_csv(&fig7(&engine, &WS)).lines().count(), 1 + WS.len());
-        assert_eq!(
-            fig13_csv(&fig13(&engine, &WS)).lines().count(),
-            1 + WS.len()
-        );
-        assert_eq!(
-            fig15_csv(&fig15(&engine, &WS)).lines().count(),
-            1 + WS.len()
-        );
-    }
 
     #[test]
     fn sweep_csv_covers_every_cell_and_workload() {

@@ -154,12 +154,6 @@ impl SuiteResult {
             n as f64 / recip
         }
     }
-
-    /// Sum of an integer counter over the whole suite.
-    #[must_use]
-    pub fn total<F: Fn(&RunStats) -> u64>(&self, f: F) -> u64 {
-        self.runs.iter().map(|(_, s)| f(s)).sum()
-    }
 }
 
 #[cfg(test)]
@@ -185,7 +179,6 @@ mod tests {
         assert!(suite.mean(|s| s.ipc()) > 0.0);
         assert!(suite.mean_int(|s| s.ipc()) > 0.0);
         assert!(suite.mean_fp(|s| s.ipc()) > 0.0);
-        assert!(suite.total(|s| s.committed) > 0);
     }
 
     #[test]
@@ -194,7 +187,6 @@ mod tests {
         assert_eq!(suite.mean(|s| s.ipc()), 0.0);
         assert_eq!(suite.mean_fp(|s| s.ipc()), 0.0);
         assert_eq!(suite.hmean(|s| s.ipc()), 0.0);
-        assert_eq!(suite.total(|s| s.committed), 0);
     }
 
     /// Pins the two suite-level aggregates against hand-computed values: the

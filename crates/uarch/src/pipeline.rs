@@ -502,11 +502,6 @@ impl Processor {
         self.ledger.as_deref()
     }
 
-    /// Takes the recorded ledger (empty if recording was never enabled).
-    pub fn take_cycle_ledger(&mut self) -> CycleLedger {
-        self.ledger.take().map(|b| *b).unwrap_or_default()
-    }
-
     /// Exports this processor's observability metrics into `registry`:
     /// the cycle ledger (as `pipeline.cycles.<bucket>` counters), the
     /// macro-step telemetry, the deterministic work counters of the vector
@@ -563,29 +558,7 @@ impl Processor {
     /// Panics if the pipeline makes no forward progress for an extended number
     /// of cycles (which would indicate a modelling bug, not a program error).
     pub fn run(&mut self, max_insts: u64) -> RunStats {
-        self.run_bounded(max_insts, u64::MAX)
-    }
-
-    /// Like [`Processor::run`], but with a hard watchdog budget on simulated
-    /// cycles: exceeding `max_cycles` panics with a message containing
-    /// [`CYCLE_BUDGET_EXCEEDED`], so a supervisor (`catch_unwind`) can
-    /// classify a runaway cell distinctly from a modelling bug.  A budget of
-    /// `u64::MAX` (what [`Processor::run`] passes) never fires and costs one
-    /// predictable branch per cycle, keeping normal runs bit-identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics on no-forward-progress (modelling bug) or when the cycle
-    /// budget is exceeded (runaway cell).
-    pub fn run_bounded(&mut self, max_insts: u64, max_cycles: u64) -> RunStats {
         while self.stats.committed < max_insts && !self.finished() {
-            assert!(
-                self.cycle < max_cycles,
-                "{CYCLE_BUDGET_EXCEEDED}: {} cycles simulated, {} instructions \
-                 committed (budget {max_cycles})",
-                self.cycle,
-                self.stats.committed
-            );
             // One branch per cycle when attribution is off; the before-value
             // is only read again inside `attribute_cycle`.
             let attributing = self.ledger.is_some();
@@ -2259,28 +2232,12 @@ impl Processor {
     }
 }
 
-/// The marker every cycle-budget watchdog panic message carries; supervisors
-/// match on it to classify a runaway cell distinctly from a modelling bug.
-pub const CYCLE_BUDGET_EXCEEDED: &str = "cycle budget exceeded";
-
 /// Convenience: run `program` on a processor with configuration `cfg` for at
 /// most `max_insts` committed instructions.
 ///
 /// This is what the examples, the experiment harness and most tests call.
 pub fn simulate(cfg: &UarchConfig, program: &Program, max_insts: u64) -> RunStats {
     Processor::new(cfg, program).run(max_insts)
-}
-
-/// [`simulate`] with a watchdog budget on simulated cycles; exceeding it
-/// panics with [`CYCLE_BUDGET_EXCEEDED`] in the message.  See
-/// [`Processor::run_bounded`].
-pub fn simulate_bounded(
-    cfg: &UarchConfig,
-    program: &Program,
-    max_insts: u64,
-    max_cycles: u64,
-) -> RunStats {
-    Processor::new(cfg, program).run_bounded(max_insts, max_cycles)
 }
 
 #[cfg(test)]
