@@ -19,17 +19,18 @@
 //! threads without changing any result.
 //!
 //! Results additionally persist across invocations: the session's
-//! `CellKey → RunStats` results are merged into a sharded result store under
-//! `target/sdv-store/` (override with `--store-dir`; disable with
-//! `--no-cache`), so re-running `repro` with an
-//! unchanged configuration serves every cell from disk, and parallel jobs can
-//! safely share one store directory (see the `sdv-store` tool for `merge`,
-//! `verify`, `gc` and `stats`).  `--vl`/`--vregs` add DV-sizing axes
-//! (vector length in elements, vector-register count) to the Figure 11/12
-//! sweep grid, `--csv PATH` dumps the resulting sweep surface for plotting,
-//! and `--extended` adds the post-paper workloads (linked-list chase,
-//! blocked matmul, mixed-stride streams, irregular histogram updates) to
-//! every generator.
+//! `CellKey → RunStats` results and Figure 1's stride profiles are merged
+//! into a sharded result store under `target/sdv-store/` (override with
+//! `--store-dir`; disable with `--no-cache`), so re-running `repro` with an
+//! unchanged configuration serves every cell and profile from disk (the
+//! `run engine:` line then reports 0 cells simulated and 0 misses), and
+//! parallel jobs can safely share one store directory (see the `sdv-store`
+//! tool for `merge`, `verify`, `gc` and `stats`).  `--vl`/`--vregs` add
+//! DV-sizing axes (vector length in elements, vector-register count) to the
+//! Figure 11/12 sweep grid, `--csv PATH` dumps the resulting sweep surface
+//! for plotting, and `--extended` adds the post-paper workloads (linked-list
+//! chase, blocked matmul, mixed-stride streams, irregular histogram updates)
+//! to every generator.
 //!
 //! The run is *supervised*: a cell that panics (including the pipeline's
 //! no-progress assertion) is recorded as failed while every other cell still

@@ -1,25 +1,30 @@
 //! Serialization glue between [`crate::RunEngine`] and the persistent result
 //! store.
 //!
-//! `CellKey → RunStats` entries persist in an [`sdv_store::Store`] (a sharded
-//! directory of versioned binary files) so repeated `repro` invocations — and
-//! CI jobs seeding developer machines — reuse earlier sessions instead of
-//! re-simulating.  This module owns the two pieces the generic store does not
-//! know about:
+//! The store holds two kinds of entry, each under its own key domain, so
+//! repeated `repro` invocations — and CI jobs seeding developer machines —
+//! reuse earlier sessions instead of re-simulating:
 //!
-//! * **Key and payload encoding** — [`key_hash`] turns a full `CellKey`
+//! * **Cells** — `CellKey → RunStats`.  [`key_hash`] turns a full `CellKey`
 //!   (configuration, workload, budget) into a 128-bit content hash computed
 //!   with two differently-seeded FNV-1a hashers (a stable algorithm, unlike
 //!   `DefaultHasher`, so hashes survive toolchain updates), and
 //!   [`stats_to_bytes`]/[`stats_from_bytes`] round-trip `RunStats` payloads.
 //!   Every numeric field of `RunStats` is an integer counter, so the round
 //!   trip is exact — a store hit returns bit-identical statistics.
-//! * **Behaviour fingerprinting** — [`simulator_fingerprint`] hashes the
-//!   statistics two canonical cells produce with the current binary, so
-//!   editing the model invalidates results written by earlier builds instead
-//!   of silently replaying their numbers.  The store records it per shard
-//!   file (folded with the payload version, so a layout bump also
-//!   invalidates).
+//! * **Stride profiles** — `(workload, scale, budget) → StrideStats`, the
+//!   functional measurement behind Figure 1.  [`profile_key_hash`] hashes a
+//!   tagged tuple with a different seed pair, and
+//!   [`profile_to_bytes`]/[`profile_from_bytes`] round-trip a fixed
+//!   12 × `u64` record.  [`stride_profile`] is the one place a profile is
+//!   measured.
+//!
+//! **Behaviour fingerprinting** — [`simulator_fingerprint`] hashes the
+//! statistics two canonical cells produce with the current binary, plus one
+//! canonical stride profile, so editing the timing model or the profiler
+//! invalidates results written by earlier builds instead of silently
+//! replaying their numbers.  The store records it per shard file (folded
+//! with the payload version, so a layout bump also invalidates).
 //!
 //! A configuration change therefore simply misses the store; a payload-layout
 //! change bumps `CACHE_VERSION`; and results from a different build are
@@ -28,6 +33,7 @@
 use crate::engine::CellKey;
 use crate::{PortKind, ProcessorConfig, Workload};
 use sdv_core::{DvStats, ElementUsage};
+use sdv_emu::{Emulator, StrideProfiler, StrideStats};
 use sdv_mem::{CacheStats, PortStats, WideBusStats};
 use sdv_uarch::RunStats;
 use std::hash::{Hash, Hasher};
@@ -59,22 +65,46 @@ impl Hasher for Fnv1a {
     }
 }
 
-/// Deterministic 128-bit content hash of a cell key.
-#[must_use]
-pub fn key_hash(key: &CellKey) -> u128 {
-    let mut lo = Fnv1a::seeded(0x5d);
+/// A 128-bit hash of `key`: two FNV-1a halves with the seeds `lo` and `hi`.
+fn fnv128(key: &impl Hash, lo: u64, hi: u64) -> u128 {
+    let mut lo = Fnv1a::seeded(lo);
     key.hash(&mut lo);
-    let mut hi = Fnv1a::seeded(0xa7);
+    let mut hi = Fnv1a::seeded(hi);
     key.hash(&mut hi);
     (u128::from(hi.finish()) << 64) | u128::from(lo.finish())
 }
 
+/// Deterministic 128-bit content hash of a cell key.
+#[must_use]
+pub fn key_hash(key: &CellKey) -> u128 {
+    fnv128(key, 0x5d, 0xa7)
+}
+
+/// Deterministic 128-bit content hash of one stride profile's inputs.  The
+/// tuple is tagged and the seeds differ from [`key_hash`]'s, so a profile
+/// never shares a key with a cell.
+#[must_use]
+pub fn profile_key_hash(workload: Workload, scale: u64, max_insts: u64) -> u128 {
+    fnv128(&("stride-profile", workload, scale, max_insts), 0x3c, 0xe1)
+}
+
+/// Functionally profiles every load `workload` (built at `scale`) retires in
+/// its first `max_insts` instructions: the measurement behind Figure 1.
+#[must_use]
+pub fn stride_profile(workload: Workload, scale: u64, max_insts: u64) -> StrideStats {
+    let mut profiler = StrideProfiler::new();
+    let mut emu = Emulator::new(&workload.build(scale));
+    emu.run_with(max_insts, |r| profiler.observe_retired(r));
+    profiler.stats().clone()
+}
+
 /// The store's producer fingerprint for this binary: the full statistics of
-/// two tiny canonical cells (one vectorizing, one scalar), hashed with a seed
-/// that folds in the payload version, so both a model change that alters
-/// what those cells measure and a serialization-layout bump make shards
-/// written by an older build invisible rather than misdecoded.  Computed
-/// once per process (a few milliseconds).
+/// two tiny canonical cells (one vectorizing, one scalar) and one canonical
+/// stride profile, hashed with a seed that folds in the payload version, so
+/// a model or profiler change that alters what they measure and a
+/// serialization-layout bump both make shards written by an older build
+/// invisible rather than misdecoded.  Computed once per process (a few
+/// milliseconds).
 #[must_use]
 pub fn simulator_fingerprint() -> u64 {
     static FINGERPRINT: OnceLock<u64> = OnceLock::new();
@@ -93,8 +123,48 @@ pub fn simulator_fingerprint() -> u64 {
             let stats = sdv_uarch::simulate(&cfg, &workload.build(1), 3_000);
             h.write(&stats_to_bytes(&stats));
         }
+        h.write(&profile_to_bytes(&stride_profile(
+            Workload::Compress,
+            1,
+            3_000,
+        )));
         h.finish()
     })
+}
+
+/// Length of a stride-profile payload: ten stride counts, `other`, `total`.
+const PROFILE_BYTES: usize = 12 * 8;
+
+/// Serializes one [`StrideStats`] into the fixed 12 × `u64` little-endian
+/// record persisted per profile.
+#[must_use]
+pub fn profile_to_bytes(profile: &StrideStats) -> Vec<u8> {
+    let mut s = Ser {
+        buf: Vec::with_capacity(PROFILE_BYTES),
+    };
+    for &count in &profile.counts {
+        s.u64(count);
+    }
+    s.u64(profile.other);
+    s.u64(profile.total);
+    s.buf
+}
+
+/// Decodes a payload written by [`profile_to_bytes`].  Any other length is
+/// `None`, so a damaged entry can only miss.
+#[must_use]
+pub fn profile_from_bytes(bytes: &[u8]) -> Option<StrideStats> {
+    if bytes.len() != PROFILE_BYTES {
+        return None;
+    }
+    let mut d = De { buf: bytes };
+    let mut profile = StrideStats::default();
+    for count in &mut profile.counts {
+        *count = d.u64()?;
+    }
+    profile.other = d.u64()?;
+    profile.total = d.u64()?;
+    Some(profile)
 }
 
 /// Serializes one [`RunStats`] into the byte payload persisted per cell.
@@ -383,5 +453,39 @@ mod tests {
         scalar.config = ProcessorConfig::four_way(1, crate::PortKind::Scalar);
         assert_ne!(key_hash(&key), key_hash(&scalar));
         assert_eq!(key_hash(&key), key_hash(&key.clone()));
+    }
+
+    #[test]
+    fn profile_payloads_round_trip_and_reject_other_lengths() {
+        // Every stride bucket is non-zero here, so a field swap would show.
+        let profile = stride_profile(Workload::M88ksim, 1, 5_000);
+        assert!(profile.counts.iter().all(|&c| c > 0), "{profile:?}");
+        let bytes = profile_to_bytes(&profile);
+        assert_eq!(bytes.len(), 12 * 8);
+        assert_eq!(profile_from_bytes(&bytes), Some(profile));
+        assert_eq!(profile_from_bytes(&bytes[..bytes.len() - 1]), None);
+        let mut long = bytes;
+        long.push(0);
+        assert_eq!(profile_from_bytes(&long), None);
+    }
+
+    #[test]
+    fn profile_keys_are_their_own_domain() {
+        let (key, _) = sample();
+        let profile = profile_key_hash(key.workload, key.scale, key.max_insts);
+        assert_ne!(
+            profile,
+            key_hash(&key),
+            "a profile never shares a cell's key"
+        );
+        assert_ne!(
+            profile,
+            profile_key_hash(key.workload, key.scale, key.max_insts + 1),
+            "budgets are distinct profiles"
+        );
+        assert_eq!(
+            profile,
+            profile_key_hash(key.workload, key.scale, key.max_insts)
+        );
     }
 }

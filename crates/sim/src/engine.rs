@@ -25,6 +25,7 @@
 use crate::cachefile;
 use crate::runner::{RunConfig, SuiteResult};
 use crate::{ProcessorConfig, Workload};
+use sdv_emu::StrideStats;
 use sdv_isa::Program;
 use sdv_obs::{Obs, ObsLevel};
 use sdv_uarch::RunStats;
@@ -111,10 +112,11 @@ pub struct EngineReport {
     /// Unique cells whose supervised simulation failed (they panicked);
     /// details via [`RunEngine::failures`].
     pub failed_cells: u64,
-    /// Unique cells served from the persistent result store.
+    /// Unique cells and stride profiles served from the persistent result
+    /// store.
     pub store_hits: u64,
-    /// Unique cells the store was probed for but did not hold (each one then
-    /// had to be simulated).
+    /// Unique cells and stride profiles the store was probed for but did not
+    /// hold (each one then had to be simulated or profiled).
     pub store_misses: u64,
     /// Entries [`RunEngine::persist`] newly added to the store this session.
     pub store_inserts: u64,
@@ -127,8 +129,9 @@ impl EngineReport {
         self.requested.saturating_sub(self.simulated)
     }
 
-    /// Fraction of store probes that hit, if any probes happened — the
-    /// "100% store hits" signal of a fully warmed re-run.
+    /// Fraction of store probes (cells and stride profiles) that hit, if any
+    /// probes happened — the "100% store hits" signal of a fully warmed
+    /// re-run.
     #[must_use]
     pub fn store_hit_rate(&self) -> Option<f64> {
         let probes = self.store_hits + self.store_misses;
@@ -293,6 +296,8 @@ pub struct RunEngine {
     rc: RunConfig,
     threads: usize,
     cache: Mutex<HashMap<CellKey, RunStats>>,
+    /// Stride profiles memoized per workload (the engine's budget is fixed).
+    profiles: Mutex<HashMap<Workload, StrideStats>>,
     requested: AtomicU64,
     simulated: AtomicU64,
     store_hits: AtomicU64,
@@ -343,6 +348,7 @@ impl RunEngine {
             rc,
             threads: 1,
             cache: Mutex::new(HashMap::new()),
+            profiles: Mutex::new(HashMap::new()),
             requested: AtomicU64::new(0),
             simulated: AtomicU64::new(0),
             store_hits: AtomicU64::new(0),
@@ -397,8 +403,8 @@ impl RunEngine {
     }
 
     /// Attaches the sharded persistent result store in `dir`: previously
-    /// persisted results are served without re-simulation, and
-    /// [`Self::persist`] merges the session's results back in.  Entries are
+    /// persisted cells and stride profiles are served without re-simulation,
+    /// and [`Self::persist`] merges the session's results back in.  Entries are
     /// invalidated by content-hash mismatch (any configuration/workload/budget
     /// change misses) and whole shards by a simulator-behaviour fingerprint
     /// mismatch (results from a different build are invisible).
@@ -493,7 +499,8 @@ impl RunEngine {
         }
     }
 
-    /// Merges every memoized result of this session into the attached store.
+    /// Merges every memoized result of this session — cells and stride
+    /// profiles, in one batch — into the attached store.
     /// Entries other sessions persisted concurrently survive (each shard
     /// write is a read–merge–write under the shard's writer lock), so a
     /// narrow run never shrinks a broad store.
@@ -510,13 +517,19 @@ impl RunEngine {
         let Some(store) = self.store() else {
             return Ok(());
         };
-        let batch: Vec<(u128, Vec<u8>)> = {
+        let mut batch: Vec<(u128, Vec<u8>)> = {
             let cache = recover(self.cache.lock());
             cache
                 .iter()
                 .map(|(key, stats)| (cachefile::key_hash(key), cachefile::stats_to_bytes(stats)))
                 .collect()
         };
+        batch.extend(recover(self.profiles.lock()).iter().map(|(&w, profile)| {
+            (
+                cachefile::profile_key_hash(w, self.rc.scale, self.rc.max_insts),
+                cachefile::profile_to_bytes(profile),
+            )
+        }));
         let mut delay = Duration::from_millis(10);
         let mut attempt = 0u32;
         loop {
@@ -661,6 +674,39 @@ impl RunEngine {
     #[must_use]
     pub fn preflight_cached_programs(&self) -> usize {
         recover(self.preflight.lock()).len()
+    }
+
+    /// The stride profile of `workload` at this engine's budget (the data
+    /// behind Figure 1), memoized for the session and served from and
+    /// persisted to the attached store like a cell.  Probes count in
+    /// [`EngineReport::store_hits`]/[`EngineReport::store_misses`]; profiles
+    /// are not cells, so they leave `requested` and `simulated` alone.
+    #[must_use]
+    pub fn stride_profile(&self, workload: Workload) -> StrideStats {
+        if let Some(profile) = recover(self.profiles.lock()).get(&workload) {
+            return profile.clone();
+        }
+        let (scale, max_insts) = (self.rc.scale, self.rc.max_insts);
+        let stored = self.store().map(|store| {
+            store
+                .get(cachefile::profile_key_hash(workload, scale, max_insts))
+                .and_then(|payload| cachefile::profile_from_bytes(&payload))
+        });
+        let profile = match stored {
+            Some(Some(profile)) => {
+                self.store_hits.fetch_add(1, Ordering::Relaxed);
+                profile
+            }
+            Some(None) => {
+                self.store_misses.fetch_add(1, Ordering::Relaxed);
+                cachefile::stride_profile(workload, scale, max_insts)
+            }
+            None => cachefile::stride_profile(workload, scale, max_insts),
+        };
+        recover(self.profiles.lock())
+            .entry(workload)
+            .or_insert(profile)
+            .clone()
     }
 
     /// Simulates one cell (through the cache).

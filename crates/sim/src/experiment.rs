@@ -128,7 +128,9 @@ impl Experiment {
         self.engine.report()
     }
 
-    /// Figure 1 — stride distribution (functional profiling).
+    /// Figure 1 — stride distribution, from each workload's stride profile
+    /// (memoized and store-backed like a cell; see
+    /// [`RunEngine::stride_profile`]).
     #[must_use]
     pub fn fig1(&self) -> Fig1 {
         fig1(&self.engine, &self.workloads)

@@ -17,7 +17,7 @@ use crate::grid::{CellSpec, SweepGrid};
 use crate::runner::SuiteResult;
 use crate::{MachineWidth, ProcessorConfig, Variant, Workload};
 use sdv_core::DvConfig;
-use sdv_emu::{Emulator, StrideProfiler, StrideStats};
+use sdv_emu::StrideStats;
 use std::fmt;
 
 // ---------------------------------------------------------------- helpers
@@ -107,24 +107,19 @@ pub struct Fig1 {
     pub fp: StrideStats,
 }
 
-/// Generates Figure 1 by functionally profiling every load in `workloads`.
+/// Generates Figure 1 from the functional stride profile of every workload
+/// in `workloads`.
 ///
-/// This is the one generator that does not go through timing cells: it drives
-/// the functional emulator with the engine's run budget.
+/// The one generator that needs no timing cells: it folds
+/// [`RunEngine::stride_profile`] (memoized per session and served from the
+/// engine's result store) into the SpecInt and SpecFP aggregates.
 #[must_use]
 pub fn fig1(engine: &RunEngine, workloads: &[Workload]) -> Fig1 {
-    let rc = engine.run_config();
     let mut int = StrideStats::default();
     let mut fp = StrideStats::default();
     for &w in workloads {
-        let mut profiler = StrideProfiler::new();
-        let mut emu = Emulator::new(&w.build(rc.scale));
-        emu.run_with(rc.max_insts, |r| profiler.observe_retired(r));
-        if w.is_fp() {
-            fp.merge(profiler.stats());
-        } else {
-            int.merge(profiler.stats());
-        }
+        let suite = if w.is_fp() { &mut fp } else { &mut int };
+        suite.merge(&engine.stride_profile(w));
     }
     Fig1 { int, fp }
 }

@@ -1,9 +1,10 @@
 //! Integration tests for the persistent result store: property-based
-//! round-trips, merge commutativity, and concurrent engine sessions sharing
-//! one store directory.
+//! round-trips, merge commutativity, concurrent engine sessions sharing one
+//! store directory, and Figure 1's stride profiles replayed from a store.
 
 use proptest::prelude::*;
-use sdv::sim::{cachefile, PortKind, ProcessorConfig, RunConfig, RunEngine, Workload};
+use sdv::emu::{Emulator, StrideProfiler, StrideStats};
+use sdv::sim::{cachefile, fig1, PortKind, ProcessorConfig, RunConfig, RunEngine, Workload};
 use sdv::store::Store;
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -139,5 +140,56 @@ fn concurrent_engine_sessions_share_one_store() {
     assert_eq!(report.simulated, 0, "everything came from the store");
     assert_eq!(report.store_hits, 8);
     assert_eq!(report.store_hit_rate(), Some(1.0));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Figure 1's aggregates by direct emulation, independent of the engine.
+fn fig1_by_emulation(rc: RunConfig, workloads: &[Workload]) -> (StrideStats, StrideStats) {
+    let (mut int, mut fp) = (StrideStats::default(), StrideStats::default());
+    for &w in workloads {
+        let mut profiler = StrideProfiler::new();
+        Emulator::new(&w.build(rc.scale)).run_with(rc.max_insts, |r| profiler.observe_retired(r));
+        if w.is_fp() { &mut fp } else { &mut int }.merge(profiler.stats());
+    }
+    (int, fp)
+}
+
+/// A store-backed session persists Figure 1's stride profiles; a fresh
+/// session replays them without profiling anything, and a store-less one
+/// computes the same aggregates.  Direct emulation is the reference.
+#[test]
+fn stride_profiles_replay_from_the_store() {
+    let dir = tmp_dir("stride-profiles");
+    let rc = RunConfig {
+        scale: 1,
+        max_insts: 2_000,
+    };
+    let workloads = Workload::extended();
+    let (int, fp) = fig1_by_emulation(rc, &workloads);
+
+    let writer = RunEngine::new(rc).with_disk_cache(&dir);
+    let cold = fig1(&writer, &workloads);
+    assert_eq!((&cold.int, &cold.fp), (&int, &fp));
+    assert_eq!(writer.report().store_misses, 16);
+    writer.persist().expect("profiles persist");
+    assert_eq!(writer.report().store_inserts, 16);
+
+    let reader = RunEngine::new(rc).with_disk_cache(&dir);
+    let warm = fig1(&reader, &workloads);
+    assert_eq!((&warm.int, &warm.fp), (&int, &fp));
+    let report = reader.report();
+    assert_eq!(report.store_hits, 16);
+    assert_eq!(report.store_misses, 0);
+    assert_eq!(report.simulated, 0);
+
+    // The session memo answers a second call: no probe at all.
+    let again = fig1(&reader, &workloads);
+    assert_eq!((&again.int, &again.fp), (&int, &fp));
+    assert_eq!(reader.report(), report);
+
+    let plain = RunEngine::new(rc);
+    let computed = fig1(&plain, &workloads);
+    assert_eq!((&computed.int, &computed.fp), (&int, &fp));
+    assert_eq!(plain.report().store_hit_rate(), None, "no store, no probes");
     std::fs::remove_dir_all(&dir).unwrap();
 }
