@@ -129,7 +129,7 @@ impl Diag {
             self.severity,
             self.rule,
             pc,
-            escape_json(&self.msg)
+            sdv_obs::json_escape(&self.msg)
         )
     }
 }
@@ -145,21 +145,6 @@ impl fmt::Display for Diag {
             None => write!(f, "{}: {} [{}]", self.severity, self.msg, self.rule),
         }
     }
-}
-
-/// Escapes a string for embedding in a JSON literal.
-pub(crate) fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -191,8 +176,12 @@ mod tests {
 
     #[test]
     fn json_escaping() {
-        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape_json("\u{1}"), "\\u0001");
+        let d = Diag::new(Rule::NoReachableHalt, None, "a\"b\\c\nd\u{1}");
+        assert!(
+            d.to_json().ends_with(r#""msg":"a\"b\\c\nd\u0001"}"#),
+            "{}",
+            d.to_json()
+        );
     }
 
     #[test]

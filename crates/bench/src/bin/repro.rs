@@ -14,7 +14,8 @@
 //! headline configurations reappear in Figures 11/12, Figure 13 reuses the
 //! Figure 10 suite, …) are simulated exactly once; the final lines report how
 //! many unique cells ran versus how many were served from the session cache,
-//! plus the wall-clock/cycles-per-second accounting of the run.
+//! plus the wall-clock and committed-instructions-per-second accounting of
+//! the run.
 //! `--threads N` spreads the unique cells of each batch across N worker
 //! threads without changing any result.
 //!
@@ -26,8 +27,9 @@
 //! `run engine:` line then reports 0 cells simulated and 0 misses), and
 //! parallel jobs can safely share one store directory (see the `sdv-store`
 //! tool for `merge`, `verify`, `gc` and `stats`).  `--vl`/`--vregs` add
-//! DV-sizing axes (vector length in elements, vector-register count) to the
-//! Figure 11/12 sweep grid, `--csv PATH` dumps the resulting sweep surface
+//! DV-sizing axes (vector length in elements, at most
+//! [`sdv_sim::MAX_VECTOR_LENGTH`]; vector-register count) to the Figure
+//! 11/12 sweep grid, `--csv PATH` dumps the resulting sweep surface
 //! for plotting, and `--extended` adds the post-paper workloads (linked-list
 //! chase, blocked matmul, mixed-stride streams, irregular histogram updates)
 //! to every generator.
@@ -56,7 +58,8 @@
 //! records a paper-vs-measured comparison produced with `--standard`.
 
 use sdv_sim::{
-    report, Experiment, Fig11, Fig12, ObsLevel, PortKind, RunConfig, SweepGrid, Table1, Workload,
+    report, Experiment, Fig11, Fig12, MachineWidth, ObsLevel, RunConfig, SweepGrid, Table1,
+    Variant, Workload, MAX_VECTOR_LENGTH,
 };
 
 #[derive(Debug)]
@@ -170,7 +173,15 @@ fn parse_args() -> Options {
             }
             "--all" => any_selection = false,
             "--extended" => opts.extended = true,
-            "--vl" => opts.vector_lengths = Some(parse_sizes("--vl", args.next())),
+            "--vl" => {
+                let lengths = parse_sizes("--vl", args.next());
+                if let Some(vl) = lengths.iter().find(|&&vl| vl > MAX_VECTOR_LENGTH) {
+                    usage_error(&format!(
+                        "--vl: {vl} exceeds the maximum vector length of {MAX_VECTOR_LENGTH} elements"
+                    ));
+                }
+                opts.vector_lengths = Some(lengths);
+            }
             "--vregs" => opts.vector_registers = Some(parse_sizes("--vregs", args.next())),
             "--csv" => opts.csv = Some(parse_path("--csv", args.next())),
             "--metrics-json" => opts.metrics_json = Some(parse_path("--metrics-json", args.next())),
@@ -249,8 +260,9 @@ fn main() {
     );
 
     if opts.table1 {
-        println!("{}", Table1::four_way(1, PortKind::Wide));
-        println!("{}", Table1::eight_way(1, PortKind::Wide));
+        for width in MachineWidth::all() {
+            println!("{}", Table1(Variant::WideBus.config(width, 1)));
+        }
     }
 
     // The grid behind Figures 11/12 and --csv: the paper's cut, extended by

@@ -27,6 +27,7 @@ fn usage_errors_exit_2_and_name_the_flag() {
         (&["--timing-json", "t.json"][..], "--timing-json"),
         (&["--cache-dir", "store"][..], "--cache-dir"),
         (&["--max-retries", "3"][..], "--max-retries"),
+        (&["--vl", "65"][..], "--vl"),
     ] {
         let out = run(args);
         let err = stderr(&out);

@@ -59,5 +59,6 @@ pub use stats::DvStats;
 pub use tl::{TableOfLoads, TlObservation};
 pub use vreg::{
     assert_vector_length, ElementState, ElementUsage, VectorRegister, VectorRegisterFile, VregId,
+    MAX_VECTOR_LENGTH,
 };
 pub use vrmt::{LoadPattern, Operand, Vrmt, VrmtEntry};

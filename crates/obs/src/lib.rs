@@ -214,8 +214,9 @@ impl Obs {
     }
 }
 
-/// Escapes `s` for embedding in a JSON string literal (house style shared
-/// with `sdv_sim::report`).
+/// Escapes `s` for embedding in a JSON string literal: the one escaper
+/// behind every JSON document the workspace writes (metrics, traces and
+/// `sdv-analyze` diagnostics).
 #[must_use]
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());

@@ -31,7 +31,7 @@
 //! invisible.
 
 use crate::engine::CellKey;
-use crate::{PortKind, ProcessorConfig, Workload};
+use crate::{PortKind, UarchConfig, Workload};
 use sdv_core::{DvStats, ElementUsage};
 use sdv_emu::{Emulator, StrideProfiler, StrideStats};
 use sdv_mem::{CacheStats, PortStats, WideBusStats};
@@ -112,13 +112,10 @@ pub fn simulator_fingerprint() -> u64 {
         let mut h = Fnv1a::seeded(0xf1 ^ u64::from(CACHE_VERSION));
         for (cfg, workload) in [
             (
-                ProcessorConfig::four_way(1, PortKind::Wide).with_vectorization(true),
+                UarchConfig::four_way(1, PortKind::Wide).with_vectorization(true),
                 Workload::Compress,
             ),
-            (
-                ProcessorConfig::four_way(2, PortKind::Scalar),
-                Workload::Swim,
-            ),
+            (UarchConfig::four_way(2, PortKind::Scalar), Workload::Swim),
         ] {
             let stats = sdv_uarch::simulate(&cfg, &workload.build(1), 3_000);
             h.write(&stats_to_bytes(&stats));
@@ -400,14 +397,14 @@ fn read_stats(d: &mut De) -> Option<RunStats> {
 mod tests {
     use super::*;
     use crate::runner::RunConfig;
-    use crate::{ProcessorConfig, Workload};
+    use crate::{UarchConfig, Workload};
 
     fn sample() -> (CellKey, RunStats) {
         let rc = RunConfig {
             scale: 1,
             max_insts: 5_000,
         };
-        let cfg = ProcessorConfig::builder().vectorization(true).build();
+        let cfg = UarchConfig::four_way(1, crate::PortKind::Wide).with_vectorization(true);
         let key = CellKey {
             config: cfg.clone(),
             workload: Workload::Compress,
@@ -436,7 +433,7 @@ mod tests {
         assert_eq!(stats_from_bytes(&long), None);
         // The scalar sample exercises the `None` arms of the option fields.
         let scalar = sdv_uarch::simulate(
-            &ProcessorConfig::four_way(1, crate::PortKind::Scalar),
+            &UarchConfig::four_way(1, crate::PortKind::Scalar),
             &Workload::Swim.build(1),
             3_000,
         );
@@ -450,7 +447,7 @@ mod tests {
         other.max_insts += 1;
         assert_ne!(key_hash(&key), key_hash(&other));
         let mut scalar = key.clone();
-        scalar.config = ProcessorConfig::four_way(1, crate::PortKind::Scalar);
+        scalar.config = UarchConfig::four_way(1, crate::PortKind::Scalar);
         assert_ne!(key_hash(&key), key_hash(&scalar));
         assert_eq!(key_hash(&key), key_hash(&key.clone()));
     }

@@ -9,10 +9,10 @@
 //! thread pool with deterministic (input-order) results.
 //!
 //! ```
-//! use sdv_sim::{ProcessorConfig, RunConfig, RunEngine, Workload};
+//! use sdv_sim::{MachineWidth, RunConfig, RunEngine, Variant, Workload};
 //!
 //! let engine = RunEngine::new(RunConfig::quick()).with_threads(2);
-//! let cfg = ProcessorConfig::builder().vectorization(true).build();
+//! let cfg = Variant::Vectorized.config(MachineWidth::FourWay, 1);
 //! let suite = engine.suite(&[Workload::Compress, Workload::Swim], &cfg);
 //! assert!(suite.mean(|s| s.ipc()) > 0.0);
 //! // Re-running the same cells is free:
@@ -24,7 +24,7 @@
 
 use crate::cachefile;
 use crate::runner::{RunConfig, SuiteResult};
-use crate::{ProcessorConfig, Workload};
+use crate::{UarchConfig, Workload};
 use sdv_emu::StrideStats;
 use sdv_isa::Program;
 use sdv_obs::{Obs, ObsLevel};
@@ -65,7 +65,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CellKey {
     /// The processor configuration.
-    pub config: ProcessorConfig,
+    pub config: UarchConfig,
     /// The workload.
     pub workload: Workload,
     /// Outer-iteration scale passed to [`Workload::build`].
@@ -179,22 +179,27 @@ pub struct CellTiming {
     pub label: String,
     /// The workload simulated.
     pub workload: Workload,
-    /// Simulated cycles the run produced.
-    pub cycles: u64,
+    /// Instructions the run committed.
+    pub committed: u64,
     /// Wall-clock time the simulation took.
     pub wall: Duration,
 }
 
 impl CellTiming {
-    /// Simulated cycles per wall-clock second for this cell.
+    /// Committed instructions per wall-clock second for this cell.
     #[must_use]
-    pub fn cycles_per_second(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.cycles as f64 / secs
-        }
+    pub fn insts_per_second(&self) -> f64 {
+        per_second(self.committed, self.wall)
+    }
+}
+
+/// `count` per second of `wall`; zero for an empty interval.
+fn per_second(count: u64, wall: Duration) -> f64 {
+    let secs = wall.as_secs_f64();
+    if secs == 0.0 {
+        0.0
+    } else {
+        count as f64 / secs
     }
 }
 
@@ -203,7 +208,7 @@ impl CellTiming {
 /// `wall` sums per-cell simulation time across worker threads (CPU time of
 /// the simulations, not batch latency); `session` is the elapsed time since
 /// the engine was created.  The headline throughput metric is
-/// [`EngineTiming::cycles_per_second`].
+/// [`EngineTiming::insts_per_second`].
 #[derive(Debug, Clone, Default)]
 pub struct EngineTiming {
     /// Sum of per-cell wall-clock times.
@@ -217,15 +222,16 @@ pub struct EngineTiming {
 }
 
 impl EngineTiming {
-    /// Simulated cycles per second of simulation wall-clock.
+    /// Committed instructions across all simulated cells.
+    fn committed(&self) -> u64 {
+        self.cells.iter().map(|c| c.committed).sum()
+    }
+
+    /// Committed instructions per second of simulation wall-clock:
+    /// Σ committed / Σ wall over the simulated cells.
     #[must_use]
-    pub fn cycles_per_second(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.simulated_cycles as f64 / secs
-        }
+    pub fn insts_per_second(&self) -> f64 {
+        per_second(self.committed(), self.wall)
     }
 
     /// The slowest cell, if any was simulated.
@@ -239,12 +245,12 @@ impl std::fmt::Display for EngineTiming {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "engine timing: {} cells, {} simulated cycles in {:.3}s of simulation \
-             ({:.0} cycles/s; session wall-clock {:.3}s)",
+            "engine timing: {} cells, {} committed instructions in {:.3}s of simulation \
+             ({:.0} insts/s; session wall-clock {:.3}s)",
             self.cells.len(),
-            self.simulated_cycles,
+            self.committed(),
             self.wall.as_secs_f64(),
-            self.cycles_per_second(),
+            self.insts_per_second(),
             self.session.as_secs_f64()
         )?;
         if let Some(slow) = self.slowest() {
@@ -277,10 +283,10 @@ const PERSIST_RETRIES: u32 = 2;
 /// order slots and each individual simulation is single-threaded.
 ///
 /// ```
-/// use sdv_sim::{PortKind, ProcessorConfig, RunConfig, RunEngine, Workload};
+/// use sdv_sim::{PortKind, RunConfig, RunEngine, UarchConfig, Workload};
 ///
 /// let engine = RunEngine::new(RunConfig::quick()).with_threads(2);
-/// let cfg = ProcessorConfig::four_way(1, PortKind::Wide);
+/// let cfg = UarchConfig::four_way(1, PortKind::Wide);
 /// let first = engine.run_cell(&cfg, Workload::Compress);
 /// let again = engine.run_cell(&cfg, Workload::Compress); // memo hit
 /// assert_eq!(first, again);
@@ -315,7 +321,6 @@ pub struct RunEngine {
     /// Failed cells, memoized so a panicking cell is attempted exactly once
     /// per session.
     failed: Mutex<HashMap<CellKey, CellError>>,
-    failed_cells: AtomicU64,
     /// Set when the store proved unusable (unwritable, corrupt, full): the
     /// engine then runs on in-memory caching only — a loud warning is printed
     /// exactly once when this trips.
@@ -324,12 +329,11 @@ pub struct RunEngine {
     /// defaults to [`ObsLevel::Off`], where every recording call is one
     /// branch.  Shared with the attached store (see [`Self::with_obs`]).
     obs: Arc<Obs>,
-    /// Total persist-retry attempts this session (all threads).
+    /// Total persist-retry attempts this session (all threads).  The first
+    /// one prints the stderr warning, so it is emitted exactly once per
+    /// session even under `--threads N` (later retries are counted, traced,
+    /// and summarised at exit instead).
     persist_retries: AtomicU64,
-    /// Set once the first persist-retry warning has been printed: the stderr
-    /// warning is emitted exactly once per session even under `--threads N`
-    /// (later retries are counted, traced, and summarised at exit instead).
-    persist_warned: AtomicBool,
     /// Test seam: runs inside the supervised worker before each simulation
     /// (fault injection for the supervision machinery itself).
     cell_hook: Option<CellHook>,
@@ -360,11 +364,9 @@ impl RunEngine {
             unpersisted: AtomicU64::new(0),
             preflight: Mutex::new(HashMap::new()),
             failed: Mutex::new(HashMap::new()),
-            failed_cells: AtomicU64::new(0),
             store_disabled: AtomicBool::new(false),
             obs: Arc::new(Obs::default()),
             persist_retries: AtomicU64::new(0),
-            persist_warned: AtomicBool::new(false),
             cell_hook: None,
         }
     }
@@ -552,11 +554,11 @@ impl RunEngine {
 
     /// Records one persist-retry attempt: counted and traced always, but the
     /// stderr warning is printed exactly once per session.  The print guard
-    /// is a single atomic swap, so concurrent periodic persists from
-    /// `--threads N` workers cannot race two warnings out (previously each
-    /// attempt printed unconditionally).
+    /// is the retry counter's own atomic increment (only the first retry sees
+    /// zero), so concurrent periodic persists from `--threads N` workers
+    /// cannot race two warnings out.
     fn note_persist_retry(&self, e: &std::io::Error, attempt: u32, delay: Duration) {
-        self.persist_retries.fetch_add(1, Ordering::Relaxed);
+        let first = self.persist_retries.fetch_add(1, Ordering::Relaxed) == 0;
         self.obs.instant(
             "store persist retry",
             "store",
@@ -566,7 +568,7 @@ impl RunEngine {
                 ("error", e.to_string()),
             ],
         );
-        if !self.persist_warned.swap(true, Ordering::SeqCst) {
+        if first {
             eprintln!(
                 "warning: store persist failed ({e}); retry {attempt}/{PERSIST_RETRIES} in {delay:?} \
                  (further retries are counted silently — see the end-of-run summary)"
@@ -614,7 +616,7 @@ impl RunEngine {
         EngineReport {
             requested: self.requested.load(Ordering::Relaxed),
             simulated: self.simulated.load(Ordering::Relaxed),
-            failed_cells: self.failed_cells.load(Ordering::Relaxed),
+            failed_cells: recover(self.failed.lock()).len() as u64,
             store_hits: self.store_hits.load(Ordering::Relaxed),
             store_misses: self.store_misses.load(Ordering::Relaxed),
             store_inserts: self.store_inserts.load(Ordering::Relaxed),
@@ -632,7 +634,7 @@ impl RunEngine {
         failures
     }
 
-    fn key(&self, cfg: &ProcessorConfig, workload: Workload) -> CellKey {
+    fn key(&self, cfg: &UarchConfig, workload: Workload) -> CellKey {
         CellKey {
             config: cfg.clone(),
             workload,
@@ -711,7 +713,7 @@ impl RunEngine {
 
     /// Simulates one cell (through the cache).
     #[must_use]
-    pub fn run_cell(&self, cfg: &ProcessorConfig, workload: Workload) -> RunStats {
+    pub fn run_cell(&self, cfg: &UarchConfig, workload: Workload) -> RunStats {
         self.run_cells(&[(cfg.clone(), workload)])
             .pop()
             .expect("one cell in, one result out")
@@ -719,7 +721,7 @@ impl RunEngine {
 
     /// Runs every workload in `workloads` on `cfg`, as one parallel batch.
     #[must_use]
-    pub fn suite(&self, workloads: &[Workload], cfg: &ProcessorConfig) -> SuiteResult {
+    pub fn suite(&self, workloads: &[Workload], cfg: &UarchConfig) -> SuiteResult {
         self.suites(workloads, std::slice::from_ref(cfg))
             .pop()
             .expect("one config in, one suite out")
@@ -729,8 +731,8 @@ impl RunEngine {
     /// whole cross product shares one thread-pool dispatch), returning one
     /// [`SuiteResult`] per configuration in input order.
     #[must_use]
-    pub fn suites(&self, workloads: &[Workload], cfgs: &[ProcessorConfig]) -> Vec<SuiteResult> {
-        let cells: Vec<(ProcessorConfig, Workload)> = cfgs
+    pub fn suites(&self, workloads: &[Workload], cfgs: &[UarchConfig]) -> Vec<SuiteResult> {
+        let cells: Vec<(UarchConfig, Workload)> = cfgs
             .iter()
             .flat_map(|cfg| workloads.iter().map(move |&w| (cfg.clone(), w)))
             .collect();
@@ -770,7 +772,7 @@ impl RunEngine {
     /// the store skip the pre-flight: their programs already passed it when
     /// first simulated.
     #[must_use]
-    pub fn run_cells(&self, cells: &[(ProcessorConfig, Workload)]) -> Vec<RunStats> {
+    pub fn run_cells(&self, cells: &[(UarchConfig, Workload)]) -> Vec<RunStats> {
         self.requested
             .fetch_add(cells.len() as u64, Ordering::Relaxed);
         let keys: Vec<CellKey> = cells.iter().map(|(c, w)| self.key(c, *w)).collect();
@@ -866,10 +868,7 @@ impl RunEngine {
                         ],
                     );
                     let mut failed = recover(self.failed.lock());
-                    if let std::collections::hash_map::Entry::Vacant(e) = failed.entry(key) {
-                        e.insert(error);
-                        self.failed_cells.fetch_add(1, Ordering::Relaxed);
-                    }
+                    failed.entry(key).or_insert(error);
                     continue;
                 }
             };
@@ -880,7 +879,7 @@ impl RunEngine {
                 timing.cells.push(CellTiming {
                     label: key.config.label(),
                     workload: key.workload,
-                    cycles: stats.cycles,
+                    committed: stats.committed,
                     wall,
                 });
             }
@@ -1024,12 +1023,12 @@ mod tests {
     /// One periodic-persist window of distinct cells: the 16 extended
     /// kernels on 4 configurations (64 = [`PERSIST_EVERY`]), with a short
     /// budget so crossing the real window stays cheap.
-    fn persist_window() -> (RunConfig, Vec<(ProcessorConfig, Workload)>) {
+    fn persist_window() -> (RunConfig, Vec<(UarchConfig, Workload)>) {
         let cfgs = [
-            ProcessorConfig::four_way(1, PortKind::Wide),
-            ProcessorConfig::four_way(1, PortKind::Wide).with_vectorization(true),
-            ProcessorConfig::four_way(2, PortKind::Scalar),
-            ProcessorConfig::eight_way(1, PortKind::Wide),
+            UarchConfig::four_way(1, PortKind::Wide),
+            UarchConfig::four_way(1, PortKind::Wide).with_vectorization(true),
+            UarchConfig::four_way(2, PortKind::Scalar),
+            UarchConfig::eight_way(1, PortKind::Wide),
         ];
         let cells: Vec<_> = cfgs
             .iter()
@@ -1046,7 +1045,7 @@ mod tests {
     #[test]
     fn cache_hits_do_not_resimulate() {
         let engine = RunEngine::new(rc());
-        let cfg = ProcessorConfig::four_way(1, PortKind::Wide);
+        let cfg = UarchConfig::four_way(1, PortKind::Wide);
         let first = engine.run_cell(&cfg, Workload::Compress);
         let second = engine.run_cell(&cfg, Workload::Compress);
         assert_eq!(first, second);
@@ -1060,7 +1059,7 @@ mod tests {
     #[test]
     fn in_batch_duplicates_simulate_once() {
         let engine = RunEngine::new(rc());
-        let cfg = ProcessorConfig::four_way(1, PortKind::Wide);
+        let cfg = UarchConfig::four_way(1, PortKind::Wide);
         let cells = vec![
             (cfg.clone(), Workload::Compress),
             (cfg.clone(), Workload::Swim),
@@ -1075,8 +1074,8 @@ mod tests {
     #[test]
     fn thread_count_does_not_change_results() {
         let cfgs = [
-            ProcessorConfig::four_way(1, PortKind::Wide),
-            ProcessorConfig::four_way(2, PortKind::Scalar).with_vectorization(true),
+            UarchConfig::four_way(1, PortKind::Wide),
+            UarchConfig::four_way(2, PortKind::Scalar).with_vectorization(true),
         ];
         let ws = [Workload::Compress, Workload::Swim, Workload::Li];
         let serial = RunEngine::new(rc());
@@ -1092,7 +1091,7 @@ mod tests {
     #[test]
     fn timing_accounts_only_for_simulated_cells() {
         let engine = RunEngine::new(rc());
-        let cfg = ProcessorConfig::four_way(1, PortKind::Wide);
+        let cfg = UarchConfig::four_way(1, PortKind::Wide);
         let first = engine.run_cell(&cfg, Workload::Compress);
         let _ = engine.run_cell(&cfg, Workload::Compress); // cache hit
         let timing = engine.timing();
@@ -1100,11 +1099,13 @@ mod tests {
         assert_eq!(timing.simulated_cycles, first.cycles);
         assert_eq!(timing.cells[0].label, cfg.label());
         assert_eq!(timing.cells[0].workload, Workload::Compress);
+        assert_eq!(timing.cells[0].committed, first.committed);
         assert!(timing.wall > Duration::ZERO);
-        assert!(timing.cycles_per_second() > 0.0);
+        let ips = first.committed as f64 / timing.wall.as_secs_f64();
+        assert!((timing.insts_per_second() - ips).abs() <= 1e-9 * ips);
         assert!(timing.slowest().is_some());
         let text = timing.to_string();
-        assert!(text.contains("cycles/s"), "{text}");
+        assert!(text.contains("insts/s"), "{text}");
     }
 
     #[test]
@@ -1138,7 +1139,7 @@ mod tests {
     fn disk_store_round_trips_between_engines() {
         let dir = std::env::temp_dir().join(format!("sdv-engine-cache-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cfg = ProcessorConfig::four_way(1, PortKind::Wide).with_vectorization(true);
+        let cfg = UarchConfig::four_way(1, PortKind::Wide).with_vectorization(true);
 
         let writer = RunEngine::new(rc()).with_disk_cache(&dir);
         let fresh = writer.run_cell(&cfg, Workload::Swim);
@@ -1194,7 +1195,7 @@ mod tests {
 
     #[test]
     fn observed_runs_are_bit_identical_and_recorded() {
-        let cfg = ProcessorConfig::four_way(1, PortKind::Wide).with_vectorization(true);
+        let cfg = UarchConfig::four_way(1, PortKind::Wide).with_vectorization(true);
         let baseline = RunEngine::new(rc()).run_cell(&cfg, Workload::Compress);
 
         let observed = RunEngine::new(rc()).with_obs(ObsLevel::Trace);
@@ -1254,7 +1255,7 @@ mod tests {
     #[test]
     fn run_cells_preflights_each_program_once() {
         let engine = RunEngine::new(rc());
-        let cfg = ProcessorConfig::four_way(1, PortKind::Wide);
+        let cfg = UarchConfig::four_way(1, PortKind::Wide);
         let _ = engine.run_cell(&cfg, Workload::Compress);
         assert_eq!(engine.preflight_cached_programs(), 1);
         // Cache hit: no new simulation, no new pre-flight entry.
@@ -1268,8 +1269,8 @@ mod tests {
     fn suites_split_one_batch_per_config() {
         let engine = RunEngine::new(rc()).with_threads(2);
         let cfgs = [
-            ProcessorConfig::four_way(1, PortKind::Wide),
-            ProcessorConfig::four_way(1, PortKind::Wide).with_vectorization(true),
+            UarchConfig::four_way(1, PortKind::Wide),
+            UarchConfig::four_way(1, PortKind::Wide).with_vectorization(true),
         ];
         let suites = engine.suites(&[Workload::Compress, Workload::Swim], &cfgs);
         assert_eq!(suites.len(), 2);
@@ -1289,7 +1290,7 @@ mod tests {
                     panic!("injected cell failure");
                 }
             }));
-        let cfg = ProcessorConfig::four_way(1, PortKind::Wide);
+        let cfg = UarchConfig::four_way(1, PortKind::Wide);
         let cells = vec![
             (cfg.clone(), Workload::Compress),
             (cfg.clone(), Workload::Swim),
@@ -1322,7 +1323,7 @@ mod tests {
             counter.fetch_add(1, Ordering::SeqCst);
             panic!("always fails");
         }));
-        let cfg = ProcessorConfig::four_way(1, PortKind::Wide);
+        let cfg = UarchConfig::four_way(1, PortKind::Wide);
         let _ = engine.run_cell(&cfg, Workload::Compress);
         let _ = engine.run_cell(&cfg, Workload::Compress);
         assert_eq!(

@@ -8,14 +8,21 @@
 //! cells across figures — the `1pV` suite appears in the headline, Figure 11
 //! and Figure 12, for example — are simulated exactly once per session.
 //!
+//! Every generator names its machine the way the paper does, through
+//! [`Variant::config`]: Figures 10 and 13 and the headline all ask for
+//! `Variant::Vectorized.config(MachineWidth::FourWay, 1)` (4-way `1pV`), and
+//! Figures 9, 14 and 15 for its 8-way twin.  Only Figure 3 (unbounded DV
+//! resources) and Figure 7's "ideal" bars (no decode blocking) build a
+//! machine outside the paper's §4.3 set.
+//!
 //! Each result implements [`std::fmt::Display`] so the `repro` binary in
 //! `sdv-bench` can print the same rows/series the paper reports;
 //! `EXPERIMENTS.md` records the measured values next to the paper's.
 
 use crate::engine::RunEngine;
-use crate::grid::{CellSpec, SweepGrid};
+use crate::grid::SweepGrid;
 use crate::runner::SuiteResult;
-use crate::{MachineWidth, ProcessorConfig, Variant, Workload};
+use crate::{width_label, MachineWidth, UarchConfig, Variant, Workload};
 use sdv_core::DvConfig;
 use sdv_emu::StrideStats;
 use std::fmt;
@@ -86,7 +93,7 @@ fn series<F: Fn(&sdv_uarch::RunStats) -> f64>(
     title: &str,
     engine: &RunEngine,
     workloads: &[Workload],
-    cfg: &ProcessorConfig,
+    cfg: &UarchConfig,
     metric: F,
 ) -> WorkloadSeries {
     let suite = engine.suite(workloads, cfg);
@@ -162,7 +169,7 @@ impl fmt::Display for Fig1 {
 /// unbounded vectorization resources.
 #[must_use]
 pub fn fig3(engine: &RunEngine, workloads: &[Workload]) -> WorkloadSeries {
-    let cfg = ProcessorConfig::builder()
+    let cfg = UarchConfig::builder()
         .issue_width(8)
         .dv_config(DvConfig::unbounded())
         .build();
@@ -188,11 +195,11 @@ pub struct Fig7 {
 /// Generates Figure 7 on the 4-way, 1 wide-port, vectorizing configuration.
 #[must_use]
 pub fn fig7(engine: &RunEngine, workloads: &[Workload]) -> Fig7 {
-    let real_cfg = ProcessorConfig::builder().vectorization(true).build();
-    let ideal_cfg = ProcessorConfig::builder()
-        .vectorization(true)
-        .block_on_scalar_operand(false)
-        .build();
+    let real_cfg = Variant::Vectorized.config(MachineWidth::FourWay, 1);
+    let ideal_cfg = UarchConfig {
+        block_on_scalar_operand: false,
+        ..real_cfg.clone()
+    };
     let mut suites = engine.suites(workloads, &[real_cfg, ideal_cfg]).into_iter();
     let (real, ideal) = (
         suites.next().expect("real suite"),
@@ -226,10 +233,7 @@ impl fmt::Display for Fig7 {
 /// Figure 9: percentage of vector instances whose source offsets are not zero.
 #[must_use]
 pub fn fig9(engine: &RunEngine, workloads: &[Workload]) -> WorkloadSeries {
-    let cfg = ProcessorConfig::builder()
-        .issue_width(8)
-        .vectorization(true)
-        .build();
+    let cfg = Variant::Vectorized.config(MachineWidth::EightWay, 1);
     series(
         "Figure 9 — vector instructions with a non-zero source offset",
         engine,
@@ -245,7 +249,7 @@ pub fn fig9(engine: &RunEngine, workloads: &[Workload]) -> WorkloadSeries {
 /// following a mispredicted branch that reuse already-computed vector results.
 #[must_use]
 pub fn fig10(engine: &RunEngine, workloads: &[Workload]) -> WorkloadSeries {
-    let cfg = ProcessorConfig::builder().vectorization(true).build();
+    let cfg = Variant::Vectorized.config(MachineWidth::FourWay, 1);
     series(
         "Figure 10 — instructions reused after a branch misprediction",
         engine,
@@ -257,11 +261,12 @@ pub fn fig10(engine: &RunEngine, workloads: &[Workload]) -> WorkloadSeries {
 
 // --------------------------------------------------- figures 11 and 12
 
-/// One cell of a sweep: the grid point plus its per-workload results.
+/// One cell of a sweep: the grid point's configuration plus its
+/// per-workload results.
 #[derive(Debug, Clone)]
 pub struct SweepCell {
-    /// The grid point (width, ports, bus width, variant, config).
-    pub spec: CellSpec,
+    /// The configuration this grid point expanded to.
+    pub config: UarchConfig,
     /// Per-workload results.
     pub suite: SuiteResult,
 }
@@ -271,7 +276,7 @@ impl SweepCell {
     /// derived from the configuration.
     #[must_use]
     pub fn label(&self) -> String {
-        self.spec.label()
+        self.config.label()
     }
 }
 
@@ -283,54 +288,34 @@ pub struct PortSweep {
 }
 
 impl PortSweep {
-    /// Finds a cell by its paper coordinates (any bus width).
+    /// The first cell with exactly this configuration.
     #[must_use]
-    pub fn get(&self, width: MachineWidth, ports: usize, variant: Variant) -> Option<&SweepCell> {
-        self.cells
-            .iter()
-            .find(|c| c.spec.width == width && c.spec.ports == ports && c.spec.variant == variant)
+    pub fn get(&self, config: &UarchConfig) -> Option<&SweepCell> {
+        self.cells.iter().find(|c| c.config == *config)
     }
 
-    /// Finds a cell by its full coordinates, including the bus width.
+    /// The distinct issue widths present, in cell order.
     #[must_use]
-    pub fn get_with_bus(
-        &self,
-        width: MachineWidth,
-        ports: usize,
-        bus_words: usize,
-        variant: Variant,
-    ) -> Option<&SweepCell> {
-        self.cells.iter().find(|c| {
-            c.spec.width == width
-                && c.spec.ports == ports
-                && c.spec.bus_words == bus_words
-                && c.spec.variant == variant
-        })
-    }
-
-    /// The distinct machine widths present, in cell order.
-    #[must_use]
-    pub fn widths(&self) -> Vec<MachineWidth> {
+    pub fn widths(&self) -> Vec<usize> {
         let mut widths = Vec::new();
         for cell in &self.cells {
-            if !widths.contains(&cell.spec.width) {
-                widths.push(cell.spec.width);
+            if !widths.contains(&cell.config.issue_width) {
+                widths.push(cell.config.issue_width);
             }
         }
         widths
     }
 
     /// Cells with configuration-identical duplicates removed, in cell order
-    /// (first occurrence wins).  Labels are injective over the configuration
-    /// axes, so an equal `(width, label)` pair means an equal cell — e.g. the
-    /// scalar baseline repeated along the bus axis.  Both the `Fig11`/`Fig12`
-    /// text output and the CSV export print exactly these cells.
+    /// (first occurrence wins) — e.g. the scalar baseline repeated along the
+    /// bus axis.  Both the `Fig11`/`Fig12` text output and the CSV export
+    /// print exactly these cells.
     #[must_use]
     pub fn unique_cells(&self) -> Vec<&SweepCell> {
         let mut seen = std::collections::HashSet::new();
         self.cells
             .iter()
-            .filter(|c| seen.insert((c.spec.width, c.label())))
+            .filter(|c| seen.insert(&c.config))
             .collect()
     }
 }
@@ -338,14 +323,13 @@ impl PortSweep {
 /// Expands `grid` and simulates every cell as one deduplicated batch.
 #[must_use]
 pub fn port_sweep(engine: &RunEngine, workloads: &[Workload], grid: &SweepGrid) -> PortSweep {
-    let specs = grid.cells();
-    let configs: Vec<ProcessorConfig> = specs.iter().map(|s| s.config.clone()).collect();
+    let configs = grid.cells();
     let suites = engine.suites(workloads, &configs);
     PortSweep {
-        cells: specs
+        cells: configs
             .into_iter()
             .zip(suites)
-            .map(|(spec, suite)| SweepCell { spec, suite })
+            .map(|(config, suite)| SweepCell { config, suite })
             .collect(),
     }
 }
@@ -377,10 +361,10 @@ fn fmt_sweep<F: Fn(&sdv_uarch::RunStats) -> f64>(
     writeln!(f, "{title}")?;
     let unique = sweep.unique_cells();
     for width in sweep.widths() {
-        writeln!(f, "  {}:", width.label())?;
+        writeln!(f, "  {}:", width_label(width))?;
         write!(f, "    {:<10}", "config")?;
         writeln!(f, " {:>8} {:>8} {:>8}", "INT", "FP", "ALL")?;
-        for cell in unique.iter().filter(|c| c.spec.width == width) {
+        for cell in unique.iter().filter(|c| c.config.issue_width == width) {
             let (int, fp, all) = match aggregate {
                 SweepAggregate::Harmonic => (
                     cell.suite.hmean_int(&metric),
@@ -446,7 +430,7 @@ pub struct Fig13 {
 /// Generates Figure 13 on the 4-way, 1 wide-port, vectorizing configuration.
 #[must_use]
 pub fn fig13(engine: &RunEngine, workloads: &[Workload]) -> Fig13 {
-    let cfg = ProcessorConfig::builder().vectorization(true).build();
+    let cfg = Variant::Vectorized.config(MachineWidth::FourWay, 1);
     let suite = engine.suite(workloads, &cfg);
     let rows = suite
         .runs
@@ -495,10 +479,7 @@ impl fmt::Display for Fig13 {
 /// Figure 14: percentage of instructions that became validations.
 #[must_use]
 pub fn fig14(engine: &RunEngine, workloads: &[Workload]) -> WorkloadSeries {
-    let cfg = ProcessorConfig::builder()
-        .issue_width(8)
-        .vectorization(true)
-        .build();
+    let cfg = Variant::Vectorized.config(MachineWidth::EightWay, 1);
     series(
         "Figure 14 — percentage of validation instructions",
         engine,
@@ -521,10 +502,7 @@ pub struct Fig15 {
 /// Generates Figure 15 on the 8-way, 1 wide-port, vectorizing configuration.
 #[must_use]
 pub fn fig15(engine: &RunEngine, workloads: &[Workload]) -> Fig15 {
-    let cfg = ProcessorConfig::builder()
-        .issue_width(8)
-        .vectorization(true)
-        .build();
+    let cfg = Variant::Vectorized.config(MachineWidth::EightWay, 1);
     let suite = engine.suite(workloads, &cfg);
     let rows = suite
         .runs
@@ -805,12 +783,12 @@ mod tests {
         let sweep = port_sweep(&engine(), &QUICK_INT, &grid);
         assert_eq!(sweep.cells.len(), 6);
         let one_p_v = sweep
-            .get(MachineWidth::FourWay, 1, Variant::Vectorized)
+            .get(&Variant::Vectorized.config(MachineWidth::FourWay, 1))
             .unwrap();
         assert_eq!(one_p_v.label(), "1pV");
         assert!(one_p_v.suite.mean(|s| s.ipc()) > 0.0);
         assert!(sweep
-            .get(MachineWidth::EightWay, 1, Variant::WideBus)
+            .get(&Variant::WideBus.config(MachineWidth::EightWay, 1))
             .is_none());
         let f11 = Fig11(&sweep).to_string();
         let f12 = Fig12(&sweep).to_string();
@@ -828,10 +806,9 @@ mod tests {
         let engine = engine();
         let sweep = port_sweep(&engine, &[Workload::Compress], &grid);
         assert_eq!(sweep.cells.len(), 2);
-        let narrow = sweep
-            .get_with_bus(MachineWidth::FourWay, 1, 2, Variant::Vectorized)
-            .unwrap();
+        let narrow = sweep.get(&grid.cells()[0]).unwrap();
         assert_eq!(narrow.label(), "1pVb2");
+        assert_eq!(narrow.config.line_words(), 2);
         assert!(Fig11(&sweep).to_string().contains("1pVb8"));
     }
 

@@ -1,10 +1,11 @@
 //! Declarative sweep grids.
 //!
 //! A [`SweepGrid`] describes a cartesian product of machine widths, L1
-//! data-cache port counts, wide-bus widths and memory front-end variants; it
-//! expands into [`CellSpec`] descriptors (one per processor configuration)
-//! without running anything.  Execution and deduplication belong to the
-//! [`crate::RunEngine`]; Figures 11/12 and the `port_sweep` example are
+//! data-cache port counts, wide-bus widths, DV sizings and memory front-end
+//! variants; it expands into one [`UarchConfig`] per grid point without
+//! running anything.  The config is the whole cell: its label, width, bus
+//! and DV sizing are read from it.  Execution and deduplication belong to
+//! the [`crate::RunEngine`]; Figures 11/12 and the `port_sweep` example are
 //! projections over the expanded grid.
 //!
 //! ```
@@ -18,44 +19,16 @@
 //!     .ports(vec![1, 2, 4, 8])
 //!     .bus_words(vec![2, 4, 8]);
 //! assert_eq!(grid.cells().len(), 2 * 4 * 3 * 3);
-//! let cell = &grid.cells()[0];
-//! assert_eq!(cell.label(), cell.config.label());
+//! assert_eq!(grid.cells()[2].label(), "1pVb2");
 //! ```
 
-use crate::{MachineWidth, ProcessorConfig, Variant};
+use crate::{MachineWidth, UarchConfig, Variant};
+use sdv_core::DvConfig;
 use sdv_uarch::DEFAULT_BUS_WORDS;
 
-/// One expanded grid point: the coordinates plus the configuration they
-/// produce.  The label always comes from the configuration itself.
-#[derive(Debug, Clone)]
-pub struct CellSpec {
-    /// Machine issue width.
-    pub width: MachineWidth,
-    /// Number of L1 data-cache ports.
-    pub ports: usize,
-    /// Wide-bus width in 64-bit elements (scalar variants ignore it).
-    pub bus_words: usize,
-    /// DV vector length in elements (non-vectorizing variants ignore it).
-    pub vector_length: usize,
-    /// DV vector-register count (non-vectorizing variants ignore it).
-    pub vector_registers: usize,
-    /// Memory front-end variant.
-    pub variant: Variant,
-    /// The processor configuration for this grid point.
-    pub config: ProcessorConfig,
-}
-
-impl CellSpec {
-    /// The paper-style label (`1pnoIM`, `2pV`, `4pVb8`, …), derived from the
-    /// configuration.
-    #[must_use]
-    pub fn label(&self) -> String {
-        self.config.label()
-    }
-}
-
 /// A declarative cartesian sweep over
-/// `{width} × {ports} × {bus width} × {variant}`.
+/// `{width} × {ports} × {bus width} × {vector length} × {registers} ×
+/// {variant}`.
 ///
 /// Defaults to the paper's grid: both Table 1 widths, `[1, 2, 4]` ports, the
 /// 4-element bus, all three variants.
@@ -79,7 +52,7 @@ impl SweepGrid {
     /// The paper's default grid (identical to [`SweepGrid::paper`]).
     #[must_use]
     pub fn new() -> Self {
-        let paper_dv = sdv_core::DvConfig::default();
+        let paper_dv = DvConfig::default();
         SweepGrid {
             widths: MachineWidth::all().to_vec(),
             ports: vec![1, 2, 4],
@@ -153,16 +126,16 @@ impl SweepGrid {
         self
     }
 
-    /// Expands the cartesian product into cell descriptors, in
-    /// width-major / ports / bus / vector-length / registers / variant-minor
-    /// order.
+    /// Expands the cartesian product into one configuration per grid point,
+    /// in width-major / ports / bus / vector-length / registers /
+    /// variant-minor order.
     ///
     /// Note that cells which ignore an axis (the scalar baseline along the
     /// bus axis, every non-vectorizing variant along the DV axes) are
     /// configuration-identical; the [`crate::RunEngine`] deduplicates them,
     /// so requesting a wide grid never simulates a baseline more than once.
     #[must_use]
-    pub fn cells(&self) -> Vec<CellSpec> {
+    pub fn cells(&self) -> Vec<UarchConfig> {
         let mut cells = Vec::with_capacity(self.len());
         for &width in &self.widths {
             for &ports in &self.ports {
@@ -170,21 +143,21 @@ impl SweepGrid {
                     for &vector_length in &self.vector_lengths {
                         for &vector_registers in &self.vector_registers {
                             for &variant in &self.variants {
-                                cells.push(CellSpec {
-                                    width,
-                                    ports,
-                                    bus_words,
-                                    vector_length,
-                                    vector_registers,
-                                    variant,
-                                    config: variant.config_with_dv(
-                                        width,
-                                        ports,
-                                        bus_words,
+                                let builder = UarchConfig::builder()
+                                    .issue_width(width.issue_width())
+                                    .ports(ports)
+                                    .port_kind(variant.port_kind())
+                                    .bus_words(bus_words);
+                                let builder = if variant.vectorized() {
+                                    builder.dv_config(DvConfig {
                                         vector_length,
                                         vector_registers,
-                                    ),
-                                });
+                                        ..DvConfig::default()
+                                    })
+                                } else {
+                                    builder
+                                };
+                                cells.push(builder.build());
                             }
                         }
                     }
@@ -221,7 +194,7 @@ mod tests {
     fn paper_grid_matches_figures_11_and_12() {
         let cells = SweepGrid::paper().cells();
         assert_eq!(cells.len(), 18);
-        let labels: Vec<String> = cells.iter().map(CellSpec::label).collect();
+        let labels: Vec<String> = cells.iter().map(UarchConfig::label).collect();
         for expected in ["1pnoIM", "1pIM", "1pV", "2pV", "4pnoIM", "4pV"] {
             assert!(labels.contains(&expected.to_string()), "missing {expected}");
         }
@@ -243,10 +216,10 @@ mod tests {
             .iter()
             .map(|c| {
                 (
-                    c.width.issue_width(),
-                    c.ports,
-                    c.bus_words,
-                    c.variant.vectorized(),
+                    c.issue_width,
+                    c.dcache_ports,
+                    c.line_words(),
+                    c.vectorization_enabled(),
                 )
             })
             .collect();
@@ -262,7 +235,7 @@ mod tests {
             .variants(vec![Variant::ScalarBus]);
         let cells = grid.cells();
         assert_eq!(cells.len(), 3);
-        let unique: HashSet<&ProcessorConfig> = cells.iter().map(|c| &c.config).collect();
+        let unique: HashSet<&UarchConfig> = cells.iter().collect();
         assert_eq!(unique.len(), 1, "one unique config to simulate");
     }
 
@@ -282,12 +255,10 @@ mod tests {
         let cells = grid.cells();
         assert_eq!(cells.len(), grid.len());
         assert_eq!(cells.len(), 2 * 2 * 3);
+        // Cells come variant-minor: noIM, IM, V for each sizing.
+        let of = |variant: usize| cells.iter().skip(variant).step_by(3);
         // The vectorized variant distinguishes all four sizings...
-        let v_labels: HashSet<String> = cells
-            .iter()
-            .filter(|c| c.variant == Variant::Vectorized)
-            .map(CellSpec::label)
-            .collect();
+        let v_labels: HashSet<String> = of(2).map(UarchConfig::label).collect();
         assert_eq!(v_labels.len(), 4);
         assert!(
             v_labels.contains("1pV"),
@@ -295,19 +266,17 @@ mod tests {
         );
         assert!(v_labels.contains("1pVl8r64"));
         // ...while each baseline collapses to one unique configuration.
-        for variant in [Variant::ScalarBus, Variant::WideBus] {
-            let unique: HashSet<&ProcessorConfig> = cells
-                .iter()
-                .filter(|c| c.variant == variant)
-                .map(|c| &c.config)
-                .collect();
-            assert_eq!(unique.len(), 1, "{variant:?} ignores the DV axes");
+        for (variant, name) in [(0, "1pnoIM"), (1, "1pIM")] {
+            let unique: HashSet<&UarchConfig> = of(variant).collect();
+            assert_eq!(unique.len(), 1, "{name} ignores the DV axes");
+            assert_eq!(
+                unique.into_iter().next().map(UarchConfig::label),
+                Some(name.into())
+            );
         }
-        // The DV sizing really reaches the configuration.
-        let big = cells
-            .iter()
-            .find(|c| c.variant == Variant::Vectorized && c.vector_length == 8)
-            .expect("vl=8 cell");
-        assert_eq!(big.config.vectorization.expect("dv on").vector_length, 8);
+        // The DV sizing really reaches the configuration: vl=8 is the
+        // third sizing (4/64, 4/128, 8/64, 8/128).
+        let big = of(2).nth(2).expect("vl=8 cell");
+        assert_eq!(big.vectorization.expect("dv on").vector_length, 8);
     }
 }

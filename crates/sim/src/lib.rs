@@ -1,16 +1,24 @@
-//! Experiment layer: processor configurations, the deduplicating parallel run
+//! Experiment layer: the paper's machines, the deduplicating parallel run
 //! engine, and generators for every table and figure in the paper's
 //! evaluation.
+//!
+//! A machine is one [`UarchConfig`] (re-exported from `sdv-uarch`) and has
+//! no other name here.  [`Variant::config`] builds the machines the paper
+//! names — a Table 1 width plus a §4.3 label such as `1pnoIM`, `1pIM` or
+//! `1pV` — and [`UarchConfig::label`] names any config back.  Sweep cells,
+//! engine keys, store entries and Table 1 columns all hold that config
+//! as-is.
 //!
 //! The crate ties the stack together:
 //!
 //! * [`engine`] — the [`RunEngine`]: content-hashed memoization of
 //!   `(config, workload, budget)` cells and a scoped thread pool,
 //! * [`grid`] — the declarative [`SweepGrid`] that expands
-//!   `{width} × {ports} × {bus width} × {variant}` cartesian products,
+//!   `{width} × {ports} × {bus width} × {DV sizing} × {variant}` cartesian
+//!   products into configs,
 //! * [`experiment`] — the [`Experiment`] facade every figure generator,
 //!   bench and the `repro` binary go through,
-//! * [`table1`] builds the two processor configurations of Table 1,
+//! * [`table1`] renders a config as a column of Table 1,
 //! * [`runner`] holds the per-run plumbing and suite-level aggregates,
 //! * [`figures`] regenerates every figure (1, 3, 7, 9–15) and the headline
 //!   speed-up numbers of §1/§6 as thin projections over [`RunEngine`] output.
@@ -62,16 +70,16 @@ pub use engine::{
 };
 pub use experiment::Experiment;
 pub use figures::*;
-pub use grid::{CellSpec, SweepGrid};
+pub use grid::SweepGrid;
 pub use report::*;
 pub use runner::{RunConfig, SuiteResult};
 pub use table1::Table1;
 
 // Re-exported so downstream users (examples, tests, binaries) need only this crate.
+pub use sdv_core::MAX_VECTOR_LENGTH;
 pub use sdv_mem::PortKind;
 pub use sdv_obs::{Obs, ObsLevel};
-pub use sdv_uarch::UarchConfig as ProcessorConfig;
-pub use sdv_uarch::{Model, Processor, RunStats};
+pub use sdv_uarch::{Model, Processor, RunStats, UarchConfig};
 pub use sdv_workloads::Workload;
 
 /// The three memory front-end variants compared throughout §4.3.
@@ -107,66 +115,17 @@ impl Variant {
         matches!(self, Variant::Vectorized)
     }
 
-    /// The label used in the paper's legends (for `ports` ports).
-    ///
-    /// Derived from the configuration itself (see
-    /// [`sdv_uarch::UarchConfig::label`]), so the label can never disagree
-    /// with the config that produced it.
+    /// Builds this variant's paper machine: `width`, `ports` data-cache
+    /// ports, the paper's bus width and, for [`Variant::Vectorized`], the
+    /// paper's DV sizing.
     #[must_use]
-    pub fn label(&self, ports: usize) -> String {
-        self.config(MachineWidth::FourWay, ports).label()
-    }
-
-    /// Builds the processor configuration for this variant with the paper's
-    /// default bus width.
-    #[must_use]
-    pub fn config(&self, width: MachineWidth, ports: usize) -> ProcessorConfig {
-        self.config_with_bus(width, ports, sdv_uarch::DEFAULT_BUS_WORDS)
-    }
-
-    /// Builds the processor configuration for this variant with an explicit
-    /// wide-bus width (in 64-bit elements; ignored by [`Variant::ScalarBus`]).
-    #[must_use]
-    pub fn config_with_bus(
-        &self,
-        width: MachineWidth,
-        ports: usize,
-        bus_words: usize,
-    ) -> ProcessorConfig {
-        let paper = sdv_core::DvConfig::default();
-        self.config_with_dv(
-            width,
-            ports,
-            bus_words,
-            paper.vector_length,
-            paper.vector_registers,
-        )
-    }
-
-    /// Builds the processor configuration for this variant with explicit
-    /// wide-bus width and DV sizing (vector length in elements, number of
-    /// vector registers).  The DV axes are ignored by the non-vectorizing
-    /// variants, which therefore collapse across them in a sweep.
-    #[must_use]
-    pub fn config_with_dv(
-        &self,
-        width: MachineWidth,
-        ports: usize,
-        bus_words: usize,
-        vector_length: usize,
-        vector_registers: usize,
-    ) -> ProcessorConfig {
-        let builder = ProcessorConfig::builder()
+    pub fn config(&self, width: MachineWidth, ports: usize) -> UarchConfig {
+        let builder = UarchConfig::builder()
             .issue_width(width.issue_width())
             .ports(ports)
-            .port_kind(self.port_kind())
-            .bus_words(bus_words);
+            .port_kind(self.port_kind());
         let builder = if self.vectorized() {
-            builder.dv_config(sdv_core::DvConfig {
-                vector_length,
-                vector_registers,
-                ..sdv_core::DvConfig::default()
-            })
+            builder.dv_config(sdv_core::DvConfig::default())
         } else {
             builder
         };
@@ -175,11 +134,8 @@ impl Variant {
 }
 
 /// The machine issue width: the paper's two columns of Table 1, plus custom
-/// widths for sweeps beyond them.
-///
-/// Equality and hashing go by the issue width itself, so
-/// `MachineWidth::Custom(4) == MachineWidth::FourWay` — the two spellings
-/// build identical configurations and must name the same sweep coordinate.
+/// widths for sweeps beyond them.  Only a constructor argument: a built
+/// [`UarchConfig`] carries the width as `issue_width`.
 #[derive(Debug, Clone, Copy)]
 pub enum MachineWidth {
     /// The 4-way configuration of Table 1.
@@ -188,20 +144,6 @@ pub enum MachineWidth {
     EightWay,
     /// An arbitrary issue width (window, LSQ and functional units scale).
     Custom(usize),
-}
-
-impl PartialEq for MachineWidth {
-    fn eq(&self, other: &Self) -> bool {
-        self.issue_width() == other.issue_width()
-    }
-}
-
-impl Eq for MachineWidth {}
-
-impl std::hash::Hash for MachineWidth {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.issue_width().hash(state);
-    }
 }
 
 impl MachineWidth {
@@ -224,8 +166,13 @@ impl MachineWidth {
     /// A short label ("4-way" / "8-way" / "6-way").
     #[must_use]
     pub fn label(&self) -> String {
-        format!("{}-way", self.issue_width())
+        width_label(self.issue_width())
     }
+}
+
+/// The paper's name for a machine of `issue_width`: "4-way", "8-way", …
+pub(crate) fn width_label(issue_width: usize) -> String {
+    format!("{issue_width}-way")
 }
 
 #[cfg(test)]
@@ -247,31 +194,37 @@ mod tests {
 
     #[test]
     fn variant_labels_delegate_to_the_config() {
-        assert_eq!(Variant::ScalarBus.label(1), "1pnoIM");
-        assert_eq!(Variant::WideBus.label(2), "2pIM");
-        assert_eq!(Variant::Vectorized.label(4), "4pV");
-        for variant in Variant::all() {
-            for ports in [1, 2, 4, 8] {
-                assert_eq!(
-                    variant.label(ports),
-                    variant.config(MachineWidth::EightWay, ports).label(),
-                    "label and config must agree for {variant:?} at {ports} ports"
-                );
+        for (variant, suffix) in Variant::all().into_iter().zip(["noIM", "IM", "V"]) {
+            for width in MachineWidth::all() {
+                for ports in [1, 2, 4, 8] {
+                    assert_eq!(
+                        variant.config(width, ports).label(),
+                        format!("{ports}p{suffix}"),
+                        "{variant:?} on the {} machine",
+                        width.label()
+                    );
+                }
             }
         }
-        assert_eq!(Variant::all().len(), 3);
         assert_eq!(MachineWidth::all().len(), 2);
         assert_eq!(MachineWidth::FourWay.label(), "4-way");
     }
 
     #[test]
     fn bus_width_reaches_the_config() {
-        let cfg = Variant::Vectorized.config_with_bus(MachineWidth::FourWay, 1, 8);
-        assert_eq!(cfg.line_words(), 8);
-        assert_eq!(cfg.label(), "1pVb8");
-        let scalar = Variant::ScalarBus.config_with_bus(MachineWidth::FourWay, 1, 8);
+        let cells = SweepGrid::new()
+            .widths(vec![MachineWidth::FourWay])
+            .ports(vec![1])
+            .bus_words(vec![8])
+            .cells();
+        let [scalar, wide, vect] = &cells[..] else {
+            panic!("one cell per variant: {cells:?}")
+        };
+        assert_eq!(vect.line_words(), 8);
+        assert_eq!(vect.label(), "1pVb8");
+        assert_eq!(wide.label(), "1pIMb8");
         assert_eq!(
-            scalar,
+            *scalar,
             Variant::ScalarBus.config(MachineWidth::FourWay, 1),
             "scalar variants ignore the bus axis"
         );
@@ -288,13 +241,19 @@ mod tests {
 
     #[test]
     fn custom_and_named_widths_are_the_same_coordinate() {
-        assert_eq!(MachineWidth::Custom(4), MachineWidth::FourWay);
-        assert_eq!(MachineWidth::Custom(8), MachineWidth::EightWay);
-        assert_ne!(MachineWidth::Custom(2), MachineWidth::FourWay);
-        use std::collections::HashSet;
-        let set: HashSet<MachineWidth> = [MachineWidth::FourWay, MachineWidth::Custom(4)]
-            .into_iter()
-            .collect();
-        assert_eq!(set.len(), 1, "equal widths must hash identically");
+        for variant in Variant::all() {
+            assert_eq!(
+                variant.config(MachineWidth::Custom(4), 1),
+                variant.config(MachineWidth::FourWay, 1)
+            );
+            assert_eq!(
+                variant.config(MachineWidth::Custom(8), 2),
+                variant.config(MachineWidth::EightWay, 2)
+            );
+            assert_ne!(
+                variant.config(MachineWidth::Custom(2), 1),
+                variant.config(MachineWidth::FourWay, 1)
+            );
+        }
     }
 }

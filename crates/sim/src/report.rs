@@ -7,6 +7,7 @@
 //! where to write.
 
 use crate::figures::PortSweep;
+use crate::width_label;
 
 /// Escapes nothing (all our fields are simple), just joins cells with commas.
 fn row<I: IntoIterator<Item = String>>(cells: I) -> String {
@@ -24,12 +25,12 @@ fn row<I: IntoIterator<Item = String>>(cells: I) -> String {
 pub fn sweep_csv(sweep: &PortSweep) -> String {
     let mut out = String::from("width,config,bus_words,vl,vregs,workload,ipc,port_occupancy\n");
     for cell in sweep.unique_cells() {
-        let dv = cell.spec.config.vectorization;
+        let dv = cell.config.vectorization;
         for (w, stats) in &cell.suite.runs {
             out.push_str(&row([
-                cell.spec.width.label(),
+                width_label(cell.config.issue_width),
                 cell.label(),
-                cell.spec.config.bus_words().to_string(),
+                cell.config.bus_words().to_string(),
                 dv.map_or_else(|| "-".to_string(), |d| d.vector_length.to_string()),
                 dv.map_or_else(|| "-".to_string(), |d| d.vector_registers.to_string()),
                 w.name().to_string(),
@@ -75,18 +76,12 @@ pub fn metrics_json(engine: &crate::RunEngine) -> String {
         "engine.timing.session_seconds",
         timing.session.as_secs_f64(),
     );
-    registry.set_gauge(
-        "engine.timing.cycles_per_second",
-        timing.cycles_per_second(),
-    );
+    registry.set_gauge("engine.timing.insts_per_second", timing.insts_per_second());
     for cell in &timing.cells {
         let stem = format!("engine.cell.{}.{}", cell.label, cell.workload.name());
-        registry.add_counter(&format!("{stem}.cycles"), cell.cycles);
+        registry.add_counter(&format!("{stem}.committed"), cell.committed);
         registry.set_gauge(&format!("{stem}.wall_seconds"), cell.wall.as_secs_f64());
-        registry.set_gauge(
-            &format!("{stem}.cycles_per_second"),
-            cell.cycles_per_second(),
-        );
+        registry.set_gauge(&format!("{stem}.insts_per_second"), cell.insts_per_second());
     }
     registry.to_json()
 }
@@ -158,10 +153,12 @@ mod tests {
         let reg = sdv_obs::MetricsRegistry::from_json(&json).expect("parses back");
         assert_eq!(reg.counter("engine.cells.simulated"), Some(1));
         assert!(reg.counter("pipeline.cycles.committing").unwrap_or(0) > 0);
-        assert!(reg.gauge("engine.timing.cycles_per_second").is_some());
+        assert!(reg.gauge("engine.timing.insts_per_second").is_some());
         assert!(
-            reg.counter("engine.cell.1pV.compress.cycles").is_some()
-                || reg.counter("engine.cell.1pnoIM.compress.cycles").is_some(),
+            reg.counter("engine.cell.1pV.compress.committed").is_some()
+                || reg
+                    .counter("engine.cell.1pnoIM.compress.committed")
+                    .is_some(),
             "per-cell timing is folded in: {json}"
         );
         assert_eq!(reg.gauge("engine.store.degraded"), Some(0.0));

@@ -159,7 +159,7 @@ impl SuiteResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{PortKind, ProcessorConfig, RunEngine};
+    use crate::{PortKind, RunEngine, UarchConfig};
 
     #[test]
     fn run_configs_scale_budgets() {
@@ -170,7 +170,7 @@ mod tests {
 
     #[test]
     fn suite_runs_and_aggregates() {
-        let cfg = ProcessorConfig::four_way(1, PortKind::Wide);
+        let cfg = UarchConfig::four_way(1, PortKind::Wide);
         let rc = RunConfig::quick();
         let suite = RunEngine::new(rc).suite(&[Workload::Compress, Workload::Swim], &cfg);
         assert_eq!(suite.runs.len(), 2);

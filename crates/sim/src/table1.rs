@@ -1,40 +1,26 @@
 //! Table 1: the processor microarchitectural parameters.
+//!
+//! A column of Table 1 is a rendering of one [`UarchConfig`]: the header
+//! comes from its `issue_width` and the pipeline, cache and port rows from
+//! its fields, so the table describes the machine actually simulated.  The
+//! DV hardware rows (vector registers, TL, VRMT) show the paper's sizing.
+//! The paper's two columns are
+//! `Table1(Variant::WideBus.config(MachineWidth::FourWay, 1))` and its 8-way
+//! twin.
 
-use crate::{PortKind, ProcessorConfig};
+use crate::{width_label, UarchConfig};
 use std::fmt;
 
-/// A renderable description of one column of Table 1.
+/// A renderable column of Table 1: the configuration the simulator
+/// actually uses.
 #[derive(Debug, Clone)]
-pub struct Table1 {
-    /// Column header ("4-way" or "8-way").
-    pub name: &'static str,
-    /// The configuration the simulator actually uses.
-    pub config: ProcessorConfig,
-}
+pub struct Table1(pub UarchConfig);
 
 impl Table1 {
-    /// The 4-way column of Table 1 (with `ports` data-cache ports).
-    #[must_use]
-    pub fn four_way(ports: usize, kind: PortKind) -> Self {
-        Table1 {
-            name: "4-way",
-            config: ProcessorConfig::four_way(ports, kind),
-        }
-    }
-
-    /// The 8-way column of Table 1.
-    #[must_use]
-    pub fn eight_way(ports: usize, kind: PortKind) -> Self {
-        Table1 {
-            name: "8-way",
-            config: ProcessorConfig::eight_way(ports, kind),
-        }
-    }
-
     /// The parameter rows as `(parameter, value)` pairs, in the paper's order.
     #[must_use]
     pub fn rows(&self) -> Vec<(&'static str, String)> {
-        let c = &self.config;
+        let c = &self.0;
         let dv = sdv_core::DvConfig::default();
         vec![
             ("Fetch width", format!("{} instructions (up to 1 taken branch)", c.fetch_width)),
@@ -106,7 +92,11 @@ impl Table1 {
 
 impl fmt::Display for Table1 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "Table 1 — {} configuration", self.name)?;
+        writeln!(
+            f,
+            "Table 1 — {} configuration",
+            width_label(self.0.issue_width)
+        )?;
         for (param, value) in self.rows() {
             writeln!(f, "  {param:<26} {value}")?;
         }
@@ -117,20 +107,23 @@ impl fmt::Display for Table1 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{MachineWidth, Variant};
 
     #[test]
     fn columns_reflect_table1() {
-        let four = Table1::four_way(1, PortKind::Wide);
-        let eight = Table1::eight_way(4, PortKind::Scalar);
-        assert_eq!(four.config.rob_size, 128);
-        assert_eq!(eight.config.rob_size, 256);
+        let four = Table1(Variant::WideBus.config(MachineWidth::FourWay, 1));
+        let eight = Table1(Variant::ScalarBus.config(MachineWidth::EightWay, 4));
+        assert_eq!(four.0.rob_size, 128);
+        assert_eq!(eight.0.rob_size, 256);
         let rows = four.rows();
         assert_eq!(rows.len(), 14);
         let text = four.to_string();
         assert!(text.contains("Gshare with 64K entries"));
         assert!(text.contains("128 registers of 4 64-bit elements"));
         assert!(text.contains("4-way set assoc. with 512 sets"));
+        assert!(text.starts_with("Table 1 — 4-way configuration"));
         let text8 = eight.to_string();
+        assert!(text8.starts_with("Table 1 — 8-way configuration"));
         assert!(text8.contains("8-way out-of-order issue"));
         assert!(text8.contains("256 entries"));
     }

@@ -231,19 +231,6 @@ impl UarchConfig {
         self
     }
 
-    /// Enables vectorization with a specific sizing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg.vector_length` is outside `1..=64` (element flags are
-    /// lanes of a `u64`).
-    #[must_use]
-    pub fn with_dv_config(mut self, cfg: DvConfig) -> Self {
-        sdv_core::assert_vector_length(cfg.vector_length);
-        self.vectorization = Some(cfg);
-        self
-    }
-
     /// Whether dynamic vectorization is enabled.
     #[must_use]
     pub fn vectorization_enabled(&self) -> bool {
@@ -306,6 +293,7 @@ impl UarchConfig {
 /// wide-bus width (in 64-bit elements) and dynamic-vectorization parameters.
 ///
 /// ```
+/// use sdv_core::DvConfig;
 /// use sdv_uarch::UarchConfig;
 /// use sdv_mem::PortKind;
 ///
@@ -313,7 +301,7 @@ impl UarchConfig {
 ///     .issue_width(8)
 ///     .ports(2)
 ///     .bus_words(8)
-///     .vectorization(true)
+///     .dv_config(DvConfig::default())
 ///     .build();
 /// assert_eq!(cfg.fetch_width, 8);
 /// assert_eq!(cfg.rob_size, 256);
@@ -332,8 +320,6 @@ pub struct ConfigBuilder {
     bus_words: usize,
     vectorization: Option<DvConfig>,
     block_on_scalar_operand: bool,
-    memory: MemHierarchyConfig,
-    predictor: PredictorConfig,
 }
 
 impl Default for ConfigBuilder {
@@ -345,8 +331,6 @@ impl Default for ConfigBuilder {
             bus_words: DEFAULT_BUS_WORDS,
             vectorization: None,
             block_on_scalar_operand: true,
-            memory: MemHierarchyConfig::table1(),
-            predictor: PredictorConfig::default(),
         }
     }
 }
@@ -390,13 +374,6 @@ impl ConfigBuilder {
         self
     }
 
-    /// Enables (or disables) dynamic vectorization with default sizing.
-    #[must_use]
-    pub fn vectorization(mut self, enabled: bool) -> Self {
-        self.vectorization = enabled.then(DvConfig::default);
-        self
-    }
-
     /// Enables dynamic vectorization with a specific sizing.
     ///
     /// # Panics
@@ -418,27 +395,12 @@ impl ConfigBuilder {
         self
     }
 
-    /// Overrides the memory hierarchy (the L1 data line still follows
-    /// [`Self::bus_words`] for wide ports).
-    #[must_use]
-    pub fn memory(mut self, memory: MemHierarchyConfig) -> Self {
-        self.memory = memory;
-        self
-    }
-
-    /// Overrides the branch predictor parameters.
-    #[must_use]
-    pub fn predictor(mut self, predictor: PredictorConfig) -> Self {
-        self.predictor = predictor;
-        self
-    }
-
     /// Builds the configuration.
     #[must_use]
     pub fn build(self) -> UarchConfig {
         let w = self.issue_width;
         let fus = FuConfig::for_width(w);
-        let mut memory = self.memory;
+        let mut memory = MemHierarchyConfig::table1();
         let mut wide_loads_per_access = DEFAULT_BUS_WORDS;
         if self.kind == PortKind::Wide {
             memory.l1d.line_bytes = 8 * self.bus_words;
@@ -455,7 +417,7 @@ impl ConfigBuilder {
             dcache_ports: self.ports,
             port_kind: self.kind,
             memory,
-            predictor: self.predictor,
+            predictor: PredictorConfig::default(),
             vectorization: self.vectorization,
             block_on_scalar_operand: self.block_on_scalar_operand,
             store_commit_limit: 2,
@@ -574,15 +536,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "vector length must be between 1 and 64")]
-    fn with_dv_config_rejects_vector_length_above_64() {
-        let _ = UarchConfig::four_way(1, PortKind::Wide).with_dv_config(DvConfig {
-            vector_length: 128,
-            ..DvConfig::default()
-        });
-    }
-
-    #[test]
     fn labels_follow_the_paper() {
         assert_eq!(UarchConfig::four_way(1, PortKind::Scalar).label(), "1pnoIM");
         assert_eq!(UarchConfig::four_way(2, PortKind::Wide).label(), "2pIM");
@@ -596,7 +549,7 @@ mod tests {
             UarchConfig::builder()
                 .ports(2)
                 .bus_words(8)
-                .vectorization(true)
+                .dv_config(DvConfig::default())
                 .build()
                 .label(),
             "2pVb8"

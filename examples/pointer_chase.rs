@@ -9,10 +9,10 @@
 //! cargo run --release --example pointer_chase
 //! ```
 
-use sdv::sim::{ProcessorConfig, RunConfig, RunEngine, Workload};
+use sdv::sim::{MachineWidth, RunConfig, RunEngine, Variant, Workload};
 
 fn main() {
-    let cfg = ProcessorConfig::builder().vectorization(true).build();
+    let cfg = Variant::Vectorized.config(MachineWidth::FourWay, 1);
     let rc = RunConfig {
         scale: 4,
         max_insts: 300_000,

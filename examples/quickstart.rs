@@ -7,7 +7,7 @@
 //! ```
 
 use sdv::isa::{ArchReg, Asm};
-use sdv::sim::{PortKind, ProcessorConfig};
+use sdv::sim::{PortKind, UarchConfig};
 use sdv::uarch::simulate;
 
 fn main() {
@@ -42,7 +42,7 @@ fn main() {
     let program = a.finish();
 
     let budget = 400_000;
-    let baseline_cfg = ProcessorConfig::four_way(1, PortKind::Wide);
+    let baseline_cfg = UarchConfig::four_way(1, PortKind::Wide);
     let dv_cfg = baseline_cfg.clone().with_vectorization(true);
 
     println!(

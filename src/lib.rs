@@ -22,11 +22,11 @@
 //! # Quickstart
 //!
 //! ```
-//! use sdv::sim::{PortKind, ProcessorConfig};
+//! use sdv::sim::{PortKind, UarchConfig};
 //! use sdv::workloads::Workload;
 //!
 //! let program = Workload::Compress.build(1);
-//! let cfg = ProcessorConfig::four_way(1, PortKind::Wide).with_vectorization(true);
+//! let cfg = UarchConfig::four_way(1, PortKind::Wide).with_vectorization(true);
 //! let stats = sdv::uarch::simulate(&cfg, &program, 50_000);
 //! assert!(stats.ipc() > 0.0);
 //! assert!(stats.committed_validations > 0);

@@ -19,7 +19,7 @@
 use sdv::analyze::{analyze, Rule, Severity};
 use sdv::emu::Emulator;
 use sdv::isa::{ArchReg, Asm};
-use sdv::sim::{PortKind, ProcessorConfig, RunConfig};
+use sdv::sim::{PortKind, RunConfig, UarchConfig};
 use sdv::uarch::simulate;
 use sdv::workloads::Workload;
 
@@ -90,7 +90,7 @@ fn dynamic_footprint_stays_inside_the_static_envelope() {
 /// Property 3: simulated vector-mode fraction ≤ static vectorizable bound.
 #[test]
 fn vector_mode_fraction_stays_under_the_static_bound() {
-    let cfg = ProcessorConfig::four_way(1, PortKind::Wide).with_vectorization(true);
+    let cfg = UarchConfig::four_way(1, PortKind::Wide).with_vectorization(true);
     for w in Workload::extended() {
         let program = w.build(RC.scale);
         let envelope = analyze(&program).envelope;

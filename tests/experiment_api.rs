@@ -73,7 +73,7 @@ fn headline_and_fig11_share_cells_across_generators() {
 
     // The shared cells are literally the same numbers.
     let vect_cell = sweep
-        .get(MachineWidth::FourWay, 1, Variant::Vectorized)
+        .get(&Variant::Vectorized.config(MachineWidth::FourWay, 1))
         .expect("1pV cell in the paper grid");
     assert_eq!(h.ipc_1p_vect, vect_cell.suite.hmean(|s| s.ipc()));
 }

@@ -8,7 +8,7 @@
 //! disambiguation or memory-model change that alters timing by a single cycle
 //! fails this test; performance work must be behaviour-preserving.
 
-use sdv::sim::{Model, PortKind, Processor, ProcessorConfig, Workload};
+use sdv::sim::{Model, PortKind, Processor, UarchConfig, Workload};
 
 const SCALE: u64 = 1;
 const MAX_INSTS: u64 = 10_000;
@@ -369,10 +369,10 @@ const GOLDEN: &[(
     ),
 ];
 
-fn config(label: &str) -> ProcessorConfig {
+fn config(label: &str) -> UarchConfig {
     match label {
-        "1pV" => ProcessorConfig::four_way(1, PortKind::Wide).with_vectorization(true),
-        "4pnoIM" => ProcessorConfig::four_way(4, PortKind::Scalar),
+        "1pV" => UarchConfig::four_way(1, PortKind::Wide).with_vectorization(true),
+        "4pnoIM" => UarchConfig::four_way(4, PortKind::Scalar),
         other => panic!("unknown golden config {other}"),
     }
 }

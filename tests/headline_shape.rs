@@ -7,12 +7,11 @@
 //! store-conflict suite overlap heavily, and the engine's memo cache
 //! guarantees each unique `(config, workload)` cell is simulated exactly
 //! once for the whole binary.  The fixture also prints the engine's timing
-//! report (wall-clock, simulated cycles/second) so the suite doubles as the
+//! report (wall-clock, committed insts/second) so the suite doubles as the
 //! perf measurement for the event-driven scheduler refactor.
 
 use sdv::sim::{
-    Experiment, Headline, MachineWidth, ProcessorConfig, RunConfig, RunStats, SuiteResult, Variant,
-    Workload,
+    Experiment, Headline, MachineWidth, RunConfig, RunStats, SuiteResult, Variant, Workload,
 };
 use std::sync::OnceLock;
 
@@ -55,7 +54,7 @@ fn fixture() -> &'static Fixture {
         let ws = [Workload::Ijpeg, Workload::Swim];
         let eight_way_suites = exp.engine().suites(&ws, &configs);
         // The 1pV suite of the headline, served entirely from the cache.
-        let dv_cfg = ProcessorConfig::builder().vectorization(true).build();
+        let dv_cfg = Variant::Vectorized.config(MachineWidth::FourWay, 1);
         let conflict_suite = exp.engine().suite(&workloads(), &dv_cfg);
 
         let report = exp.report();

@@ -10,7 +10,7 @@
 use proptest::prelude::*;
 use sdv::isa::{ArchReg, Asm, Program};
 use sdv::obs::{CycleBucket, EventTracer, MetricsRegistry, TraceEvent};
-use sdv::sim::{PortKind, ProcessorConfig};
+use sdv::sim::{PortKind, UarchConfig};
 use sdv::uarch::{Model, Processor};
 
 /// A small recipe for one loop iteration of a generated program (the same
@@ -151,7 +151,7 @@ proptest! {
             build_program(&steps, iterations)
         };
         let kind = if wide { PortKind::Wide } else { PortKind::Scalar };
-        let cfg = ProcessorConfig::four_way(1, kind).with_vectorization(vectorize);
+        let cfg = UarchConfig::four_way(1, kind).with_vectorization(vectorize);
 
         for model in [Model::Fast, Model::Reference] {
             let mut proc = Processor::new(&cfg, &program);
@@ -197,7 +197,7 @@ proptest! {
         } else {
             build_program(&steps, iterations)
         };
-        let cfg = ProcessorConfig::four_way(1, PortKind::Wide).with_vectorization(vectorize);
+        let cfg = UarchConfig::four_way(1, PortKind::Wide).with_vectorization(vectorize);
 
         let mut plain = Processor::new(&cfg, &program);
         plain.record_issue_trace(true);

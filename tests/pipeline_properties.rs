@@ -7,8 +7,8 @@ use proptest::prelude::*;
 use sdv::core::DvConfig;
 use sdv::emu::Emulator;
 use sdv::isa::{ArchReg, Asm, Program};
-use sdv::sim::{PortKind, ProcessorConfig};
-use sdv::uarch::Processor;
+use sdv::sim::{PortKind, UarchConfig};
+use sdv::uarch::{ConfigBuilder, Processor};
 
 /// A small recipe for one loop iteration of a generated program.
 #[derive(Debug, Clone)]
@@ -130,17 +130,15 @@ fn build_squash_storm(offset: u8, iterations: u8) -> Program {
 
 /// The single-port machine of the fast ≡ reference differential: 4-way (128-entry window) or
 /// 8-way (256-entry window), with a scalar or a wide port.
-fn machine(wide: bool, eight_way: bool) -> ProcessorConfig {
+fn machine(wide: bool, eight_way: bool) -> ConfigBuilder {
     let kind = if wide {
         PortKind::Wide
     } else {
         PortKind::Scalar
     };
-    if eight_way {
-        ProcessorConfig::eight_way(1, kind)
-    } else {
-        ProcessorConfig::four_way(1, kind)
-    }
+    UarchConfig::builder()
+        .issue_width(if eight_way { 8 } else { 4 })
+        .port_kind(kind)
 }
 
 /// The DV sizings the differential draws from: the paper's default, vector
@@ -183,7 +181,7 @@ proptest! {
 
         // Timing model.
         let kind = if wide { PortKind::Wide } else { PortKind::Scalar };
-        let cfg = ProcessorConfig::four_way(1, kind).with_vectorization(vectorize);
+        let cfg = UarchConfig::four_way(1, kind).with_vectorization(vectorize);
         let mut proc = Processor::new(&cfg, &program);
         let stats = proc.run(1_000_000);
 
@@ -208,7 +206,7 @@ proptest! {
     ) {
         let steps = dedup_strided(steps);
         let program = build_program(&steps, iterations);
-        let base_cfg = ProcessorConfig::four_way(1, PortKind::Wide);
+        let base_cfg = UarchConfig::four_way(1, PortKind::Wide);
         let dv_cfg = base_cfg.clone().with_vectorization(true);
         let base = sdv::uarch::simulate(&base_cfg, &program, 1_000_000);
         let dv = sdv::uarch::simulate(&dv_cfg, &program, 1_000_000);
@@ -241,11 +239,13 @@ proptest! {
         sizing in 0usize..4,
     ) {
         let program = differential_program(steps, iterations, storm, storm_offset);
+        let machine = machine(wide, eight_way);
         let cfg = if vectorize {
-            machine(wide, eight_way).with_dv_config(dv_sizing(sizing))
+            machine.dv_config(dv_sizing(sizing))
         } else {
-            machine(wide, eight_way)
-        };
+            machine
+        }
+        .build();
         check_fast_matches_reference(&program, &cfg)?;
     }
 
@@ -261,7 +261,7 @@ proptest! {
         storm_offset in 1u8..4,
     ) {
         let program = differential_program(steps, iterations, storm, storm_offset);
-        let cfg = machine(wide, false).with_vectorization(vectorize);
+        let cfg = machine(wide, false).build().with_vectorization(vectorize);
         check_fast_matches_reference(&program, &cfg)?;
     }
 
@@ -278,7 +278,7 @@ proptest! {
         eight_way in any::<bool>(),
     ) {
         let program = differential_program(steps, iterations, storm, storm_offset);
-        let cfg = machine(wide, eight_way).with_vectorization(vectorize);
+        let cfg = machine(wide, eight_way).build().with_vectorization(vectorize);
         check_fast_matches_reference(&program, &cfg)?;
     }
 }
@@ -303,10 +303,7 @@ fn differential_program(
 /// *same instruction sequence* — cycle by cycle, sequence number by sequence
 /// number — and produce bit-identical statistics, and the reference must
 /// never jump the clock.
-fn check_fast_matches_reference(
-    program: &Program,
-    cfg: &ProcessorConfig,
-) -> Result<(), TestCaseError> {
+fn check_fast_matches_reference(program: &Program, cfg: &UarchConfig) -> Result<(), TestCaseError> {
     use sdv::uarch::Model;
     let mut fast = Processor::new(cfg, program);
     prop_assert_eq!(fast.model(), Model::Fast, "default model");

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use sdv::emu::{Emulator, StrideProfiler, StrideStats};
-use sdv::sim::{cachefile, fig1, PortKind, ProcessorConfig, RunConfig, RunEngine, Workload};
+use sdv::sim::{cachefile, fig1, PortKind, RunConfig, RunEngine, UarchConfig, Workload};
 use sdv::store::Store;
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -104,8 +104,8 @@ fn quick() -> RunConfig {
 #[test]
 fn concurrent_engine_sessions_share_one_store() {
     let dir = tmp_dir("concurrent-engines");
-    let vector = ProcessorConfig::four_way(1, PortKind::Wide).with_vectorization(true);
-    let scalar = ProcessorConfig::four_way(2, PortKind::Scalar);
+    let vector = UarchConfig::four_way(1, PortKind::Wide).with_vectorization(true);
+    let scalar = UarchConfig::four_way(2, PortKind::Scalar);
     // Overlapping workload sets: `Compress` is raced by both sessions, and
     // determinism guarantees both compute identical bytes for it.
     let suite_a = [Workload::Compress, Workload::Swim, Workload::Li];

@@ -2,11 +2,11 @@
 //! exactly the parameters the paper lists.
 
 use sdv::core::DvConfig;
-use sdv::sim::{PortKind, ProcessorConfig, Table1};
+use sdv::sim::{PortKind, Table1, UarchConfig};
 
 #[test]
 fn four_way_matches_table1() {
-    let cfg = ProcessorConfig::four_way(1, PortKind::Wide);
+    let cfg = UarchConfig::four_way(1, PortKind::Wide);
     assert_eq!(cfg.fetch_width, 4);
     assert_eq!(cfg.issue_width, 4);
     assert_eq!(cfg.commit_width, 4);
@@ -30,7 +30,7 @@ fn four_way_matches_table1() {
 
 #[test]
 fn eight_way_matches_table1() {
-    let cfg = ProcessorConfig::eight_way(4, PortKind::Scalar);
+    let cfg = UarchConfig::eight_way(4, PortKind::Scalar);
     assert_eq!(cfg.fetch_width, 8);
     assert_eq!(cfg.rob_size, 256);
     assert_eq!(cfg.lsq_size, 64);
@@ -59,7 +59,7 @@ fn vectorization_hardware_matches_section_4_1() {
 
 #[test]
 fn rendered_table_mentions_every_structure() {
-    let text = Table1::four_way(1, PortKind::Wide).to_string();
+    let text = Table1(UarchConfig::four_way(1, PortKind::Wide)).to_string();
     for needle in [
         "Gshare",
         "128 entries",

@@ -3,7 +3,7 @@
 //! and dynamic vectorization must not cost IPC on the paper's most
 //! vectorizable kernel (swim).
 
-use sdv::sim::{PortKind, ProcessorConfig};
+use sdv::sim::{PortKind, UarchConfig};
 use sdv::uarch::simulate;
 use sdv::workloads::Workload;
 
@@ -19,7 +19,7 @@ fn every_workload_builds_and_runs_with_and_without_vectorization() {
             "{workload}: kernel assembled to an empty text segment"
         );
         for vectorize in [false, true] {
-            let cfg = ProcessorConfig::four_way(1, PortKind::Wide).with_vectorization(vectorize);
+            let cfg = UarchConfig::four_way(1, PortKind::Wide).with_vectorization(vectorize);
             let stats = simulate(&cfg, &program, MAX_INSTS);
             assert!(
                 stats.committed >= MIN_COMMITTED,
@@ -45,7 +45,7 @@ fn every_workload_builds_and_runs_with_and_without_vectorization() {
 /// irregular-update kernels (`repro --extended` members, not figure suite).
 #[test]
 fn stridemix_and_histo_have_pinned_smoke_behaviour() {
-    let scalar_cfg = ProcessorConfig::four_way(1, PortKind::Wide);
+    let scalar_cfg = UarchConfig::four_way(1, PortKind::Wide);
     let vector_cfg = scalar_cfg.clone().with_vectorization(true);
     let mut vectorized = Vec::new();
     for workload in [Workload::StrideMix, Workload::Histo] {
@@ -107,7 +107,7 @@ fn stridemix_and_histo_have_pinned_smoke_behaviour() {
 #[test]
 fn vectorization_does_not_cost_ipc_on_swim() {
     let program = Workload::Swim.build(1);
-    let scalar_cfg = ProcessorConfig::four_way(1, PortKind::Wide);
+    let scalar_cfg = UarchConfig::four_way(1, PortKind::Wide);
     let vector_cfg = scalar_cfg.clone().with_vectorization(true);
     let scalar = simulate(&scalar_cfg, &program, MAX_INSTS);
     let vector = simulate(&vector_cfg, &program, MAX_INSTS);
