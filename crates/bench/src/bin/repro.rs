@@ -87,6 +87,10 @@ const USAGE: &str = "usage: repro [--quick|--standard|--thorough] [--threads N]
              [--store-dir DIR | --no-cache]
              [--fail-fast]";
 
+/// The figures `repro` regenerates (2, 4, 5, 6 and 8 are block diagrams),
+/// in the order a full run prints them.
+const MEASURED_FIGURES: [u32; 10] = [1, 3, 7, 9, 10, 11, 12, 13, 14, 15];
+
 fn usage_error(message: &str) -> ! {
     eprintln!("repro: {message}\n{USAGE}");
     std::process::exit(2)
@@ -168,6 +172,12 @@ fn parse_args() -> Options {
                     .next()
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage_error("--fig requires a figure number"));
+                if !MEASURED_FIGURES.contains(&n) {
+                    usage_error(&format!(
+                        "--fig: figure {n} is not a measured figure (measured: {})",
+                        MEASURED_FIGURES.map(|f| f.to_string()).join(", ")
+                    ));
+                }
                 opts.figures.push(n);
                 any_selection = true;
             }
@@ -192,10 +202,13 @@ fn parse_args() -> Options {
             other => usage_error(&format!("unknown argument `{other}`")),
         }
     }
+    if opts.no_cache && opts.store_dir.is_some() {
+        usage_error("--store-dir and --no-cache are exclusive");
+    }
     if !any_selection {
         opts.table1 = true;
         opts.headline = true;
-        opts.figures = vec![1, 3, 7, 9, 10, 11, 12, 13, 14, 15];
+        opts.figures = MEASURED_FIGURES.to_vec();
     }
     opts
 }
@@ -294,9 +307,7 @@ fn main() {
             13 => println!("{}", exp.fig13()),
             14 => println!("{}", exp.fig14()),
             15 => println!("{}", exp.fig15()),
-            other => eprintln!(
-                "figure {other} is not a measured figure (2, 4, 5, 6 and 8 are block diagrams)"
-            ),
+            other => unreachable!("--fig {other} was rejected while parsing"),
         }
         check_fail_fast(&exp, opts.fail_fast);
     }

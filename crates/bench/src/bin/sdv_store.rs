@@ -15,7 +15,9 @@
 //! * `stats` prints occupancy statistics for a store directory.
 //! * `verify` structurally checks every shard file (magic, version, framing,
 //!   per-entry checksums, key placement) and exits non-zero on corruption —
-//!   run it after restoring a store from a CI cache.
+//!   run it after restoring a store from a CI cache.  `stats` and `verify`
+//!   only read: an absent or non-directory `DIR` is a command-line error,
+//!   and neither creates it.
 //! * `repair` salvages every intact entry of a damaged store: corrupt bytes
 //!   are quarantined under `DIR/quarantine/`, each damaged shard is rewritten
 //!   atomically from its surviving entries, and a file with an unreadable
@@ -65,7 +67,23 @@ fn open(dir: &Path) -> Store {
         .unwrap_or_else(|e| io_error(&format!("cannot open store {}: {e}", dir.display())))
 }
 
+/// Rejects (exit 2) a path a read-only subcommand would read: an absent or
+/// non-directory path would otherwise read as an empty, healthy store — and
+/// [`open`] would create it — so a typo must fail loudly instead.
+fn require_store_dir(dir: &Path, role: &str) {
+    if !dir.exists() {
+        usage_error(&format!("{role} {} does not exist", dir.display()));
+    }
+    if !dir.is_dir() {
+        usage_error(&format!(
+            "{role} {} is not a store directory",
+            dir.display()
+        ));
+    }
+}
+
 fn stats(dir: &Path) {
+    require_store_dir(dir, "store");
     let store = open(dir);
     let stats = store
         .stats()
@@ -78,6 +96,7 @@ fn stats(dir: &Path) {
 }
 
 fn verify(dir: &Path) {
+    require_store_dir(dir, "store");
     let store = open(dir);
     let report = store
         .verify()
@@ -100,19 +119,9 @@ fn merge(dest: &Path, sources: &[PathBuf]) {
     if sources.is_empty() {
         usage_error("merge needs at least one SRC");
     }
-    // An absent or non-directory SRC would otherwise read as an empty store
-    // and "merge" zero entries successfully — a typo must fail loudly
-    // instead, before any source is merged.
+    // Every source is checked before any is merged.
     for src in sources {
-        if !src.exists() {
-            usage_error(&format!("merge source {} does not exist", src.display()));
-        }
-        if !src.is_dir() {
-            usage_error(&format!(
-                "merge source {} is not a store directory",
-                src.display()
-            ));
-        }
+        require_store_dir(src, "merge source");
     }
     let store = open(dest);
     for src in sources {

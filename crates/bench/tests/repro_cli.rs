@@ -28,6 +28,9 @@ fn usage_errors_exit_2_and_name_the_flag() {
         (&["--cache-dir", "store"][..], "--cache-dir"),
         (&["--max-retries", "3"][..], "--max-retries"),
         (&["--vl", "65"][..], "--vl"),
+        (&["--fig", "16"][..], "--fig"),
+        (&["--fig", "2"][..], "--fig"),
+        (&["--no-cache", "--store-dir", "d"][..], "--store-dir"),
     ] {
         let out = run(args);
         let err = stderr(&out);

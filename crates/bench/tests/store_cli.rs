@@ -7,7 +7,8 @@
 //! version-1 file from before the per-entry CRC: the store no longer reads
 //! that format, so it must come out of the flow as an unreadable file,
 //! quarantined whole.  The `merge` tests pin its source contract: store
-//! directories merge, anything else is exit 2.
+//! directories merge, anything else is exit 2; `stats` and `verify` hold
+//! their DIR to the same rule.
 //!
 //! Regenerate `shard-ab.bin` after a deliberate format change with
 //! `SDV_REGEN_FIXTURES=1 cargo test -p sdv-bench --test store_cli`.
@@ -225,5 +226,32 @@ fn merge_rejects_absent_and_file_sources() {
         stderr(&out)
     );
     assert!(!dest.exists(), "a rejected merge leaves DEST untouched");
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// `stats` and `verify` only read: an absent or file DIR is a command-line
+/// error (exit 2), and the absent path is not created.
+#[test]
+fn read_only_subcommands_reject_absent_and_file_dirs() {
+    let root = scratch_path("read-only");
+    std::fs::create_dir_all(&root).unwrap();
+    let absent = root.join("absent");
+    let file = root.join("notes.txt");
+    std::fs::write(&file, b"not a store").unwrap();
+    for cmd in ["stats", "verify"] {
+        let out = run(&[cmd, absent.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(2), "{cmd}: {}", stderr(&out));
+        assert!(stderr(&out).contains("does not exist"), "{}", stderr(&out));
+        assert!(stderr(&out).contains("usage:"), "{}", stderr(&out));
+        assert!(!absent.exists(), "{cmd} must not create its DIR");
+
+        let out = run(&[cmd, file.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(2), "{cmd}: {}", stderr(&out));
+        assert!(
+            stderr(&out).contains("is not a store directory"),
+            "{}",
+            stderr(&out)
+        );
+    }
     std::fs::remove_dir_all(&root).unwrap();
 }

@@ -78,10 +78,10 @@ impl OpClass {
         matches!(self, OpClass::Branch | OpClass::Jump)
     }
 
-    /// Whether instructions of this class are candidates for dynamic
-    /// vectorization (loads and arithmetic, per §3.1/§3.2 of the paper).
+    /// Whether the class is integer or floating-point arithmetic (the
+    /// instructions that execute on a scalar arithmetic unit).
     #[must_use]
-    pub const fn is_vectorizable(self) -> bool {
+    pub const fn is_arith(self) -> bool {
         matches!(
             self,
             OpClass::IntAlu
@@ -90,8 +90,14 @@ impl OpClass {
                 | OpClass::FpAdd
                 | OpClass::FpMul
                 | OpClass::FpDiv
-                | OpClass::Load
         )
+    }
+
+    /// Whether instructions of this class are candidates for dynamic
+    /// vectorization (loads and arithmetic, per §3.1/§3.2 of the paper).
+    #[must_use]
+    pub const fn is_vectorizable(self) -> bool {
+        self.is_arith() || matches!(self, OpClass::Load)
     }
 }
 
@@ -373,6 +379,10 @@ mod tests {
             assert_eq!(op.is_store(), op.class() == OpClass::Store);
             assert_eq!(op.is_branch(), op.class() == OpClass::Branch);
             assert_eq!(op.is_control(), op.class().is_control());
+            assert_eq!(
+                op.class().is_arith(),
+                op.class().is_vectorizable() && !op.is_load()
+            );
         }
     }
 
@@ -384,6 +394,8 @@ mod tests {
         assert!(OpClass::Load.is_vectorizable());
         assert!(OpClass::IntAlu.is_vectorizable());
         assert!(OpClass::FpMul.is_vectorizable());
+        assert!(OpClass::IntDiv.is_arith() && OpClass::FpAdd.is_arith());
+        assert!(!OpClass::Load.is_arith() && !OpClass::Store.is_arith());
     }
 
     #[test]

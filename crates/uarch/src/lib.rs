@@ -12,12 +12,12 @@
 //!
 //! One knob, [`Model`], selects between the fast loop and its reference,
 //! bit-identical by construction and pinned by property tests and the golden
-//! counter sets.  [`Model::Fast`] (the default) runs the event-driven wakeup
-//! scheduler, jumps the clock over proven stall windows, and dispatches and
-//! commits whole groups; [`Model::Reference`] scans the whole window every
-//! cycle, ticks every cycle, and dispatches and commits one entry at a time.
-//! See the `pipeline` module docs for the proof obligations behind each part
-//! of the fast loop.
+//! counter sets.  The two share fetch, dispatch and commit and differ only in
+//! issue scheduling and clock stepping: [`Model::Fast`] (the default) runs the
+//! event-driven wakeup scheduler and jumps the clock over proven stall
+//! windows; [`Model::Reference`] scans the whole window and ticks every
+//! cycle.  See the `pipeline` module docs for the proof obligations behind
+//! each part of the fast loop.
 //!
 //! ```
 //! use sdv_isa::{ArchReg, Asm};

@@ -1,14 +1,14 @@
 //! Struct-of-arrays reorder buffer and the pooled waiter arena.
 //!
-//! The busy-cycle loops (issue walk, commit-gate recomputation, run-retire
-//! commit) touch a handful of scalar fields of every in-flight instruction —
+//! The busy-cycle loops (issue walk, commit-gate recomputation, commit)
+//! touch a handful of scalar fields of every in-flight instruction —
 //! `issued`, `complete_cycle`, the issue-group tag — thousands of times per
 //! simulated kernel.  Keeping those fields inside a ~150-byte AoS `RobEntry`
-//! made every probe a strided cache miss and every `pop_front` a full-entry
+//! made every probe a strided cache miss and every retire a full-entry
 //! `memmove`.  [`Rob`] instead stores the hot fields in parallel,
 //! index-aligned lanes (`u8`/`u64` vectors) and leaves the cold decode-time
 //! payload ([`RobCold`]: the retired record, exec mode and source mappings)
-//! in a separate lane that is written once at dispatch and read at
+//! in a separate lane that is written once at dispatch and read in place at
 //! issue/commit only where needed.
 //!
 //! # Layout
@@ -16,8 +16,8 @@
 //! The buffer is a power-of-two ring indexed **directly by sequence number**:
 //! in-flight instructions always occupy a contiguous run of sequence numbers
 //! (`head..tail`), so `slot = seq & mask` is collision-free while
-//! `tail - head <= capacity`.  Push/pop never move data — retiring a run of
-//! `n` entries advances `head` once.
+//! `tail - head <= capacity`.  Push and retire never move data — commit
+//! reads the head's payload in place and [`Rob::advance_head`] bumps `head`.
 //!
 //! # Waiter arena
 //!
@@ -287,30 +287,15 @@ impl Rob {
         self.tail += 1;
     }
 
-    /// Retires the head entry, returning its cold payload.
-    ///
-    /// The caller must have freed (or taken over) the entry's waiter list.
-    pub fn pop_front(&mut self) -> Option<RobCold> {
-        if self.is_empty() {
-            return None;
-        }
+    /// Retires the head entry in place: clears its cold payload and advances
+    /// the head by one.  The caller must have read what it needs from
+    /// [`Self::cold`] and freed (or taken over) the entry's waiter list.
+    pub fn advance_head(&mut self) {
+        debug_assert!(!self.is_empty(), "advance on an empty window");
         let slot = (self.head & self.mask) as usize;
         debug_assert_eq!(self.waiter_head[slot], NO_WAITER, "waiters leaked");
-        let cold = self.cold[slot].take();
+        self.cold[slot] = None;
         self.head += 1;
-        cold
-    }
-
-    /// Run retire: advances the head past `n` entries whose waiter lists have
-    /// already been freed, without touching the cold lane entry by entry.
-    pub fn advance_head(&mut self, n: u64) {
-        debug_assert!(n <= self.tail - self.head);
-        for seq in self.head..self.head + n {
-            let slot = (seq & self.mask) as usize;
-            debug_assert_eq!(self.waiter_head[slot], NO_WAITER, "waiters leaked");
-            self.cold[slot] = None;
-        }
-        self.head += n;
     }
 
     // ---------------------------------------------------------- hot lanes
@@ -515,9 +500,12 @@ mod tests {
         rob.set_disamb(2, 9, true);
         assert_eq!((rob.disamb_epoch(2), rob.disamb_fwd(2)), (9, true));
 
-        // Pop two, push two more: the ring wraps without moving data.
-        assert_eq!(rob.pop_front().unwrap().retired.seq, 0);
-        assert_eq!(rob.pop_front().unwrap().retired.seq, 1);
+        // Retire two, push two more: the ring wraps without moving data.
+        assert_eq!(rob.cold(0).retired.seq, 0);
+        rob.advance_head();
+        assert_eq!((rob.head(), rob.cold(1).retired.seq), (1, 1));
+        rob.advance_head();
+        assert_eq!(rob.head(), 2);
         rob.push(cold(6), 0);
         rob.push(cold(7), 0);
         assert_eq!(rob.seqs().collect::<Vec<_>>(), (2..8).collect::<Vec<_>>());
@@ -527,7 +515,9 @@ mod tests {
         assert!(!rob.issued(7) && rob.pending_scalar(7) == 0);
         assert_eq!(rob.waiter_head(7), NO_WAITER);
 
-        rob.advance_head(6);
+        for _ in 0..6 {
+            rob.advance_head();
+        }
         assert!(rob.is_empty());
     }
 

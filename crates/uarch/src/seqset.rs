@@ -50,9 +50,10 @@ impl SeqSet {
     }
 
     /// Appends `seq`, which must be strictly greater than every element
-    /// already present — the group-dispatch fast path: freshly dispatched
-    /// instructions carry the largest sequence numbers, so their ready-set
-    /// inserts are plain tail pushes instead of binary-search shifts.
+    /// already present — the dispatch classification's fast path: freshly
+    /// dispatched instructions carry the largest sequence numbers, so their
+    /// ready-set inserts are plain tail pushes instead of binary-search
+    /// shifts.
     pub fn extend_back(&mut self, seq: u64) {
         debug_assert!(
             self.items.last().is_none_or(|&last| last < seq),

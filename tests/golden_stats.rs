@@ -434,9 +434,9 @@ fn run_stats_match_the_pre_refactor_build_exactly() {
     assert_every_cell_matches(Model::Fast);
 }
 
-/// The reference model — full-window scan, per-cycle ticks, entry-at-a-time
-/// (legacy) dispatch and commit — reproduces the same counter sets on every
-/// cell.
+/// The reference model — full-window issue scan and per-cycle ticks, over
+/// the dispatch and commit loops it shares with the fast model — reproduces
+/// the same counter sets on every cell.
 #[test]
 fn legacy_busy_path_matches_the_golden_stats_on_every_cell() {
     assert_every_cell_matches(Model::Reference);

@@ -249,8 +249,9 @@ proptest! {
         check_fast_matches_reference(&program, &cfg)?;
     }
 
-    /// Batched struct-of-arrays busy path ≡ entry-at-a-time loops (`SoA ≡
-    /// AoS`), on the 4-way machine.
+    /// Fast ≡ reference over the shared struct-of-arrays ROB, on the 4-way
+    /// machine: the wakeup scheduler's per-lane bookkeeping (pending
+    /// counts, waiter lists, group tags) against the full-window scan.
     #[test]
     fn soa_matches_aos(
         steps in proptest::collection::vec(step_strategy(), 1..8),
@@ -297,12 +298,11 @@ fn differential_program(
     }
 }
 
-/// Runs `program` under the fast model (wakeup issue, clock jumps, group
-/// dispatch, run-retire commit) and the reference model (full-window scan,
-/// per-cycle ticks, entry-at-a-time dispatch and commit): both must issue the
-/// *same instruction sequence* — cycle by cycle, sequence number by sequence
-/// number — and produce bit-identical statistics, and the reference must
-/// never jump the clock.
+/// Runs `program` under the fast model (wakeup issue, clock jumps) and the
+/// reference model (full-window scan, per-cycle ticks), which share dispatch
+/// and commit: both must issue the *same instruction sequence* — cycle by
+/// cycle, sequence number by sequence number — and produce bit-identical
+/// statistics, and the reference must never jump the clock.
 fn check_fast_matches_reference(program: &Program, cfg: &UarchConfig) -> Result<(), TestCaseError> {
     use sdv::uarch::Model;
     let mut fast = Processor::new(cfg, program);
