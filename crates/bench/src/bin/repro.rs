@@ -21,7 +21,7 @@
 //!
 //! Results additionally persist across invocations: the session's
 //! `CellKey → RunStats` results and Figure 1's stride profiles are merged
-//! into a sharded result store under `target/sdv-store/` (override with
+//! into a one-file result store under `target/sdv-store/` (override with
 //! `--store-dir`; disable with `--no-cache`), so re-running `repro` with an
 //! unchanged configuration serves every cell and profile from disk (the
 //! `run engine:` line then reports 0 cells simulated and 0 misses), and

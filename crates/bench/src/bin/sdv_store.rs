@@ -12,24 +12,26 @@
 //! * `fingerprint` prints the current build's simulator-behaviour fingerprint
 //!   (hex) — the value CI uses as its store cache key, and the producer id
 //!   under which this binary reads and writes store entries.
-//! * `stats` prints occupancy statistics for a store directory.
-//! * `verify` structurally checks every shard file (magic, version, framing,
-//!   per-entry checksums, key placement) and exits non-zero on corruption —
-//!   run it after restoring a store from a CI cache.  `stats` and `verify`
-//!   only read: an absent or non-directory `DIR` is a command-line error,
-//!   and neither creates it.
+//! * `stats` prints size statistics for a store directory.
+//! * `verify` structurally checks the store's data file, `DIR/store.bin`
+//!   (magic, version, framing, per-entry checksums), and exits non-zero on
+//!   corruption — run it after restoring a store from a CI cache.
 //! * `repair` salvages every intact entry of a damaged store: corrupt bytes
-//!   are quarantined under `DIR/quarantine/`, each damaged shard is rewritten
-//!   atomically from its surviving entries, and a file with an unreadable
-//!   header (bad magic, or a shard-format version other than the current
-//!   one) is quarantined whole.  Only provably-corrupt entries are lost — a
-//!   follow-up `verify` is clean.
+//!   are quarantined under `DIR/quarantine/`, the data file is rewritten
+//!   atomically from its surviving entries, and a data file with an
+//!   unreadable header (bad magic, or a format version other than the
+//!   current one) is quarantined whole.  Only provably-corrupt entries are
+//!   lost — a follow-up `verify` is clean.
 //! * `merge` merges result sets into `DEST`: each `SRC` must be another store
 //!   directory (e.g. a parallel job's); an absent or non-directory `SRC` is a
 //!   command-line error, checked before anything is merged.  Entries written
 //!   by other builds are skipped, never replayed.
-//! * `gc` deletes shard files whose fingerprint differs from the kept one
-//!   (default: the current build's) plus abandoned temp files.
+//! * `gc` deletes the data file when its fingerprint differs from the kept
+//!   one (default: the current build's), plus abandoned temp files.
+//!
+//! `stats`, `verify` and `gc` hold `DIR` to the store-directory rule: an
+//! absent or non-directory `DIR` is a command-line error, and none of them
+//! creates it.
 //!
 //! All subcommands operate under the current build's fingerprint, so numbers
 //! produced by older simulators can never leak into new sessions.
@@ -67,9 +69,9 @@ fn open(dir: &Path) -> Store {
         .unwrap_or_else(|e| io_error(&format!("cannot open store {}: {e}", dir.display())))
 }
 
-/// Rejects (exit 2) a path a read-only subcommand would read: an absent or
-/// non-directory path would otherwise read as an empty, healthy store — and
-/// [`open`] would create it — so a typo must fail loudly instead.
+/// Rejects (exit 2) a path that must already be a store directory: an absent
+/// or non-directory path would otherwise read as an empty, healthy store —
+/// and [`open`] would create it — so a typo must fail loudly instead.
 fn require_store_dir(dir: &Path, role: &str) {
     if !dir.exists() {
         usage_error(&format!("{role} {} does not exist", dir.display()));
@@ -138,6 +140,7 @@ fn gc(dir: &Path, keep: Option<&str>) {
         Some(hex) => u64::from_str_radix(hex.trim_start_matches("0x"), 16)
             .unwrap_or_else(|_| usage_error(&format!("`{hex}` is not a hex fingerprint"))),
     };
+    require_store_dir(dir, "store");
     let store = open(dir);
     let report = store
         .gc(keep)

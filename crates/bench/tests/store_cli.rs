@@ -2,25 +2,26 @@
 //! damaged-store fixture is verified (exit 1), repaired (exit 0, salvaging
 //! every intact entry and quarantining the damaged bytes), and verified again
 //! (exit 0) — pinning the exit-code contract, the repair semantics, *and* the
-//! on-disk shard format (the `shard-ab.bin` bytes are regenerated in-test and
-//! must match the committed file byte for byte).  `shard-cd.bin` is a frozen
+//! on-disk format (the `current.bin` bytes are regenerated in-test and must
+//! match the committed file byte for byte).  `version-1.bin` is a frozen
 //! version-1 file from before the per-entry CRC: the store no longer reads
 //! that format, so it must come out of the flow as an unreadable file,
-//! quarantined whole.  The `merge` tests pin its source contract: store
-//! directories merge, anything else is exit 2; `stats` and `verify` hold
-//! their DIR to the same rule.
+//! quarantined whole.  Each fixture runs as the `store.bin` of its own
+//! scratch store.  The `merge` tests pin its source contract: store
+//! directories merge, anything else is exit 2; `stats`, `verify` and `gc`
+//! hold their DIR to the same rule.
 //!
-//! Regenerate `shard-ab.bin` after a deliberate format change with
+//! Regenerate `current.bin` after a deliberate format change with
 //! `SDV_REGEN_FIXTURES=1 cargo test -p sdv-bench --test store_cli`.
 
-use sdv_store::{serialize_shard, Store};
+use sdv_store::{serialize_entries, Store};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 /// The fixture's producer fingerprint: fixed, so the committed bytes never
 /// depend on the current build (the CLI still verifies and repairs foreign
-/// shards — they are merely "stale", not corrupt).
+/// stores — they are merely "stale", not corrupt).
 const FIXTURE_FP: u64 = 0xfeed;
 
 fn run(args: &[&str]) -> Output {
@@ -42,9 +43,9 @@ fn fixture_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/store")
 }
 
-/// Shard `ab`, current version: five entries, with a bit flipped inside the
-/// third entry's payload (a media-corruption casualty the CRC catches).
-fn fixture_bytes_ab() -> Vec<u8> {
+/// The current version: five entries, with a bit flipped inside the third
+/// entry's payload (a media-corruption casualty the CRC catches).
+fn fixture_bytes_current() -> Vec<u8> {
     let entries: HashMap<u128, Vec<u8>> = (0..5u32)
         .map(|i| {
             let key = (0xab_u128 << 120) | u128::from(i);
@@ -52,7 +53,7 @@ fn fixture_bytes_ab() -> Vec<u8> {
             (key, payload)
         })
         .collect();
-    let mut bytes = serialize_shard(FIXTURE_FP, &entries);
+    let mut bytes = serialize_entries(FIXTURE_FP, &entries);
     // Header 24, entries key-sorted with sizes 29 and 30 before the victim;
     // its payload starts 24 framing bytes further in.
     bytes[24 + 29 + 30 + 24] ^= 1;
@@ -63,14 +64,14 @@ fn fixture_bytes_ab() -> Vec<u8> {
 /// this is the format pin: any serialization change shows up as a byte diff
 /// here before it can silently invalidate real stores.
 #[test]
-fn golden_fixture_matches_the_current_shard_format() {
+fn golden_fixture_matches_the_current_store_format() {
     let dir = fixture_dir();
     if std::env::var_os("SDV_REGEN_FIXTURES").is_some() {
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("shard-ab.bin"), fixture_bytes_ab()).unwrap();
+        std::fs::write(dir.join("current.bin"), fixture_bytes_current()).unwrap();
     }
-    let committed = std::fs::read(dir.join("shard-ab.bin")).expect("committed fixture");
-    assert_eq!(committed, fixture_bytes_ab(), "shard format drifted");
+    let committed = std::fs::read(dir.join("current.bin")).expect("committed fixture");
+    assert_eq!(committed, fixture_bytes_current(), "store format drifted");
 }
 
 /// A fresh, empty scratch directory path (not created).
@@ -84,22 +85,21 @@ fn scratch_path(tag: &str) -> PathBuf {
     dir
 }
 
-/// Copies the golden fixture into a scratch store directory.
-fn scratch_store(tag: &str) -> PathBuf {
+/// A scratch store directory whose data file is the committed `fixture`.
+fn scratch_store(tag: &str, fixture: &str) -> PathBuf {
     let dir = scratch_path(tag);
     std::fs::create_dir_all(&dir).unwrap();
-    for shard in ["shard-ab.bin", "shard-cd.bin"] {
-        std::fs::copy(fixture_dir().join(shard), dir.join(shard)).unwrap();
-    }
+    std::fs::copy(fixture_dir().join(fixture), dir.join("store.bin")).unwrap();
     dir
 }
 
 /// The headline acceptance flow: verify flags the damage (exit 1), repair
-/// salvages every intact entry, quarantines the corrupt bytes and the
-/// unreadable version-1 file (exit 0), and a second verify is clean (exit 0).
+/// salvages every intact entry and quarantines the corrupt bytes, or the
+/// unreadable version-1 file whole (exit 0), and a second verify is clean
+/// (exit 0).
 #[test]
 fn verify_repair_verify_on_the_golden_fixture() {
-    let dir = scratch_store("repair");
+    let dir = scratch_store("repair", "current.bin");
     let dir_s = dir.to_str().unwrap();
 
     let out = run(&["verify", dir_s]);
@@ -107,25 +107,18 @@ fn verify_repair_verify_on_the_golden_fixture() {
     let text = stdout(&out);
     assert!(text.contains("1 corrupt entry"), "{text}");
     assert!(text.contains("entry 2: crc mismatch"), "{text}");
-    assert!(text.contains("shard-cd.bin: version 1"), "{text}");
 
     let out = run(&["repair", dir_s]);
     assert!(out.status.success(), "{}", stderr(&out));
     let text = stdout(&out);
-    assert!(text.contains("1 repaired"), "{text}");
+    assert!(text.contains("repaired"), "{text}");
     assert!(text.contains("4 entries recovered"), "{text}");
     assert!(text.contains("1 quarantined"), "{text}");
-    assert!(text.contains("1 unreadable file(s) quarantined"), "{text}");
+    assert!(text.contains("0 unreadable file(s) quarantined"), "{text}");
 
-    // The damaged bytes survive: exactly the victim entry's 31 bytes, and
-    // the version-1 file byte for byte.
-    let quarantined = std::fs::read(dir.join("quarantine/shard-ab.bad")).unwrap();
+    // The damaged bytes survive: exactly the victim entry's 31 bytes.
+    let quarantined = std::fs::read(dir.join("quarantine/store.bad")).unwrap();
     assert_eq!(quarantined.len(), 31);
-    assert_eq!(
-        std::fs::read(dir.join("quarantine/shard-cd.bad")).unwrap(),
-        std::fs::read(fixture_dir().join("shard-cd.bin")).unwrap()
-    );
-    assert!(!dir.join("shard-cd.bin").exists());
 
     let out = run(&["verify", dir_s]);
     assert!(
@@ -139,10 +132,38 @@ fn verify_repair_verify_on_the_golden_fixture() {
     let out = run(&["repair", dir_s]);
     assert!(out.status.success());
     assert!(
-        stdout(&out).contains("1 clean, 0 repaired"),
+        stdout(&out).contains("clean: 0 entries recovered"),
         "{}",
         stdout(&out)
     );
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    // The frozen version-1 file is unreadable as a whole: quarantined byte
+    // for byte, leaving an empty, healthy store.
+    let dir = scratch_store("repair-v1", "version-1.bin");
+    let dir_s = dir.to_str().unwrap();
+    let out = run(&["verify", dir_s]);
+    assert_eq!(out.status.code(), Some(1), "{}", stdout(&out));
+    assert!(
+        stdout(&out).contains("store.bin: version 1"),
+        "{}",
+        stdout(&out)
+    );
+
+    let out = run(&["repair", dir_s]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let text = stdout(&out);
+    assert!(text.contains("repaired"), "{text}");
+    assert!(text.contains("1 unreadable file(s) quarantined"), "{text}");
+    assert_eq!(
+        std::fs::read(dir.join("quarantine/store.bad")).unwrap(),
+        std::fs::read(fixture_dir().join("version-1.bin")).unwrap()
+    );
+    assert!(!dir.join("store.bin").exists());
+
+    let out = run(&["verify", dir_s]);
+    assert!(out.status.success(), "{}", stdout(&out));
+    assert!(stdout(&out).contains("OK"), "{}", stdout(&out));
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -253,5 +274,50 @@ fn read_only_subcommands_reject_absent_and_file_dirs() {
             stderr(&out)
         );
     }
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// `gc` on a mistyped DIR must not report a clean collection of nothing: an
+/// absent or file DIR is a command-line error (exit 2), and the absent path
+/// is not created.
+#[test]
+fn gc_rejects_absent_and_file_dirs() {
+    let root = scratch_path("gc-bad");
+    std::fs::create_dir_all(&root).unwrap();
+    let absent = root.join("absent");
+    let file = root.join("notes.txt");
+    std::fs::write(&file, b"not a store").unwrap();
+
+    let out = run(&["gc", absent.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2), "{}", stdout(&out));
+    assert!(stderr(&out).contains("does not exist"), "{}", stderr(&out));
+    assert!(!absent.exists(), "gc must not create its DIR");
+
+    let out = run(&["gc", file.to_str().unwrap(), "--keep-fingerprint", "feed"]);
+    assert_eq!(out.status.code(), Some(2), "{}", stdout(&out));
+    assert!(
+        stderr(&out).contains("is not a store directory"),
+        "{}",
+        stderr(&out)
+    );
+
+    // A real store directory still collects: a stale data file goes.
+    let store = root.join("store");
+    Store::open(&store, FIXTURE_FP)
+        .unwrap()
+        .put_batch(&[(1, vec![1])])
+        .unwrap();
+    let out = run(&["gc", store.to_str().unwrap()]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(
+        stdout(&out).contains("1 stale data file (1 entries)"),
+        "{}",
+        stdout(&out)
+    );
+    assert!(!store.join("store.bin").exists());
+    assert!(
+        store.join("store.lock").exists(),
+        "gc never deletes the lock"
+    );
     std::fs::remove_dir_all(&root).unwrap();
 }

@@ -23,8 +23,8 @@
 //! statistics two canonical cells produce with the current binary, plus one
 //! canonical stride profile, so editing the timing model or the profiler
 //! invalidates results written by earlier builds instead of silently
-//! replaying their numbers.  The store records it per shard file (folded
-//! with the payload version, so a layout bump also invalidates).
+//! replaying their numbers.  The store records it in its data file's header
+//! (folded with the payload version, so a layout bump also invalidates).
 //!
 //! A configuration change therefore simply misses the store; a payload-layout
 //! change bumps `CACHE_VERSION`; and results from a different build are
@@ -102,7 +102,7 @@ pub fn stride_profile(workload: Workload, scale: u64, max_insts: u64) -> StrideS
 /// two tiny canonical cells (one vectorizing, one scalar) and one canonical
 /// stride profile, hashed with a seed that folds in the payload version, so
 /// a model or profiler change that alters what they measure and a
-/// serialization-layout bump both make shards written by an older build
+/// serialization-layout bump both make a store written by an older build
 /// invisible rather than misdecoded.  Computed once per process (a few
 /// milliseconds).
 #[must_use]

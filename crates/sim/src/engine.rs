@@ -404,12 +404,13 @@ impl RunEngine {
         self.persist_retries.load(Ordering::Relaxed)
     }
 
-    /// Attaches the sharded persistent result store in `dir`: previously
+    /// Attaches the persistent result store in `dir` (one data file,
+    /// `store.bin`, behind one writer lock): previously
     /// persisted cells and stride profiles are served without re-simulation,
     /// and [`Self::persist`] merges the session's results back in.  Entries are
     /// invalidated by content-hash mismatch (any configuration/workload/budget
-    /// change misses) and whole shards by a simulator-behaviour fingerprint
-    /// mismatch (results from a different build are invisible).
+    /// change misses) and the whole file by a simulator-behaviour
+    /// fingerprint mismatch (results from a different build are invisible).
     ///
     /// Failure to open the store degrades to running without one (a warning
     /// is printed); results are identical either way.
@@ -503,9 +504,9 @@ impl RunEngine {
 
     /// Merges every memoized result of this session — cells and stride
     /// profiles, in one batch — into the attached store.
-    /// Entries other sessions persisted concurrently survive (each shard
-    /// write is a read–merge–write under the shard's writer lock), so a
-    /// narrow run never shrinks a broad store.
+    /// Entries other sessions persisted concurrently survive (the write is a
+    /// read–merge–write under the store's writer lock), so a narrow run
+    /// never shrinks a broad store.
     ///
     /// Transient I/O failures are retried twice with exponential backoff
     /// (10 ms, then 20 ms) before the error surfaces.

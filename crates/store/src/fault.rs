@@ -3,7 +3,7 @@
 //! [`FaultPlan`] implements [`StoreIo`] by delegating to a real filesystem
 //! while injecting failures at *named points* from an explicit or seeded
 //! schedule: process crashes after a temp write, before a rename, or while
-//! holding a shard lock; torn (short) writes; single-bit flips; and
+//! holding the writer lock; torn (short) writes; single-bit flips; and
 //! transient `EIO` / `ENOSPC` errors.  Everything is counted and triggered
 //! by operation index, so a test that fails replays identically.
 //!
@@ -26,13 +26,13 @@ use crate::io::{RealIo, StoreIo};
 /// The I/O operations a fault can attach to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IoOp {
-    /// Whole-file reads (shard loads, scans).
+    /// Whole-file reads (data-file loads, scans).
     Read,
     /// Whole-file writes (temp files on the atomic-replace path).
     Write,
-    /// The atomic `rename` publishing a temp file as the live shard.
+    /// The atomic `rename` publishing a temp file as the live data file.
     Rename,
-    /// Shard writer-lock acquisition.
+    /// Writer-lock acquisition.
     Lock,
 }
 
@@ -126,7 +126,7 @@ impl FaultPlan {
         Self::new().with_fault(IoOp::Rename, nth, Fault::Crash)
     }
 
-    /// Named point: the process dies while holding the shard writer lock
+    /// Named point: the process dies while holding the writer lock
     /// (the OS — here, the dropped handle — releases it).
     #[must_use]
     pub fn crash_mid_lock(nth: u64) -> Self {

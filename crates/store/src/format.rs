@@ -1,4 +1,4 @@
-//! Shard-file binary format: serialization, checksums, and a fault-tolerant
+//! Store-file binary format: serialization, checksums, and a fault-tolerant
 //! scanner.
 //!
 //! # Layout (version 2)
@@ -17,16 +17,16 @@
 //!
 //! # Scanning
 //!
-//! [`scan_shard`] is deliberately *lenient*: an unreadable header is fatal
+//! [`scan_entries`] is deliberately *lenient*: an unreadable header is fatal
 //! for the file, but any damage past the header is recorded as a
-//! [`ShardFault`] with its byte range, the damaged entry is skipped, and
+//! [`EntryFault`] with its byte range, the damaged entry is skipped, and
 //! scanning continues wherever framing allows.  Corrupt bytes can therefore
 //! only ever cost the entries they landed in.
 
 use std::collections::HashMap;
 
 pub(crate) const MAGIC: &[u8; 4] = b"SDVS";
-/// Bump whenever the shard-file layout changes; [`scan_shard`] reads only
+/// Bump whenever the store-file layout changes; [`scan_entries`] reads only
 /// this version.
 pub const STORE_VERSION: u32 = 2;
 
@@ -72,13 +72,13 @@ fn entry_crc(key: u128, payload: &[u8]) -> u32 {
 
 // ------------------------------------------------------------ serialization
 
-/// Serializes entries as a current-version shard file.
+/// Serializes entries as a current-version store file.
 ///
 /// Entry order is deterministic (sorted by key) so byte-identical content
 /// produces byte-identical files — CI cache stability, golden fixtures, and
 /// the truncation property tests all rely on this.
 #[must_use]
-pub fn serialize_shard(fingerprint: u64, entries: &HashMap<u128, Vec<u8>>) -> Vec<u8> {
+pub fn serialize_entries(fingerprint: u64, entries: &HashMap<u128, Vec<u8>>) -> Vec<u8> {
     let mut keys: Vec<&u128> = entries.keys().collect();
     keys.sort_unstable();
     let mut out = Vec::new();
@@ -103,9 +103,9 @@ pub fn serialize_shard(fingerprint: u64, entries: &HashMap<u128, Vec<u8>>) -> Ve
 
 // ----------------------------------------------------------------- scanning
 
-/// One localized defect found while scanning a shard file.
+/// One localized defect found while scanning a store file.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardFault {
+pub struct EntryFault {
     /// Human-readable description (`entry 3: crc mismatch …`).
     pub what: String,
     /// The byte range `[start, end)` of the damaged region in the file —
@@ -115,18 +115,18 @@ pub struct ShardFault {
     pub entries_lost: u64,
 }
 
-/// The outcome of leniently scanning one shard file.
+/// The outcome of leniently scanning one store file.
 #[derive(Debug, Clone, Default)]
-pub struct ShardScan {
+pub struct EntryScan {
     /// The producer fingerprint the file was written under.
     pub fingerprint: u64,
     /// Every entry whose bytes checked out.
     pub entries: HashMap<u128, Vec<u8>>,
     /// Localized damage found past the header; empty for a healthy file.
-    pub faults: Vec<ShardFault>,
+    pub faults: Vec<EntryFault>,
 }
 
-impl ShardScan {
+impl EntryScan {
     /// `true` when the file parsed without a single fault.
     #[must_use]
     pub fn is_clean(&self) -> bool {
@@ -179,15 +179,15 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Leniently parses a shard file.
+/// Leniently parses a store file.
 ///
 /// # Errors
 ///
 /// `Err` only when the *header* is unreadable (too short, bad magic, or an
 /// unknown version) — then nothing in the file can be trusted and repair
 /// quarantines it whole.  All damage past the header comes back as
-/// [`ShardScan::faults`] alongside every entry that survived.
-pub fn scan_shard(bytes: &[u8]) -> Result<ShardScan, String> {
+/// [`EntryScan::faults`] alongside every entry that survived.
+pub fn scan_entries(bytes: &[u8]) -> Result<EntryScan, String> {
     let mut c = Cursor { buf: bytes, pos: 0 };
     if c.take(4)? != MAGIC {
         return Err("bad magic".into());
@@ -198,9 +198,9 @@ pub fn scan_shard(bytes: &[u8]) -> Result<ShardScan, String> {
     }
     let fingerprint = c.u64()?;
     let count = c.u64()?;
-    let mut scan = ShardScan {
+    let mut scan = EntryScan {
         fingerprint,
-        ..ShardScan::default()
+        ..EntryScan::default()
     };
     for i in 0..count {
         let start = c.pos;
@@ -218,7 +218,7 @@ pub fn scan_shard(bytes: &[u8]) -> Result<ShardScan, String> {
                 // Framing is gone: nothing after this point can be trusted
                 // to start where an entry starts, so the rest of the file is
                 // one quarantined region.
-                scan.faults.push(ShardFault {
+                scan.faults.push(EntryFault {
                     what: format!("entry {i}: {e}"),
                     range: (start, bytes.len()),
                     entries_lost: count - i,
@@ -229,7 +229,7 @@ pub fn scan_shard(bytes: &[u8]) -> Result<ShardScan, String> {
         let key = (u128::from(hi) << 64) | u128::from(lo);
         let computed = entry_crc(key, payload);
         if stored_crc != computed {
-            scan.faults.push(ShardFault {
+            scan.faults.push(EntryFault {
                 what: format!(
                     "entry {i}: crc mismatch (stored {stored_crc:#010x}, computed {computed:#010x})"
                 ),
@@ -239,7 +239,7 @@ pub fn scan_shard(bytes: &[u8]) -> Result<ShardScan, String> {
             continue;
         }
         if scan.entries.insert(key, payload.to_vec()).is_some() {
-            scan.faults.push(ShardFault {
+            scan.faults.push(EntryFault {
                 what: format!("entry {i}: duplicate key {key:#034x}"),
                 range: (start, c.pos),
                 entries_lost: 1,
@@ -247,7 +247,7 @@ pub fn scan_shard(bytes: &[u8]) -> Result<ShardScan, String> {
         }
     }
     if !c.buf.is_empty() {
-        scan.faults.push(ShardFault {
+        scan.faults.push(EntryFault {
             what: format!("{} trailing bytes after {count} entries", c.buf.len()),
             range: (c.pos, bytes.len()),
             entries_lost: 0,
@@ -273,7 +273,7 @@ mod tests {
         let mut entries = HashMap::new();
         entries.insert(1u128 << 120 | 7, vec![1, 2, 3]);
         entries.insert(1u128 << 120 | 9, vec![]);
-        let scan = scan_shard(&serialize_shard(0xfeed, &entries)).unwrap();
+        let scan = scan_entries(&serialize_entries(0xfeed, &entries)).unwrap();
         assert_eq!(scan.fingerprint, 0xfeed);
         assert_eq!(scan.entries, entries);
         assert!(scan.is_clean());
@@ -285,12 +285,12 @@ mod tests {
         for i in 0..5u128 {
             entries.insert(1u128 << 120 | i, vec![i as u8; 8]);
         }
-        let mut bytes = serialize_shard(1, &entries);
+        let mut bytes = serialize_entries(1, &entries);
         // Flip one payload bit of entry 1 (header 24, each entry 24 framing
         // + 8 payload).
         let victim = 24 + 32 + 24 + 2;
         bytes[victim] ^= 0x40;
-        let scan = scan_shard(&bytes).unwrap();
+        let scan = scan_entries(&bytes).unwrap();
         assert_eq!(scan.faults.len(), 1, "{:?}", scan.faults);
         assert_eq!(scan.corrupt_entries(), 1);
         assert_eq!(scan.entries.len(), 4, "neighbours survive");
@@ -303,12 +303,12 @@ mod tests {
         for i in 0..4u128 {
             entries.insert(2u128 << 120 | i, vec![0xab; 6]);
         }
-        let bytes = serialize_shard(1, &entries);
+        let bytes = serialize_entries(1, &entries);
         let header = 24;
         let per_entry = 8 + 8 + 4 + 4 + 6;
         // Cut in the middle of entry 2: entries 0 and 1 survive.
         let cut = header + 2 * per_entry + 3;
-        let scan = scan_shard(&bytes[..cut]).unwrap();
+        let scan = scan_entries(&bytes[..cut]).unwrap();
         assert_eq!(scan.entries.len(), 2);
         assert_eq!(scan.corrupt_entries(), 2, "entry 2 and the unseen entry 3");
         assert_eq!(scan.faults[0].range, (header + 2 * per_entry, cut));
@@ -316,23 +316,23 @@ mod tests {
 
     #[test]
     fn header_damage_is_fatal() {
-        let bytes = serialize_shard(1, &HashMap::new());
-        assert!(scan_shard(&bytes[..3]).is_err(), "short header");
+        let bytes = serialize_entries(1, &HashMap::new());
+        assert!(scan_entries(&bytes[..3]).is_err(), "short header");
         let mut bad = bytes.clone();
         bad[0] = b'X';
-        assert!(scan_shard(&bad).is_err(), "bad magic");
+        assert!(scan_entries(&bad).is_err(), "bad magic");
         let mut future = bytes;
         future[4] = 99;
-        assert!(scan_shard(&future).is_err(), "unknown version");
+        assert!(scan_entries(&future).is_err(), "unknown version");
     }
 
     #[test]
     fn trailing_bytes_are_a_fault_not_a_loss() {
         let mut entries = HashMap::new();
         entries.insert(7u128, vec![1]);
-        let mut bytes = serialize_shard(1, &entries);
+        let mut bytes = serialize_entries(1, &entries);
         bytes.extend_from_slice(b"junk");
-        let scan = scan_shard(&bytes).unwrap();
+        let scan = scan_entries(&bytes).unwrap();
         assert_eq!(scan.entries.len(), 1);
         assert_eq!(scan.corrupt_entries(), 0);
         assert_eq!(scan.faults.len(), 1);

@@ -135,7 +135,7 @@ impl StoreIo for RealIo {
 
 /// Bucket bounds (µs) for the lock-wait histogram: 100µs, 1ms, 10ms, 100ms,
 /// 1s.  An uncontended advisory lock lands in the first bucket; anything in
-/// the last two means writers are genuinely serializing on a shard.
+/// the last two means writers are genuinely serializing on the store.
 pub const LOCK_WAIT_BOUNDS_MICROS: [f64; 5] = [100.0, 1_000.0, 10_000.0, 100_000.0, 1_000_000.0];
 
 /// A counting decorator over any [`StoreIo`]: every call increments

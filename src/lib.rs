@@ -16,7 +16,8 @@
 //!   vectorization engine (Table of Loads, VRMT, vector register file).
 //! * [`uarch`] — the cycle-level out-of-order superscalar pipeline.
 //! * [`workloads`] — synthetic SPEC95-analogue kernels.
-//! * [`store`] — the sharded, mergeable, concurrency-safe result store.
+//! * [`store`] — the mergeable, concurrency-safe, self-healing result store
+//!   (one CRC-framed data file per store directory).
 //! * [`sim`] — experiment configurations, the run engine and figure generators.
 //!
 //! # Quickstart

@@ -3,13 +3,13 @@
 //! Every test here drives the store through [`sdv::store::FaultPlan`] — the
 //! deterministic [`sdv::store::StoreIo`] implementation that injects crashes,
 //! torn writes, bit flips and transient errors at named I/O points — or
-//! mutates shard files directly, then proves the recovery invariants:
+//! mutates the data file directly, then proves the recovery invariants:
 //!
 //! * **Crash consistency** — after a simulated crash at *any* named injection
 //!   point (after the temp write, before the rename, mid-lock), a fresh
 //!   `Store::open` on the real filesystem succeeds and `verify` reports zero
 //!   corrupt entries among those acknowledged by completed `put_batch` calls.
-//! * **Panic freedom** — truncating a shard file at every byte offset never
+//! * **Panic freedom** — truncating the data file at every byte offset never
 //!   panics `open`/`get`/`verify`, and `repair` retains exactly the entries
 //!   whose bytes survived intact.
 //! * **Self-healing** — detected corruption (bit flips) is quarantined by
@@ -38,7 +38,7 @@ fn payload(seed: u64) -> Vec<u8> {
     (0..(seed % 47)).map(|i| (seed ^ i) as u8).collect()
 }
 
-/// Spreads seeds over all shards (top byte comes from the seed).
+/// Spreads seeds over the key space (the top bytes come from the seed).
 fn key(seed: u64) -> u128 {
     (u128::from(seed) << 64) | u128::from(seed.wrapping_mul(0x9e37_79b9))
 }
@@ -50,7 +50,7 @@ proptest! {
     /// flight, a crash at any named injection point loses at most the batch
     /// that never completed.  Everything `put_batch` acknowledged is intact
     /// after recovery on the real filesystem, and `verify` finds no
-    /// corruption at all (unacknowledged work either never replaced a shard
+    /// corruption at all (unacknowledged work either never replaced the file
     /// or replaced it atomically).
     #[test]
     fn crash_at_every_named_injection_point_preserves_acknowledged_batches(
@@ -129,13 +129,12 @@ proptest! {
     }
 }
 
-/// Truncating a shard file at *every* byte offset never panics
+/// Truncating the data file at *every* byte offset never panics
 /// `open`/`get`/`verify`, and `repair` retains exactly the entries whose
 /// bytes survived intact (computed from the file layout, not from repair's
 /// own claims).
 #[test]
 fn truncation_at_every_offset_never_panics_and_repair_keeps_intact_entries() {
-    // All keys in one shard (top byte 0xab) so one file holds everything.
     let entries: HashMap<u128, Vec<u8>> = (0..6u64)
         .map(|i| ((0xab_u128 << 120) | u128::from(i), payload(i + 3)))
         .collect();
@@ -143,8 +142,7 @@ fn truncation_at_every_offset_never_panics_and_repair_keeps_intact_entries() {
 
     let master = tmp_dir("trunc-master");
     Store::open(&master, FP).unwrap().put_batch(&batch).unwrap();
-    let shard_file = master.join("shard-ab.bin");
-    let bytes = std::fs::read(&shard_file).unwrap();
+    let bytes = std::fs::read(master.join("store.bin")).unwrap();
 
     // Per-entry byte ranges, in file order (entries are key-sorted).
     let mut sorted: Vec<(&u128, &Vec<u8>)> = entries.iter().collect();
@@ -161,7 +159,7 @@ fn truncation_at_every_offset_never_panics_and_repair_keeps_intact_entries() {
     for cut in 0..=bytes.len() {
         let dir = tmp_dir("trunc-case");
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("shard-ab.bin"), &bytes[..cut]).unwrap();
+        std::fs::write(dir.join("store.bin"), &bytes[..cut]).unwrap();
 
         let store = Store::open(&dir, FP).unwrap();
         for (k, _, _) in &ranges {
@@ -243,7 +241,7 @@ fn bit_flip_is_detected_quarantined_and_contained() {
     let repair = store.repair().unwrap();
     assert_eq!(repair.quarantined_entries, 1, "{repair}");
     assert_eq!(repair.recovered_entries, 3, "{repair}");
-    assert!(dir.join("quarantine").join("shard-0c.bad").exists());
+    assert!(dir.join("quarantine").join("store.bad").exists());
 
     let healed = store.verify().unwrap();
     assert!(healed.is_ok(), "{healed}");

@@ -1,13 +1,15 @@
 //! Integration tests for the persistent result store: property-based
-//! round-trips, merge commutativity, concurrent engine sessions sharing one
-//! store directory, and Figure 1's stride profiles replayed from a store.
+//! round-trips, merge commutativity, the one-file layout and its read
+//! traffic, concurrent engine sessions sharing one store directory, and
+//! Figure 1's stride profiles replayed from a store.
 
 use proptest::prelude::*;
 use sdv::emu::{Emulator, StrideProfiler, StrideStats};
 use sdv::sim::{cachefile, fig1, PortKind, RunConfig, RunEngine, UarchConfig, Workload};
-use sdv::store::Store;
+use sdv::store::{Obs, ObsLevel, Store};
 use std::collections::HashMap;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -28,10 +30,10 @@ fn payload(seed: u64) -> Vec<u8> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
-    /// Whatever mix of keys lands in whatever shards, every entry written in
-    /// one session is read back bit-identically by a fresh handle.
+    /// Whatever mix of keys is written in one session, every entry is read
+    /// back bit-identically by a fresh handle.
     #[test]
-    fn put_get_round_trips_across_shards(
+    fn put_get_round_trips(
         seeds in proptest::collection::vec((any::<u64>(), any::<u64>()), 1..40)
     ) {
         let dir = tmp_dir("proptest");
@@ -63,8 +65,8 @@ proptest! {
         let to_batch = |seeds: &[u64]| -> Vec<(u128, Vec<u8>)> {
             seeds
                 .iter()
-                // Shift into the top byte too, so entries spread over shards;
-                // shared seeds between A and B produce *identical* payloads,
+                // Shift into the top bytes too, so keys spread over the key
+                // space; shared seeds between A and B produce *identical* payloads,
                 // the deterministic-producer property real results have.
                 .map(|&s| (((u128::from(s)) << 64) | u128::from(s >> 8), payload(s)))
                 .collect()
@@ -89,6 +91,48 @@ proptest! {
             std::fs::remove_dir_all(dir).unwrap();
         }
     }
+}
+
+/// A store is one data file and one lock, whatever keys it holds, and a
+/// fresh handle serves every entry from a single read of that file.
+#[test]
+fn a_store_is_one_file_read_once() {
+    let dir = tmp_dir("one-file");
+    // SplitMix64: uniformly random 128-bit keys, the same on every run.
+    let mut state = 0x5d5d_u64;
+    let mut next = move || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    // As many entries as a fresh `repro --quick` writes, and then some.
+    let entries: HashMap<u128, Vec<u8>> = (0..256)
+        .map(|_| {
+            let key = (u128::from(next()) << 64) | u128::from(next());
+            (key, payload(next()))
+        })
+        .collect();
+    assert_eq!(entries.len(), 256, "no key collisions");
+    let batch: Vec<(u128, Vec<u8>)> = entries.iter().map(|(k, v)| (*k, v.clone())).collect();
+    Store::open(&dir, 0x5d).unwrap().put_batch(&batch).unwrap();
+
+    let mut files: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    files.sort();
+    assert_eq!(files, ["store.bin", "store.lock"]);
+
+    let obs = Arc::new(Obs::new(ObsLevel::Metrics));
+    let mut reader = Store::open(&dir, 0x5d).unwrap();
+    reader.set_obs(Arc::clone(&obs));
+    for (key, value) in &entries {
+        assert_eq!(reader.get(*key).as_ref(), Some(value));
+    }
+    assert_eq!(obs.snapshot().counter("store.io.read.calls"), Some(1));
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 fn quick() -> RunConfig {
