@@ -29,9 +29,9 @@
 //! * `gc` deletes the data file when its fingerprint differs from the kept
 //!   one (default: the current build's), plus abandoned temp files.
 //!
-//! `stats`, `verify` and `gc` hold `DIR` to the store-directory rule: an
-//! absent or non-directory `DIR` is a command-line error, and none of them
-//! creates it.
+//! `stats`, `verify`, `repair` and `gc` hold `DIR` to the store-directory
+//! rule: an absent or non-directory `DIR` is a command-line error, and none
+//! of them creates it.
 //!
 //! All subcommands operate under the current build's fingerprint, so numbers
 //! produced by older simulators can never leak into new sessions.
@@ -110,6 +110,7 @@ fn verify(dir: &Path) {
 }
 
 fn repair(dir: &Path) {
+    require_store_dir(dir, "store");
     let store = open(dir);
     let report = store
         .repair()

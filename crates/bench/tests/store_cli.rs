@@ -181,10 +181,24 @@ fn repair_usage_and_io_errors_keep_the_exit_contract() {
         "extra operands are a usage error"
     );
 
-    // A path that cannot even be created is a runtime I/O failure (3).
-    let out = run(&["repair", "/proc/does-not-exist/store"]);
+    // An absent DIR is a usage error (2) and is not created.
+    let absent = Path::new("/proc/does-not-exist/store");
+    let out = run(&["repair", absent.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    assert!(stderr(&out).contains("does not exist"), "{}", stderr(&out));
+    assert!(!absent.exists(), "repair must not create its DIR");
+
+    // A store whose data file cannot be read is a runtime I/O failure (3).
+    let dir = scratch_path("repair-io");
+    std::fs::create_dir_all(dir.join("store.bin")).unwrap();
+    let out = run(&["repair", dir.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(3), "{}", stderr(&out));
-    assert!(stderr(&out).contains("cannot"), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("cannot repair store"),
+        "{}",
+        stderr(&out)
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// The current build's fingerprint, as the CLI reports it.

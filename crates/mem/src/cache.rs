@@ -1,18 +1,9 @@
 //! Set-associative cache state (tags only — the simulator is timing-directed,
 //! data values live in the functional emulator).
 //!
-//! Two interchangeable lookup models drive the same tag array:
-//!
-//! * [`CacheModel::FastPath`] (the default) keeps a per-set MRU **way
-//!   predictor** — the predicted way is checked first, so the steady-state hit
-//!   touches one tag instead of scanning the set — and compact per-set **age
-//!   ranks** (a `0..ways` recency permutation per set) in place of the global
-//!   `stamp`/`last_used` counters, so victim selection on a miss is a small
-//!   `u8` max-scan instead of a full-set `min_by_key` over 64-bit stamps.
-//! * [`CacheModel::NaiveScan`] is the original global-timestamp LRU scan,
-//!   retained as a reference oracle: both models produce identical
-//!   hit/miss/writeback/eviction sequences and [`CacheStats`] on any access
-//!   stream (pinned by a property test in `tests/cache_properties.rs`).
+//! Lookup scans the set's ways and LRU replacement compares global access
+//! stamps.  The paper's caches are 2- and 4-way, so a hit costs at most four
+//! tag compares and needs no way predictor.
 
 /// Geometry of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -77,17 +68,6 @@ impl CacheConfig {
     }
 }
 
-/// Which lookup implementation a [`Cache`] uses (results are identical).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CacheModel {
-    /// Way-predicted hit path with per-set age-rank LRU (the default).
-    #[default]
-    FastPath,
-    /// The original full-set scan with global LRU stamps, kept as a
-    /// reference oracle for equivalence tests.
-    NaiveScan,
-}
-
 /// Hit/miss counters for one cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -113,36 +93,6 @@ impl CacheStats {
     }
 }
 
-/// Way-predictor accuracy counters (only advanced by [`CacheModel::FastPath`]).
-///
-/// Cache misses are not counted in either bucket: there is no way to predict
-/// for a line that is absent.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WayPredictStats {
-    /// Hits served by the predicted way (single tag compare).
-    pub predicted_hits: u64,
-    /// Hits found in a different way than predicted (fell back to the scan).
-    pub scan_hits: u64,
-}
-
-impl WayPredictStats {
-    /// Total hits the predictor was consulted for.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.predicted_hits + self.scan_hits
-    }
-
-    /// Fraction of hits served by the predicted way (0 if there were none).
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        if self.total() == 0 {
-            0.0
-        } else {
-            self.predicted_hits as f64 / self.total() as f64
-        }
-    }
-}
-
 /// The outcome of a cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessOutcome {
@@ -150,18 +100,6 @@ pub struct AccessOutcome {
     pub hit: bool,
     /// Address of a dirty line that had to be written back, if any.
     pub writeback: Option<u64>,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// Global LRU stamp ([`CacheModel::NaiveScan`] only).
-    last_used: u64,
-    /// Per-set recency rank, 0 = MRU ([`CacheModel::FastPath`] only).  The
-    /// valid lines of a set always hold a permutation of `0..valid_count`.
-    age: u8,
 }
 
 /// A set-associative, write-back, write-allocate cache with LRU replacement.
@@ -177,45 +115,37 @@ struct Line {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    lines: Vec<Line>,
+    // Per-line state, indexed `set * ways + way`.  Every lane starts zeroed,
+    // so a new cache is one untouched zeroed allocation per lane: building
+    // a processor writes none of its cache memory, and a run touches only
+    // the sets it uses.
+    /// Tag of each line.
+    tags: Vec<u64>,
+    /// Global LRU stamp of each line's last access; 0 marks an invalid
+    /// line (every access bumps `stamp` before using it, so a filled line's
+    /// stamp is at least 1).
+    stamps: Vec<u64>,
+    /// Dirty bit of each line.
+    dirty: Vec<bool>,
     sets: usize,
     stamp: u64,
     stats: CacheStats,
-    model: CacheModel,
-    /// Per-set predicted (MRU) way.
-    pred: Vec<u8>,
-    way_stats: WayPredictStats,
 }
 
 impl Cache {
-    /// Creates an empty (all-invalid) cache using the default fast-path model.
+    /// Creates an empty (all-invalid) cache.
     #[must_use]
     pub fn new(cfg: CacheConfig) -> Self {
-        Cache::with_model(cfg, CacheModel::default())
-    }
-
-    /// Creates an empty cache driven by the given lookup model.
-    #[must_use]
-    pub fn with_model(cfg: CacheConfig, model: CacheModel) -> Self {
         let sets = cfg.sets();
+        let lines = sets * cfg.ways;
         Cache {
             cfg,
-            lines: vec![
-                Line {
-                    tag: 0,
-                    valid: false,
-                    dirty: false,
-                    last_used: 0,
-                    age: 0,
-                };
-                sets * cfg.ways
-            ],
+            tags: vec![0; lines],
+            stamps: vec![0; lines],
+            dirty: vec![false; lines],
             sets,
             stamp: 0,
             stats: CacheStats::default(),
-            model,
-            pred: vec![0; sets],
-            way_stats: WayPredictStats::default(),
         }
     }
 
@@ -225,22 +155,10 @@ impl Cache {
         self.cfg
     }
 
-    /// The lookup model driving this cache.
-    #[must_use]
-    pub fn model(&self) -> CacheModel {
-        self.model
-    }
-
     /// The accumulated statistics.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    /// Way-predictor accuracy counters (all-zero under [`CacheModel::NaiveScan`]).
-    #[must_use]
-    pub fn way_predict_stats(&self) -> WayPredictStats {
-        self.way_stats
     }
 
     /// The line-aligned address containing `addr`.
@@ -257,14 +175,23 @@ impl Cache {
         addr / (self.cfg.line_bytes as u64 * self.sets as u64)
     }
 
+    /// The line indices of the set `addr` maps to.
+    fn ways_of(&self, addr: u64) -> std::ops::Range<usize> {
+        let base = self.set_of(addr) * self.cfg.ways;
+        base..base + self.cfg.ways
+    }
+
+    /// The line holding `addr`, if it is present.
+    fn find(&self, addr: u64) -> Option<usize> {
+        let tag = self.tag_of(addr);
+        self.ways_of(addr)
+            .find(|&i| self.stamps[i] != 0 && self.tags[i] == tag)
+    }
+
     /// Checks for a hit without changing any state (no LRU update, no fill).
     #[must_use]
     pub fn probe(&self, addr: u64) -> bool {
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
-        self.lines[set * self.cfg.ways..(set + 1) * self.cfg.ways]
-            .iter()
-            .any(|l| l.valid && l.tag == tag)
+        self.find(addr).is_some()
     }
 
     /// Performs one access: on a miss the line is allocated (write-allocate),
@@ -286,86 +213,43 @@ impl Cache {
     /// with [`Self::allocate_miss`] (the hierarchy skips it when no MSHR is
     /// free).
     pub fn try_hit(&mut self, addr: u64, is_write: bool) -> bool {
-        match self.model {
-            CacheModel::FastPath => self.try_hit_fast(addr, is_write),
-            CacheModel::NaiveScan => self.try_hit_naive(addr, is_write),
-        }
+        // The stamp advances once per logical access; a follow-up
+        // `allocate_miss` fills at this already-bumped value.
+        self.stamp += 1;
+        let Some(line) = self.find(addr) else {
+            return false;
+        };
+        self.stamps[line] = self.stamp;
+        self.dirty[line] |= is_write;
+        self.stats.accesses += 1;
+        self.stats.hits += 1;
+        true
     }
 
     /// The miss half of an access: counts the miss, selects a victim (first
     /// invalid way, else LRU) and fills the line.  Must only be called after
     /// [`Self::try_hit`] returned `false` for the same address.
     pub fn allocate_miss(&mut self, addr: u64, is_write: bool) -> AccessOutcome {
+        debug_assert!(self.stamp > 0, "allocate_miss follows try_hit");
         self.stats.accesses += 1;
         self.stats.misses += 1;
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
-        let ways = self.cfg.ways;
-        let base = set * ways;
-
-        // Victim: the first invalid way, else the LRU way.
-        let victim_idx = match self.model {
-            CacheModel::FastPath => {
-                let mut victim = 0;
-                let mut victim_age = 0u8;
-                for (i, line) in self.lines[base..base + ways].iter().enumerate() {
-                    if !line.valid {
-                        victim = i;
-                        break;
-                    }
-                    if line.age >= victim_age {
-                        victim = i;
-                        victim_age = line.age;
-                    }
-                }
-                victim
-            }
-            CacheModel::NaiveScan => {
-                let slice = &self.lines[base..base + ways];
-                slice
-                    .iter()
-                    .enumerate()
-                    .find(|(_, l)| !l.valid)
-                    .map(|(i, _)| i)
-                    .unwrap_or_else(|| {
-                        slice
-                            .iter()
-                            .enumerate()
-                            .min_by_key(|(_, l)| l.last_used)
-                            .map(|(i, _)| i)
-                            .expect("ways > 0")
-                    })
-            }
-        };
-
+        // Invalid lines hold stamp 0 and valid stamps are distinct, so the
+        // first least-stamped way is the first invalid way, else the LRU way.
+        let victim = self
+            .ways_of(addr)
+            .min_by_key(|&i| self.stamps[i])
+            .expect("ways > 0");
         let mut writeback = None;
-        {
-            let victim = &self.lines[base + victim_idx];
-            if victim.valid && victim.dirty {
-                self.stats.writebacks += 1;
-                // Reconstruct the victim's line address from its tag and set.
-                let line_bytes = self.cfg.line_bytes as u64;
-                writeback = Some((victim.tag * self.sets as u64 + set as u64) * line_bytes);
-            }
+        if self.stamps[victim] != 0 && self.dirty[victim] {
+            self.stats.writebacks += 1;
+            // Reconstruct the victim's line address from its tag and set.
+            let set = (victim / self.cfg.ways) as u64;
+            let line_bytes = self.cfg.line_bytes as u64;
+            writeback = Some((self.tags[victim] * self.sets as u64 + set) * line_bytes);
         }
-        if self.model == CacheModel::FastPath {
-            // The filled line becomes MRU: every other valid line ages.
-            for line in &mut self.lines[base..base + ways] {
-                if line.valid {
-                    line.age += 1;
-                }
-            }
-            self.pred[set] = victim_idx as u8;
-        }
-        // (NaiveScan fills at the stamp the preceding `try_hit` bumped to,
-        // exactly like the pre-split single `access`.)
-        self.lines[base + victim_idx] = Line {
-            tag,
-            valid: true,
-            dirty: is_write,
-            last_used: self.stamp,
-            age: 0,
-        };
+        self.tags[victim] = self.tag_of(addr);
+        self.stamps[victim] = self.stamp;
+        self.dirty[victim] = is_write;
         AccessOutcome {
             hit: false,
             writeback,
@@ -375,88 +259,18 @@ impl Cache {
     /// Counts one access as a hit without touching the tag array.
     ///
     /// Used by the instruction path's last-line buffer: when the previous
-    /// access resolved the same line, that line is present and already MRU, so
-    /// re-walking the set (and the way predictor) is pure overhead — only the
-    /// counters need to advance to stay bit-identical with a full lookup.
+    /// access resolved the same line, that line is present and already the
+    /// most recent of its set, so re-walking the set is pure overhead — only
+    /// the counters need to advance to stay bit-identical with a full lookup.
     pub fn count_repeat_hit(&mut self) {
         self.stats.accesses += 1;
         self.stats.hits += 1;
     }
 
-    fn try_hit_fast(&mut self, addr: u64, is_write: bool) -> bool {
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
-        let ways = self.cfg.ways;
-        let base = set * ways;
-
-        // Predicted way first: the steady state is one tag compare.
-        let pred = self.pred[set] as usize;
-        let hit_way = {
-            let line = &self.lines[base + pred];
-            if line.valid && line.tag == tag {
-                self.way_stats.predicted_hits += 1;
-                Some(pred)
-            } else {
-                let mut found = None;
-                for (i, line) in self.lines[base..base + ways].iter().enumerate() {
-                    if i != pred && line.valid && line.tag == tag {
-                        found = Some(i);
-                        break;
-                    }
-                }
-                if let Some(way) = found {
-                    self.way_stats.scan_hits += 1;
-                    self.pred[set] = way as u8;
-                }
-                found
-            }
-        };
-        let Some(way) = hit_way else {
-            return false;
-        };
-        self.stats.accesses += 1;
-        self.stats.hits += 1;
-        // Promote to MRU: lines more recent than the hit line age by one.
-        let old_age = self.lines[base + way].age;
-        if old_age != 0 {
-            for line in &mut self.lines[base..base + ways] {
-                if line.valid && line.age < old_age {
-                    line.age += 1;
-                }
-            }
-            self.lines[base + way].age = 0;
-        }
-        self.lines[base + way].dirty |= is_write;
-        true
-    }
-
-    fn try_hit_naive(&mut self, addr: u64, is_write: bool) -> bool {
-        // The stamp advances once per logical access; a follow-up
-        // `allocate_miss` fills at this already-bumped value, exactly like the
-        // pre-split single `access` did.
-        self.stamp += 1;
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
-        let ways = self.cfg.ways;
-        let base = set * ways;
-        for line in &mut self.lines[base..base + ways] {
-            if line.valid && line.tag == tag {
-                line.last_used = self.stamp;
-                line.dirty |= is_write;
-                self.stats.accesses += 1;
-                self.stats.hits += 1;
-                return true;
-            }
-        }
-        false
-    }
-
     /// Invalidates every line (used on context-switch style resets in tests).
     pub fn flush(&mut self) {
-        for line in &mut self.lines {
-            line.valid = false;
-            line.dirty = false;
-        }
+        self.stamps.fill(0);
+        self.dirty.fill(false);
     }
 }
 
@@ -574,75 +388,6 @@ mod tests {
         c.access(0x0, false);
         assert!((c.stats().miss_rate() - 0.5).abs() < 1e-12);
         assert_eq!(CacheStats::default().miss_rate(), 0.0);
-    }
-
-    /// Every unit test above, replayed against the reference model: the two
-    /// implementations must agree access by access.
-    #[test]
-    fn naive_scan_matches_fast_path_on_the_unit_streams() {
-        let cfg = CacheConfig {
-            size_bytes: 256,
-            line_bytes: 32,
-            ways: 2,
-        };
-        let stream: &[(u64, bool)] = &[
-            (0x000, true),
-            (0x080, false),
-            (0x000, false),
-            (0x100, false),
-            (0x080, true),
-            (0x180, false),
-            (0x000, false),
-            (0x11f, false),
-            (0x120, false),
-        ];
-        let mut fast = Cache::with_model(cfg, CacheModel::FastPath);
-        let mut naive = Cache::with_model(cfg, CacheModel::NaiveScan);
-        for &(addr, is_write) in stream {
-            assert_eq!(
-                fast.access(addr, is_write),
-                naive.access(addr, is_write),
-                "outcome diverged at {addr:#x}"
-            );
-        }
-        assert_eq!(fast.stats(), naive.stats());
-    }
-
-    #[test]
-    fn way_predictor_counters_on_a_known_stream() {
-        // 4 sets × 2 ways, 32-byte lines.  Set 0 holds lines 0x000/0x080.
-        let mut c = small();
-        assert_eq!(c.model(), CacheModel::FastPath);
-        c.access(0x000, false); // miss; fills way 0, predictor -> way 0
-        c.access(0x008, false); // predicted hit (same line, way 0)
-        c.access(0x010, false); // predicted hit
-        c.access(0x080, false); // miss; fills way 1, predictor -> way 1
-        c.access(0x088, false); // predicted hit (way 1)
-        c.access(0x000, false); // hit in way 0, predictor said way 1: scan hit
-        c.access(0x000, false); // predicted hit again (predictor retrained)
-        let wp = c.way_predict_stats();
-        assert_eq!(wp.predicted_hits, 4);
-        assert_eq!(wp.scan_hits, 1);
-        assert_eq!(wp.total(), 5);
-        assert!((wp.hit_rate() - 0.8).abs() < 1e-12);
-        // The cache-level counters are unaffected by prediction accuracy.
-        assert_eq!(c.stats().accesses, 7);
-        assert_eq!(c.stats().hits, 5);
-        assert_eq!(c.stats().misses, 2);
-    }
-
-    #[test]
-    fn naive_model_never_consults_the_predictor() {
-        let cfg = CacheConfig {
-            size_bytes: 256,
-            line_bytes: 32,
-            ways: 2,
-        };
-        let mut c = Cache::with_model(cfg, CacheModel::NaiveScan);
-        c.access(0x0, false);
-        c.access(0x0, false);
-        assert_eq!(c.way_predict_stats(), WayPredictStats::default());
-        assert_eq!(c.way_predict_stats().hit_rate(), 0.0);
     }
 
     #[test]

@@ -218,12 +218,6 @@ impl DataMemory {
         self.mshr_full_events
     }
 
-    /// L1 data-cache way-predictor statistics (predicted-way vs scan hits).
-    #[must_use]
-    pub fn way_predict_stats(&self) -> crate::cache::WayPredictStats {
-        self.l1.way_predict_stats()
-    }
-
     /// Total number of accesses presented to the hierarchy.
     #[must_use]
     pub fn accesses(&self) -> u64 {

@@ -28,7 +28,7 @@ pub mod hierarchy;
 pub mod port;
 pub mod stats;
 
-pub use cache::{Cache, CacheConfig, CacheModel, CacheStats, WayPredictStats};
+pub use cache::{Cache, CacheConfig, CacheStats};
 pub use hierarchy::{DataMemory, InstMemory, MemHierarchyConfig};
 pub use port::{PortKind, PortSet, PortStats};
 pub use stats::WideBusStats;

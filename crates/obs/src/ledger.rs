@@ -29,8 +29,7 @@ pub enum CycleBucket {
     /// Issue masked the load queue because a load aliased an unresolved
     /// store (the paper's unknown-store stall).
     UnknownStoreMasked,
-    /// Issue masked a queue on a structural hazard (all matching FUs busy,
-    /// or loads parked waiting for a free memory port).
+    /// Issue masked a queue on a structural hazard (all matching FUs busy).
     IssueStructuralHazard,
     /// The emulator has drained: no fetch will ever arrive again and the
     /// pipeline is emptying.

@@ -139,7 +139,8 @@ impl StoreIo for RealIo {
 pub const LOCK_WAIT_BOUNDS_MICROS: [f64; 5] = [100.0, 1_000.0, 10_000.0, 100_000.0, 1_000_000.0];
 
 /// A counting decorator over any [`StoreIo`]: every call increments
-/// `store.io.<op>.calls` (and `.errors` on failure) in the attached
+/// `store.io.<op>.calls` (and `.errors` on failure, except a read of a
+/// missing file, which the store treats as empty) in the attached
 /// [`Obs`] registry, and [`StoreIo::lock`] additionally records how long the
 /// advisory lock blocked — a histogram plus, under tracing, a span per wait.
 ///
@@ -168,7 +169,13 @@ impl ObservedIo {
 
 impl StoreIo for ObservedIo {
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        self.count("read", self.inner.read(path))
+        let result = self.inner.read(path);
+        if matches!(&result, Err(e) if e.kind() == io::ErrorKind::NotFound) {
+            // A missing data file reads as an empty store, not a failure.
+            self.obs.counter("store.io.read.calls", 1);
+            return result;
+        }
+        self.count("read", result)
     }
 
     fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {

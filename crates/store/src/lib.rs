@@ -828,6 +828,30 @@ mod tests {
     }
 
     #[test]
+    fn a_missing_data_file_is_not_a_read_error() {
+        let dir = tmp_dir("read-errors");
+        let mut fresh = Store::open(&dir, 1).unwrap();
+        let obs = Arc::new(Obs::new(ObsLevel::Metrics));
+        fresh.set_obs(Arc::clone(&obs));
+        assert!(fresh.get(key(3, 1)).is_none());
+        fresh.put_batch(&[(key(3, 1), vec![1])]).unwrap();
+        let snap = obs.snapshot();
+        assert_eq!(snap.counter("store.io.read.calls"), Some(2));
+        assert_eq!(snap.counter("store.io.read.errors"), None);
+        fs::remove_dir_all(&dir).unwrap();
+
+        // A real read failure still counts.
+        let dir = tmp_dir("read-errors-eio");
+        let plan = FaultPlan::new().with_fault(IoOp::Read, 0, Fault::Eio);
+        let mut failing = Store::open_with_io(&dir, 1, Arc::new(plan)).unwrap();
+        let obs = Arc::new(Obs::new(ObsLevel::Metrics));
+        failing.set_obs(Arc::clone(&obs));
+        assert!(failing.get(key(3, 1)).is_none());
+        assert_eq!(obs.snapshot().counter("store.io.read.errors"), Some(1));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn foreign_fingerprints_are_invisible_and_replaced() {
         let dir = tmp_dir("fingerprint");
         let old = Store::open(&dir, 1).unwrap();

@@ -104,10 +104,10 @@ use std::collections::{BinaryHeap, VecDeque};
 /// Issue-group indices: one group per issue resource, so a structural hazard
 /// detected on one entry lets the whole group be masked for the rest of the
 /// cycle.  `Q_STORE` is never masked (stores always issue), `Q_LOAD` is
-/// masked only by the parked-backlog fast path (loads otherwise have
-/// per-entry port and forwarding outcomes), `Q_OTHER` holds classes that need
-/// no functional unit, and `Q_VALIDATION` holds vector validations (polled,
-/// never masked, and free of issue bandwidth).  Groups tag entries in the
+/// masked only when an older store's address is unknown (loads otherwise
+/// have per-entry port and forwarding outcomes), `Q_OTHER` holds classes
+/// that need no functional unit, and `Q_VALIDATION` holds vector
+/// validations (polled, never masked, and free of issue bandwidth).  Groups tag entries in the
 /// single program-ordered ready set; masking is a bit in a `u16`.
 const Q_LOAD: u8 = 0;
 const Q_STORE: u8 = 1;
@@ -140,7 +140,7 @@ const STORE_LINE_BYTES: u64 = 64;
 /// older store's address was unknown this cycle.
 const FLAG_UNKNOWN_STORE: u8 = 1 << 0;
 /// Cycle-attribution flag: the issue stage hit a structural hazard this cycle
-/// (all units of a group busy, or loads parked without a free port).
+/// (all units of a group busy).
 const FLAG_STRUCTURAL: u8 = 1 << 1;
 
 /// Ready-set keys pack the issue group into the low 3 bits of the sequence
@@ -307,19 +307,6 @@ pub struct Processor {
     /// with reference counts: a load whose granules miss this map cannot
     /// overlap any in-flight store, skipping the exact walk entirely.
     store_lines: FastMap<u64, u32>,
-    /// Bumped whenever a store's address becomes known (store issue, squash
-    /// rebuild): loads cache their disambiguation verdict against it.  A
-    /// "cannot issue without a port" verdict can only be invalidated by a
-    /// store issue — committing or dispatching stores never turns a
-    /// no-forwarding load into a forwarding one — so the whole port-starved
-    /// load backlog can be parked per epoch and re-checked in O(1).
-    store_epoch: u64,
-    /// When equal to `Some(store_epoch)`: every load in the ready queue has a
-    /// valid no-forwarding verdict, so with no free port the whole queue is
-    /// skipped.  Invalidated by epoch bumps and by new ready loads.
-    parked_epoch: Option<u64>,
-    /// Reusable scratch buffer for the parking walk.
-    park_scratch: Vec<u64>,
     /// Reusable scratch buffer for draining waiter lists.
     wake_scratch: Vec<u64>,
     /// Reusable scratch buffer for wide-bus peer loads.
@@ -397,9 +384,6 @@ impl Processor {
             completions: BinaryHeap::new(),
             unknown_stores: SeqSet::new(),
             store_lines: FastMap::default(),
-            store_epoch: 0,
-            parked_epoch: None,
-            park_scratch: Vec::new(),
             wake_scratch: Vec::new(),
             peer_scratch: Vec::new(),
             issue_trace: None,
@@ -494,9 +478,9 @@ impl Processor {
     /// wakeups and §3.6 squashes (`pipeline.vector.parked` /
     /// `pipeline.vector.promoted`, `pipeline.squash.events` /
     /// `pipeline.squash.rearmed_entries`), and the memory-hierarchy
-    /// instrumentation the stats struct does not carry (way-predictor hit
-    /// breakdown, MSHR occupancy).  Counters accumulate, so calling this for
-    /// every cell of an engine run aggregates across the whole session.
+    /// instrumentation the stats struct does not carry (MSHR occupancy).
+    /// Counters accumulate, so calling this for every cell of an engine run
+    /// aggregates across the whole session.
     pub fn obs_metrics(&mut self, registry: &mut MetricsRegistry) {
         if let Some(ledger) = self.ledger.as_deref() {
             ledger.export_to(registry, "pipeline.cycles");
@@ -510,10 +494,6 @@ impl Processor {
         registry.add_counter("pipeline.vector.promoted", self.vec_promoted);
         registry.add_counter("pipeline.squash.events", self.squash_events);
         registry.add_counter("pipeline.squash.rearmed_entries", self.squash_rearmed);
-        let wp = self.dmem.way_predict_stats();
-        registry.add_counter("cache.l1d.way_predict.predicted_hits", wp.predicted_hits);
-        registry.add_counter("cache.l1d.way_predict.scan_hits", wp.scan_hits);
-        registry.set_gauge("cache.l1d.way_predict.hit_rate", wp.hit_rate());
         registry.add_counter("cache.l1d.mshr.full_events", self.dmem.mshr_full_events());
         let outstanding = self.dmem.outstanding_misses(self.cycle);
         registry.set_gauge("cache.l1d.mshr.outstanding_at_end", {
@@ -960,10 +940,6 @@ impl Processor {
                     continue;
                 }
             }
-            if queue == Q_LOAD {
-                // A fresh ready load has no disambiguation verdict yet.
-                self.parked_epoch = None;
-            }
             self.ready_all.extend_back(ready_key(seq, queue));
         }
     }
@@ -1035,12 +1011,7 @@ impl Processor {
 
     /// Inserts an entry into the ready set.
     fn insert_ready(&mut self, seq: u64) {
-        let queue = self.rob.queue(seq);
-        if queue == Q_LOAD {
-            // A fresh ready load has no disambiguation verdict yet.
-            self.parked_epoch = None;
-        }
-        self.ready_all.insert(ready_key(seq, queue));
+        self.ready_all.insert(ready_key(seq, self.rob.queue(seq)));
     }
 
     fn decode_context(r: &Retired) -> DecodeContext {
@@ -1244,21 +1215,10 @@ impl Processor {
                     self.ready_all.remove_at(pos);
                     self.unknown_stores.remove(seq);
                     self.add_store_lines(addr, width);
-                    self.store_epoch += 1;
                     self.trace_issue(seq);
                     issued += 1;
                 }
                 Q_LOAD => {
-                    if self.ports.free_this_cycle() == 0 {
-                        // Without ports only forwarding loads can issue; if
-                        // every ready load has a valid no-forward verdict the
-                        // whole group is skipped for the cycle.
-                        if self.parked_epoch == Some(self.store_epoch) || self.try_park_loads() {
-                            masked |= 1 << Q_LOAD;
-                            hazard_flags |= FLAG_STRUCTURAL;
-                            continue;
-                        }
-                    }
                     match self.try_issue_load_wakeup(seq, pos) {
                         LoadAttempt::Issued => issued += 1,
                         LoadAttempt::Retry => pos += 1,
@@ -1298,48 +1258,6 @@ impl Processor {
         if self.ledger.is_some() {
             self.cycle_flags = hazard_flags;
         }
-    }
-
-    /// Attempts to park the ready-load backlog: verifies (computing and
-    /// caching where stale) that every ready load has a no-forwarding
-    /// disambiguation verdict at the current store epoch.  Verdict
-    /// computation has no side effects, so this walk is invisible to the
-    /// oracle semantics.
-    fn try_park_loads(&mut self) -> bool {
-        let mut loads = std::mem::take(&mut self.park_scratch);
-        loads.clear();
-        loads.extend(self.ready_loads());
-        let mut all_no_forward = true;
-        for &seq in &loads {
-            if !self.rob.contains(seq) || self.rob.issued(seq) {
-                continue;
-            }
-            if self.rob.disamb_epoch(seq) != self.store_epoch {
-                let (known, forward) = self.older_store_state_indexed(seq);
-                self.rob
-                    .set_disamb(seq, self.store_epoch, known && forward.is_some());
-            }
-            if self.rob.disamb_fwd(seq) {
-                all_no_forward = false;
-                break;
-            }
-        }
-        self.park_scratch = loads;
-        if all_no_forward {
-            self.parked_epoch = Some(self.store_epoch);
-        }
-        all_no_forward
-    }
-
-    /// The ready-set members that are scalar-mode loads, in program order
-    /// (the ready set also carries other classes and validations; the packed
-    /// group tag answers the filter without touching the ROB).
-    fn ready_loads(&self) -> impl Iterator<Item = u64> + '_ {
-        self.ready_all
-            .iter()
-            .copied()
-            .filter(|&key| key_group(key) == Q_LOAD)
-            .map(key_seq)
     }
 
     /// Granules (64-byte lines) covered by the access `[addr, addr + width)`.
@@ -1420,18 +1338,7 @@ impl Processor {
     /// the load's position in the ready set (the walk's cursor).
     fn try_issue_load_wakeup(&mut self, seq: u64, pos: usize) -> LoadAttempt {
         debug_assert_eq!(self.ready_all.get(pos), Some(ready_key(seq, Q_LOAD)));
-        let ports_exhausted = self.ports.free_this_cycle() == 0;
-        if ports_exhausted {
-            // Without a port the load can only issue by store forwarding; a
-            // cached no-forward verdict (valid while the known-store set is
-            // unchanged) rejects it in O(1).
-            if self.rob.disamb_epoch(seq) == self.store_epoch && !self.rob.disamb_fwd(seq) {
-                return LoadAttempt::Retry;
-            }
-        }
         let (addrs_known, forward) = self.older_store_state_indexed(seq);
-        self.rob
-            .set_disamb(seq, self.store_epoch, addrs_known && forward.is_some());
         if !addrs_known {
             return LoadAttempt::BlockedOnUnknownStore;
         }
@@ -1526,7 +1433,6 @@ impl Processor {
         self.completions.clear();
         self.unknown_stores.clear();
         self.store_lines.clear();
-        self.store_epoch += 1;
         for seq in self.rob.seqs() {
             let _ = self.rob.swap_waiter_head(seq, NO_WAITER);
         }
@@ -1776,9 +1682,6 @@ impl Processor {
         let popped = self.store_queue.pop_front();
         debug_assert_eq!(popped, Some(head), "stores commit in order");
         if self.model == Model::Fast && self.rob.store_addr_known(head) {
-            // Removing a store can only remove a forwarding source, never
-            // create one, so cached no-forward verdicts (and the parked
-            // queue) stay valid: no epoch bump.
             self.remove_store_lines(addr, width);
         }
         self.stats.committed_stores += 1;
@@ -2457,6 +2360,51 @@ mod tests {
         // A pointer chase freezes the pipeline between dependent loads.
         let jumps = assert_models_agree_on_four_way(&pointer_chase(64), 100_000);
         assert!(jumps > 0, "the clock-jump fast path must actually fire");
+    }
+
+    /// A loop that stores its counter to a scratch slot and reloads it while
+    /// four older independent array loads per iteration are still in flight,
+    /// so the store is behind them in the ROB and the reload must forward.
+    fn store_reload_loop(n: u64) -> Program {
+        let mut a = Asm::new();
+        let data: Vec<u64> = (0..4 * n).collect();
+        let buf = a.data_u64(&data);
+        let slot = a.data_u64(&[0]);
+        let (p, q, s, c, t) = (x(1), x(2), x(3), x(4), x(5));
+        let streams = [x(6), x(7), x(8), x(9)];
+        a.li(p, buf as i64);
+        a.li(q, slot as i64);
+        a.li(s, 0);
+        a.li(c, n as i64);
+        a.label("loop");
+        for (k, &v) in streams.iter().enumerate() {
+            a.ld(v, p, 8 * k as i64);
+        }
+        a.sd(c, q, 0);
+        a.ld(t, q, 0);
+        a.add(s, s, t);
+        for &v in &streams {
+            a.add(s, s, v);
+        }
+        a.addi(p, p, 32);
+        a.addi(c, c, -1);
+        a.bne(c, ArchReg::ZERO, "loop");
+        a.halt();
+        a.finish()
+    }
+
+    #[test]
+    fn store_forwarding_under_a_busy_port_agrees_on_kernels() {
+        // More ready loads per iteration than one port serves, plus a reload
+        // of a just-stored slot: the forwarding path must fire, and it must
+        // fire on the same cycles under both models.
+        let program = store_reload_loop(400);
+        assert_models_agree_on_four_way(&program, 100_000);
+        for kind in [PortKind::Scalar, PortKind::Wide] {
+            let cfg = UarchConfig::four_way(1, kind);
+            let stats = simulate(&cfg, &program, 100_000);
+            assert!(stats.store_forwards > 0, "{kind:?}: no load forwarded");
+        }
     }
 
     /// [`assert_models_agree`] on the store-coherence loop, after checking

@@ -194,8 +194,6 @@ pub struct Rob {
     pending_scalar: Vec<u8>,
     has_vec_wait: Vec<bool>,
     queue: Vec<u8>,
-    disamb_epoch: Vec<u64>,
-    disamb_fwd: Vec<bool>,
     waiter_head: Vec<u32>,
 }
 
@@ -215,8 +213,6 @@ impl Rob {
             pending_scalar: vec![0; cap],
             has_vec_wait: vec![false; cap],
             queue: vec![0; cap],
-            disamb_epoch: vec![u64::MAX; cap],
-            disamb_fwd: vec![false; cap],
             waiter_head: vec![NO_WAITER; cap],
         }
     }
@@ -281,8 +277,6 @@ impl Rob {
         self.pending_scalar[slot] = 0;
         self.has_vec_wait[slot] = false;
         self.queue[slot] = queue;
-        self.disamb_epoch[slot] = u64::MAX;
-        self.disamb_fwd[slot] = false;
         self.waiter_head[slot] = NO_WAITER;
         self.tail += 1;
     }
@@ -385,28 +379,6 @@ impl Rob {
         self.queue[self.slot(seq)]
     }
 
-    /// Store-epoch at which `seq`'s disambiguation verdict was cached.
-    #[inline]
-    #[must_use]
-    pub fn disamb_epoch(&self, seq: u64) -> u64 {
-        self.disamb_epoch[self.slot(seq)]
-    }
-
-    /// Cached forwarding verdict of the load `seq`.
-    #[inline]
-    #[must_use]
-    pub fn disamb_fwd(&self, seq: u64) -> bool {
-        self.disamb_fwd[self.slot(seq)]
-    }
-
-    /// Caches the disambiguation verdict of the load `seq`.
-    #[inline]
-    pub fn set_disamb(&mut self, seq: u64, epoch: u64, fwd: bool) {
-        let s = self.slot(seq);
-        self.disamb_epoch[s] = epoch;
-        self.disamb_fwd[s] = fwd;
-    }
-
     /// Head node of `seq`'s waiter list ([`NO_WAITER`] = empty).
     #[inline]
     #[must_use]
@@ -497,8 +469,6 @@ mod tests {
         rob.set_complete_cycle(3, 17);
         assert!(rob.completed(3, 17) && !rob.completed(3, 16));
         assert_eq!(rob.queue(4), 1);
-        rob.set_disamb(2, 9, true);
-        assert_eq!((rob.disamb_epoch(2), rob.disamb_fwd(2)), (9, true));
 
         // Retire two, push two more: the ring wraps without moving data.
         assert_eq!(rob.cold(0).retired.seq, 0);

@@ -1,12 +1,12 @@
-//! Cache-model equivalence: for random address streams, the way-predicted
-//! fast path ([`CacheModel::FastPath`]) must produce exactly the same
-//! hit/miss/writeback/eviction behaviour and [`CacheStats`] as the original
-//! full-scan LRU reference ([`CacheModel::NaiveScan`]) — on every geometry the
-//! simulator uses (2- and 4-way, 32- and 64-byte lines) and on degenerate
-//! small caches where sets and ways collide constantly.
+//! Hierarchy timing: for random address streams, [`DataMemory`] must produce
+//! exactly the completion cycles, MSHR rejections and L1/L2 [`CacheStats`]
+//! of a hand-driven pair of [`Cache`]s plus an oracle MSHR file, on a small
+//! 2-way L1 where sets and ways collide constantly.
+//!
+//! [`CacheStats`]: sdv::mem::CacheStats
 
 use proptest::prelude::*;
-use sdv::mem::{Cache, CacheConfig, CacheModel, DataMemory, MemHierarchyConfig};
+use sdv::mem::{Cache, CacheConfig, DataMemory, MemHierarchyConfig};
 
 /// A compact recipe for one access of a generated stream: the address is
 /// assembled from a small region base, a line index and a byte offset so that
@@ -38,74 +38,11 @@ fn addr_of(a: Access, line_bytes: u64) -> u64 {
         + u64::from(a.offset % 32)
 }
 
-/// The geometries the equivalence must hold on: the three Table 1 caches plus
-/// tiny 2- and 4-way caches (high collision pressure) at both line sizes.
-fn geometries() -> Vec<CacheConfig> {
-    vec![
-        CacheConfig::l1d_table1(),
-        CacheConfig::l1i_table1(),
-        CacheConfig::l2_table1(),
-        CacheConfig {
-            size_bytes: 256,
-            line_bytes: 32,
-            ways: 2,
-        },
-        CacheConfig {
-            size_bytes: 512,
-            line_bytes: 64,
-            ways: 2,
-        },
-        CacheConfig {
-            size_bytes: 512,
-            line_bytes: 32,
-            ways: 4,
-        },
-    ]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
-    /// Identical outcome sequences (hit + writeback/eviction address) and
-    /// counters, plus identical final residency for every touched line.
-    #[test]
-    fn way_predicted_cache_matches_naive_scan(
-        stream in proptest::collection::vec(access_strategy(), 1..256),
-    ) {
-        for cfg in geometries() {
-            let mut fast = Cache::with_model(cfg, CacheModel::FastPath);
-            let mut naive = Cache::with_model(cfg, CacheModel::NaiveScan);
-            prop_assert_eq!(fast.model(), CacheModel::FastPath);
-            prop_assert_eq!(naive.model(), CacheModel::NaiveScan);
-            for (i, &a) in stream.iter().enumerate() {
-                let addr = addr_of(a, cfg.line_bytes as u64);
-                let f = fast.access(addr, a.is_write);
-                let n = naive.access(addr, a.is_write);
-                prop_assert_eq!(
-                    f, n,
-                    "outcome diverged at access {} (addr {:#x}, geometry {:?})",
-                    i, addr, cfg
-                );
-            }
-            prop_assert_eq!(fast.stats(), naive.stats(), "counters diverged on {:?}", cfg);
-            // Residency must agree line by line (same evictions happened).
-            for &a in &stream {
-                let addr = addr_of(a, cfg.line_bytes as u64);
-                prop_assert_eq!(
-                    fast.probe(addr),
-                    naive.probe(addr),
-                    "residency diverged for {:#x} on {:?}",
-                    addr,
-                    cfg
-                );
-            }
-        }
-    }
-
-    /// The same equivalence through the full data hierarchy: identical
-    /// completion cycles, rejections and L1/L2 counters whatever the cache
-    /// model underneath.  (The hierarchy always runs the fast path; the
-    /// oracle here is a naive-model `Cache` pair driven by hand.)
+    /// Identical completion cycles, rejections and L1/L2 counters between
+    /// the hierarchy and a `Cache` pair driven by hand.
     #[test]
     fn hierarchy_timing_is_reproduced_by_naive_caches(
         stream in proptest::collection::vec(access_strategy(), 1..128),
@@ -115,8 +52,8 @@ proptest! {
             ..MemHierarchyConfig::table1()
         };
         let mut dmem = DataMemory::new(&cfg);
-        let mut l1 = Cache::with_model(cfg.l1d, CacheModel::NaiveScan);
-        let mut l2 = Cache::with_model(cfg.l2, CacheModel::NaiveScan);
+        let mut l1 = Cache::new(cfg.l1d);
+        let mut l2 = Cache::new(cfg.l2);
         // Oracle MSHR file: (line, done_cycle) pairs, retained while pending.
         let mut outstanding: Vec<(u64, u64)> = Vec::new();
         for (i, &a) in stream.iter().enumerate() {
@@ -124,7 +61,7 @@ proptest! {
             let now = (i as u64) * 3; // gives misses a chance to overlap
             let got = dmem.access(addr, a.is_write, now);
 
-            // Reference semantics, naive caches.
+            // Reference semantics over the hand-driven caches.
             outstanding.retain(|&(_, done)| done > now);
             let line = l1.line_addr(addr);
             let expected = if let Some(&(_, done)) =
