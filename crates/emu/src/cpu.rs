@@ -2,7 +2,7 @@
 
 use crate::memory::SparseMemory;
 use crate::trace::{MemAccess, Retired};
-use sdv_isa::program::STACK_TOP;
+use sdv_isa::program::{text_index, STACK_TOP};
 use sdv_isa::{ArchReg, Inst, Opcode, Program};
 use std::fmt;
 
@@ -30,11 +30,12 @@ impl std::error::Error for EmuError {}
 ///
 /// The emulator owns the architectural state: PC, 32 integer registers,
 /// 32 floating-point registers and a sparse memory pre-loaded with the
-/// program's data segments.  `x0` always reads as zero.  The stack pointer
+/// program's data segments.  Of the [`Program`] itself it keeps only a copy
+/// of the instructions.  `x0` always reads as zero.  The stack pointer
 /// `x29` is initialised to [`STACK_TOP`].
 #[derive(Debug, Clone)]
 pub struct Emulator {
-    program: Program,
+    insts: Box<[Inst]>,
     pc: u64,
     iregs: [u64; 32],
     fregs: [f64; 32],
@@ -55,7 +56,7 @@ impl Emulator {
         let mut iregs = [0u64; 32];
         iregs[ArchReg::SP.flat_index()] = STACK_TOP;
         Emulator {
-            program: program.clone(),
+            insts: program.insts().into(),
             pc: program.entry_pc(),
             iregs,
             fregs: [0.0; 32],
@@ -125,12 +126,6 @@ impl Emulator {
         &self.mem
     }
 
-    /// The program being executed.
-    #[must_use]
-    pub fn program(&self) -> &Program {
-        &self.program
-    }
-
     fn write_int(&mut self, reg: ArchReg, value: u64) {
         debug_assert!(reg.is_int());
         if !reg.is_zero() {
@@ -158,7 +153,8 @@ impl Emulator {
             return Err(EmuError::Halted);
         }
         let pc = self.pc;
-        let inst = *self.program.inst_at(pc).ok_or(EmuError::InvalidPc(pc))?;
+        let idx = text_index(pc, self.insts.len()).ok_or(EmuError::InvalidPc(pc))?;
+        let inst = self.insts[idx];
         Ok(self.exec(pc, inst))
     }
 
@@ -194,13 +190,10 @@ impl Emulator {
         if max_n == 0 {
             return Ok(0);
         }
-        let mut idx = self
-            .program
-            .index_of_pc(self.pc)
-            .ok_or(EmuError::InvalidPc(self.pc))?;
+        let mut idx = text_index(self.pc, self.insts.len()).ok_or(EmuError::InvalidPc(self.pc))?;
         let mut n = 0;
         while n < max_n {
-            let Some(&inst) = self.program.insts().get(idx) else {
+            let Some(&inst) = self.insts.get(idx) else {
                 break; // ran off the text segment; the next call errors
             };
             let pc = Program::pc_of(idx);
@@ -214,7 +207,7 @@ impl Emulator {
                 if stop_on_redirect {
                     break;
                 }
-                match self.program.index_of_pc(r.next_pc) {
+                match text_index(r.next_pc, self.insts.len()) {
                     Some(target) => idx = target,
                     None => break, // the next call reports InvalidPc
                 }

@@ -16,6 +16,17 @@ pub const DATA_BASE: u64 = 0x0010_0000;
 /// Default address of the top of the downward-growing stack.
 pub const STACK_TOP: u64 = 0x7fff_0000;
 
+/// The index of the instruction at `pc` in a text segment of `len`
+/// instructions, if `pc` falls inside it.
+#[must_use]
+pub fn text_index(pc: u64, len: usize) -> Option<usize> {
+    if pc < TEXT_BASE || !(pc - TEXT_BASE).is_multiple_of(INST_BYTES) {
+        return None;
+    }
+    let idx = ((pc - TEXT_BASE) / INST_BYTES) as usize;
+    (idx < len).then_some(idx)
+}
+
 /// A contiguous chunk of initialised memory.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DataSegment {
@@ -83,11 +94,7 @@ impl Program {
     /// text segment.
     #[must_use]
     pub fn index_of_pc(&self, pc: u64) -> Option<usize> {
-        if pc < TEXT_BASE || !(pc - TEXT_BASE).is_multiple_of(INST_BYTES) {
-            return None;
-        }
-        let idx = ((pc - TEXT_BASE) / INST_BYTES) as usize;
-        (idx < self.insts.len()).then_some(idx)
+        text_index(pc, self.insts.len())
     }
 
     /// The instruction stored at `pc`, if any.

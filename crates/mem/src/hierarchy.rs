@@ -1,5 +1,9 @@
 //! The L1 → L2 → memory timing path for data and instruction accesses.
 //!
+//! There is one L2, as in Table 1: [`DataMemory`] owns it, and
+//! [`InstMemory::fetch_latency`] borrows it ([`DataMemory::l2_mut`]), so code
+//! and data lines compete for the same sets and evict each other.
+//!
 //! Both paths are built for a cheap common case:
 //!
 //! * [`DataMemory::access`] resolves an L1 hit with a **single** tag lookup
@@ -206,10 +210,16 @@ impl DataMemory {
         self.l1.stats()
     }
 
-    /// L2 statistics (data side only; the instruction path keeps its own L2 model).
+    /// Statistics of the unified L2 (data accesses, writebacks and
+    /// instruction-fetch misses alike).
     #[must_use]
     pub fn l2_stats(&self) -> CacheStats {
         self.l2.stats()
+    }
+
+    /// The unified L2, for [`InstMemory::fetch_latency`].
+    pub fn l2_mut(&mut self) -> &mut Cache {
+        &mut self.l2
     }
 
     /// Number of accesses rejected because every MSHR was busy.
@@ -231,15 +241,19 @@ impl DataMemory {
     }
 }
 
-/// The instruction-fetch side: L1-I backed by L2 backed by memory.
+/// The instruction-fetch side: L1-I backed by the unified L2 (owned by
+/// [`DataMemory`] and passed in per fetch) backed by memory.
 ///
 /// Fetch is modelled at line granularity: the front end asks for the latency
-/// of fetching the line containing the fetch PC.
+/// of fetching the line containing the fetch PC.  An L1-I miss looks up the
+/// L2 line holding that PC only: Table 1's L1-I line is 64 bytes and its L2
+/// line 32, so a miss reads (and on an L2 miss fills) the one 32-byte L2
+/// line of the fetch PC, and the other half of the L1-I line is neither
+/// looked up nor brought into the L2.  The latency is that one lookup's.
 #[derive(Debug, Clone)]
 pub struct InstMemory {
     cfg: MemHierarchyConfig,
     l1: Cache,
-    l2: Cache,
     /// The I-line the previous fetch resolved: a one-entry line buffer in
     /// front of the L1.
     last_line: Option<u64>,
@@ -252,12 +266,12 @@ impl InstMemory {
         InstMemory {
             cfg: *cfg,
             l1: Cache::new(cfg.l1i),
-            l2: Cache::new(cfg.l2),
             last_line: None,
         }
     }
 
-    /// The latency, in cycles, of fetching the line containing `pc`.
+    /// The latency, in cycles, of fetching the line containing `pc`, with
+    /// `l2` the hierarchy's unified L2 ([`DataMemory::l2_mut`]).
     ///
     /// Sequential fetch (and a front end re-polling the same group while a
     /// miss is in flight) asks for the same line over and over; the last-line
@@ -267,7 +281,7 @@ impl InstMemory {
     /// short-circuit counts the hit and returns without re-walking the set,
     /// leaving every `CacheStats` counter identical to a full lookup.  (Even
     /// after a miss the follow-up is an L1 hit: the miss allocated the line.)
-    pub fn fetch_latency(&mut self, pc: u64) -> u64 {
+    pub fn fetch_latency(&mut self, pc: u64, l2: &mut Cache) -> u64 {
         let line = self.l1.line_addr(pc);
         if self.last_line == Some(line) {
             self.l1.count_repeat_hit();
@@ -276,7 +290,7 @@ impl InstMemory {
         self.last_line = Some(line);
         if self.l1.access(pc, false).hit {
             self.cfg.l1_hit_cycles
-        } else if self.l2.access(pc, false).hit {
+        } else if l2.access(pc, false).hit {
             self.cfg.l2_hit_cycles
         } else {
             self.cfg.memory_cycles
@@ -412,10 +426,11 @@ mod tests {
     fn inst_memory_latency() {
         let cfg = MemHierarchyConfig::table1();
         let mut i = InstMemory::new(&cfg);
-        assert_eq!(i.fetch_latency(0x1000), cfg.memory_cycles);
-        assert_eq!(i.fetch_latency(0x1000), cfg.l1_hit_cycles);
+        let l2 = &mut Cache::new(cfg.l2);
+        assert_eq!(i.fetch_latency(0x1000, l2), cfg.memory_cycles);
+        assert_eq!(i.fetch_latency(0x1000, l2), cfg.l1_hit_cycles);
         assert_eq!(
-            i.fetch_latency(0x1004),
+            i.fetch_latency(0x1004, l2),
             cfg.l1_hit_cycles,
             "same 64-byte line"
         );
@@ -427,9 +442,10 @@ mod tests {
     fn inst_line_buffer_is_invisible_in_the_counters() {
         let cfg = MemHierarchyConfig::table1();
         let mut i = InstMemory::new(&cfg);
+        let l2 = &mut Cache::new(cfg.l2);
         // Sequential fetch through one 64-byte line: 1 miss + 15 buffered hits.
         for word in 0..16u64 {
-            let lat = i.fetch_latency(0x1000 + word * 4);
+            let lat = i.fetch_latency(0x1000 + word * 4, l2);
             if word == 0 {
                 assert_eq!(lat, cfg.memory_cycles);
             } else {
@@ -440,9 +456,48 @@ mod tests {
         assert_eq!(i.l1_stats().hits, 15);
         assert_eq!(i.l1_stats().misses, 1);
         // Alternating lines defeat the buffer but still hit the L1.
-        i.fetch_latency(0x1040);
-        assert_eq!(i.fetch_latency(0x1000), cfg.l1_hit_cycles);
+        i.fetch_latency(0x1040, l2);
+        assert_eq!(i.fetch_latency(0x1000, l2), cfg.l1_hit_cycles);
         assert_eq!(i.l1_stats().misses, 2);
         assert_eq!(i.l1_stats().hits, 16);
+    }
+
+    #[test]
+    fn code_and_data_share_one_l2() {
+        // A 128-byte direct-mapped L1-I (two 64-byte sets), so a fetch 128
+        // bytes away evicts a code line; Table 1's L2 otherwise.
+        let cfg = MemHierarchyConfig {
+            l1i: CacheConfig {
+                size_bytes: 128,
+                line_bytes: 64,
+                ways: 1,
+            },
+            ..MemHierarchyConfig::table1()
+        };
+        let l2_set_stride = (cfg.l2.sets() * cfg.l2.line_bytes) as u64;
+        let code = 0x1000;
+        let evict_from_l1i = |i: &mut InstMemory, d: &mut DataMemory| {
+            assert_eq!(i.fetch_latency(code + 128, d.l2_mut()), cfg.memory_cycles);
+        };
+
+        // Evicted from the L1-I only: the fetch miss left the line in the L2.
+        let (mut i, mut d) = (InstMemory::new(&cfg), DataMemory::new(&cfg));
+        assert_eq!(i.fetch_latency(code, d.l2_mut()), cfg.memory_cycles);
+        evict_from_l1i(&mut i, &mut d);
+        assert_eq!(i.fetch_latency(code, d.l2_mut()), cfg.l2_hit_cycles);
+
+        // Data lines filling the code line's L2 set evict it there too, so
+        // the next fetch goes to memory.
+        let (mut i, mut d) = (InstMemory::new(&cfg), DataMemory::new(&cfg));
+        assert_eq!(i.fetch_latency(code, d.l2_mut()), cfg.memory_cycles);
+        evict_from_l1i(&mut i, &mut d);
+        for k in 1..=cfg.l2.ways as u64 {
+            let now = k * 100;
+            let data = code + k * l2_set_stride;
+            assert_eq!(d.access(data, false, now), Some(now + cfg.memory_cycles));
+        }
+        assert_eq!(i.fetch_latency(code, d.l2_mut()), cfg.memory_cycles);
+        // The three fetch misses count in the one L2 beside the data misses.
+        assert_eq!(d.l2_stats().accesses, 3 + cfg.l2.ways as u64);
     }
 }

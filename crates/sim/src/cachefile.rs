@@ -19,51 +19,31 @@
 //!   12 × `u64` record.  [`stride_profile`] is the one place a profile is
 //!   measured.
 //!
-//! **Behaviour fingerprinting** — [`simulator_fingerprint`] hashes the
-//! statistics two canonical cells produce with the current binary, plus one
-//! canonical stride profile, so editing the timing model or the profiler
-//! invalidates results written by earlier builds instead of silently
-//! replaying their numbers.  The store records it in its data file's header
-//! (folded with the payload version, so a layout bump also invalidates).
+//! **Source fingerprinting** — [`simulator_fingerprint`] folds a build-time
+//! content hash of the model's source: `build.rs` hashes the `Cargo.toml` and
+//! every file under `src/` of `sdv-sim` and each `sdv-*` crate it depends on
+//! (read from the manifests), plus the compiler version and target.  Editing
+//! any byte there — timing model, profiler, kernels, even a comment or a unit
+//! test — invalidates results written by earlier builds instead of silently
+//! replaying their numbers; computing it costs nothing at run time.  The
+//! store records it in its data file's header (folded with the payload
+//! version, so a layout bump also invalidates).
 //!
 //! A configuration change therefore simply misses the store; a payload-layout
-//! change bumps `CACHE_VERSION`; and results from a different build are
-//! invisible.
+//! change bumps `CACHE_VERSION`; and results from a different model source
+//! or toolchain are invisible.
 
 use crate::engine::CellKey;
-use crate::{PortKind, UarchConfig, Workload};
+use crate::source_hash::Fnv1a;
+use crate::Workload;
 use sdv_core::{DvStats, ElementUsage};
 use sdv_emu::{Emulator, StrideProfiler, StrideStats};
 use sdv_mem::{CacheStats, PortStats, WideBusStats};
 use sdv_uarch::RunStats;
 use std::hash::{Hash, Hasher};
-use std::sync::OnceLock;
 
 /// Bump whenever the serialized layout (or the hashed key content) changes.
 const CACHE_VERSION: u32 = 2;
-
-/// A 64-bit FNV-1a hasher: trivially stable across Rust releases, which the
-/// standard library's `DefaultHasher` explicitly is not.
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    fn seeded(seed: u64) -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325 ^ seed)
-    }
-}
-
-impl Hasher for Fnv1a {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
 
 /// A 128-bit hash of `key`: two FNV-1a halves with the seeds `lo` and `hi`.
 fn fnv128(key: &impl Hash, lo: u64, hi: u64) -> u128 {
@@ -98,35 +78,20 @@ pub fn stride_profile(workload: Workload, scale: u64, max_insts: u64) -> StrideS
     profiler.stats().clone()
 }
 
-/// The store's producer fingerprint for this binary: the full statistics of
-/// two tiny canonical cells (one vectorizing, one scalar) and one canonical
-/// stride profile, hashed with a seed that folds in the payload version, so
-/// a model or profiler change that alters what they measure and a
-/// serialization-layout bump both make a store written by an older build
-/// invisible rather than misdecoded.  Computed once per process (a few
-/// milliseconds).
+/// The build-time content hash of the model's source and toolchain (see
+/// `build.rs` and [`crate::source_hash`]), as 16 hex digits.
+const MODEL_SOURCE_HASH: &str = env!("SDV_MODEL_SOURCE_HASH");
+
+/// The store's producer fingerprint for this binary: the build-time
+/// model-source hash (see the module docs) folded with a seed that carries
+/// the payload version, so a source edit and a serialization-layout bump
+/// both make a store written by another build invisible rather than
+/// misdecoded.  A constant fold: it simulates, emulates and profiles nothing.
 #[must_use]
 pub fn simulator_fingerprint() -> u64 {
-    static FINGERPRINT: OnceLock<u64> = OnceLock::new();
-    *FINGERPRINT.get_or_init(|| {
-        let mut h = Fnv1a::seeded(0xf1 ^ u64::from(CACHE_VERSION));
-        for (cfg, workload) in [
-            (
-                UarchConfig::four_way(1, PortKind::Wide).with_vectorization(true),
-                Workload::Compress,
-            ),
-            (UarchConfig::four_way(2, PortKind::Scalar), Workload::Swim),
-        ] {
-            let stats = sdv_uarch::simulate(&cfg, &workload.build(1), 3_000);
-            h.write(&stats_to_bytes(&stats));
-        }
-        h.write(&profile_to_bytes(&stride_profile(
-            Workload::Compress,
-            1,
-            3_000,
-        )));
-        h.finish()
-    })
+    let mut h = Fnv1a::seeded(0xf1 ^ u64::from(CACHE_VERSION));
+    h.write(MODEL_SOURCE_HASH.as_bytes());
+    h.finish()
 }
 
 /// Length of a stride-profile payload: ten stride counts, `other`, `total`.
@@ -419,6 +384,61 @@ mod tests {
     fn fingerprint_is_stable_within_a_build() {
         assert_eq!(simulator_fingerprint(), simulator_fingerprint());
         assert_ne!(simulator_fingerprint(), 0);
+    }
+
+    #[test]
+    fn fingerprint_is_the_model_source() {
+        use crate::source_hash::{closure, files, source_hash};
+        use std::fs;
+        use std::path::Path;
+
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let crates = closure(&root, "sdv-sim").unwrap();
+        for name in [
+            "uarch",
+            "core",
+            "mem",
+            "emu",
+            "predictor",
+            "workloads",
+            "sim",
+        ] {
+            let dir = format!("crates/{name}");
+            assert!(crates.contains(&dir), "{dir} missing from {crates:?}");
+        }
+        let toolchain = env!("SDV_TOOLCHAIN");
+        let on_disk = source_hash(&root, &crates, toolchain).unwrap();
+        assert_eq!(format!("{on_disk:016x}"), MODEL_SOURCE_HASH);
+        let mut h = Fnv1a::seeded(0xf1 ^ u64::from(CACHE_VERSION));
+        h.write(format!("{on_disk:016x}").as_bytes());
+        assert_eq!(h.finish(), simulator_fingerprint());
+
+        // A copy of exactly the hashed files hashes the same; one flipped
+        // byte in the pipeline, or one new file in a crate, does not.
+        let copy = std::env::temp_dir().join(format!("sdv-source-hash-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&copy);
+        fs::create_dir_all(&copy).unwrap();
+        fs::copy(root.join("Cargo.toml"), copy.join("Cargo.toml")).unwrap();
+        for path in files(&root, &crates).unwrap() {
+            let to = copy.join(&path);
+            fs::create_dir_all(to.parent().unwrap()).unwrap();
+            fs::copy(root.join(&path), to).unwrap();
+        }
+        let hash = || source_hash(&copy, &closure(&copy, "sdv-sim").unwrap(), toolchain).unwrap();
+        assert_eq!(hash(), on_disk);
+
+        let pipeline = copy.join("crates/uarch/src/pipeline.rs");
+        let original = fs::read(&pipeline).unwrap();
+        let mut flipped = original.clone();
+        flipped[original.len() / 2] ^= 1;
+        fs::write(&pipeline, &flipped).unwrap();
+        assert_ne!(hash(), on_disk, "a one-byte model edit moves the hash");
+        fs::write(&pipeline, &original).unwrap();
+        assert_eq!(hash(), on_disk);
+
+        fs::write(copy.join("crates/core/src/new_module.rs"), "").unwrap();
+        assert_ne!(hash(), on_disk, "a new source file moves the hash");
+        fs::remove_dir_all(&copy).unwrap();
     }
 
     #[test]

@@ -409,8 +409,10 @@ impl RunEngine {
     /// persisted cells and stride profiles are served without re-simulation,
     /// and [`Self::persist`] merges the session's results back in.  Entries are
     /// invalidated by content-hash mismatch (any configuration/workload/budget
-    /// change misses) and the whole file by a simulator-behaviour
-    /// fingerprint mismatch (results from a different build are invisible).
+    /// change misses) and the whole file by a fingerprint mismatch: the
+    /// fingerprint is a build-time hash of the model's source and toolchain
+    /// ([`cachefile::simulator_fingerprint`]), so results written from other
+    /// source are invisible.  Opening simulates nothing.
     ///
     /// Failure to open the store degrades to running without one (a warning
     /// is printed); results are identical either way.

@@ -478,7 +478,8 @@ impl Processor {
     /// wakeups and §3.6 squashes (`pipeline.vector.parked` /
     /// `pipeline.vector.promoted`, `pipeline.squash.events` /
     /// `pipeline.squash.rearmed_entries`), and the memory-hierarchy
-    /// instrumentation the stats struct does not carry (MSHR occupancy).
+    /// instrumentation the stats struct does not carry (MSHR occupancy and
+    /// the unified L2's `cache.l2.*` counters).
     /// Counters accumulate, so calling this for every cell of an engine run
     /// aggregates across the whole session.
     pub fn obs_metrics(&mut self, registry: &mut MetricsRegistry) {
@@ -495,6 +496,11 @@ impl Processor {
         registry.add_counter("pipeline.squash.events", self.squash_events);
         registry.add_counter("pipeline.squash.rearmed_entries", self.squash_rearmed);
         registry.add_counter("cache.l1d.mshr.full_events", self.dmem.mshr_full_events());
+        let l2 = self.dmem.l2_stats();
+        registry.add_counter("cache.l2.accesses", l2.accesses);
+        registry.add_counter("cache.l2.hits", l2.hits);
+        registry.add_counter("cache.l2.misses", l2.misses);
+        registry.add_counter("cache.l2.writebacks", l2.writebacks);
         let outstanding = self.dmem.outstanding_misses(self.cycle);
         registry.set_gauge("cache.l1d.mshr.outstanding_at_end", {
             #[allow(clippy::cast_precision_loss)]
@@ -635,7 +641,7 @@ impl Processor {
             .pending
             .get(self.pending_pos)
             .map_or_else(|| self.emu.pc(), |r| r.pc);
-        let latency = self.imem.fetch_latency(group_pc);
+        let latency = self.imem.fetch_latency(group_pc, self.dmem.l2_mut());
         if latency > self.cfg.memory.l1_hit_cycles {
             self.fetch_ready_cycle = self.cycle + latency;
             return;
@@ -2282,6 +2288,25 @@ mod tests {
             (events, rearmed)
         });
         assert_eq!(counters[0], counters[1], "fast and reference squash alike");
+    }
+
+    #[test]
+    fn every_l1_miss_of_either_side_reaches_the_one_l2() {
+        // Table 1's L2 is unified: L1-I misses, L1-D misses and L1-D dirty
+        // writebacks are all accesses of the same cache.
+        let (program, _) = store_squash_loop();
+        let cfg = UarchConfig::four_way(1, PortKind::Wide).with_vectorization(true);
+        let mut proc = Processor::new(&cfg, &program);
+        let stats = proc.run(1_000_000);
+        let mut registry = MetricsRegistry::new();
+        proc.obs_metrics(&mut registry);
+        let l2 = |name: &str| registry.counter(&format!("cache.l2.{name}")).unwrap();
+        assert!(stats.l1i.misses > 0 && stats.l1d.misses > 0);
+        assert_eq!(
+            l2("accesses"),
+            stats.l1i.misses + stats.l1d.misses + stats.l1d.writebacks
+        );
+        assert_eq!(l2("accesses"), l2("hits") + l2("misses"));
     }
 
     #[test]
