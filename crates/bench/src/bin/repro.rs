@@ -26,7 +26,7 @@
 //! unchanged configuration serves every cell and profile from disk (the
 //! `run engine:` line then reports 0 cells simulated and 0 misses), and
 //! parallel jobs can safely share one store directory (see the `sdv-store`
-//! tool for `merge`, `verify`, `gc` and `stats`).  `--vl`/`--vregs` add
+//! tool for `stats` and `verify`).  `--vl`/`--vregs` add
 //! DV-sizing axes (vector length in elements, at most
 //! [`sdv_sim::MAX_VECTOR_LENGTH`]; vector-register count) to the Figure
 //! 11/12 sweep grid, `--csv PATH` dumps the resulting sweep surface

@@ -3,7 +3,7 @@
 //!
 //! Nine PRs in, telemetry had grown scattered: `macro_step_telemetry` lived
 //! outside `RunStats`, `EngineTiming` only covered wall-clock, and the
-//! supervision events (persist retries, store degradation, repairs) were
+//! supervision events (persist retries, store degradation) were
 //! one-shot `eprintln!` warnings.  This crate is the single substrate the
 //! pipeline, engine and store all report into:
 //!

@@ -379,7 +379,7 @@ impl RunEngine {
     /// recording site to one branch.
     ///
     /// An attached store is wrapped with the same handle (per-`IoOp`
-    /// counters, lock-wait timing, repair events); attach order does not
+    /// counters and lock-wait timing); attach order does not
     /// matter — [`Self::with_disk_cache`]/[`Self::with_store`] wire a store
     /// attached later into the already-configured handle.
     #[must_use]

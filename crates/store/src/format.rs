@@ -10,8 +10,8 @@
 //!
 //! The per-entry CRC32 (IEEE polynomial) covers `key_lo | key_hi |
 //! payload_len | payload` — everything the entry claims — so a bit flip
-//! anywhere in an entry is attributable to *that entry*, and
-//! [`crate::Store::repair`] can salvage its neighbours.  Any other version
+//! anywhere in an entry is attributable to *that entry*, and its neighbours
+//! stay readable.  Any other version
 //! — including the CRC-less version 1 of earlier releases — is an unreadable
 //! header.
 //!
@@ -108,8 +108,7 @@ pub fn serialize_entries(fingerprint: u64, entries: &HashMap<u128, Vec<u8>>) -> 
 pub struct EntryFault {
     /// Human-readable description (`entry 3: crc mismatch …`).
     pub what: String,
-    /// The byte range `[start, end)` of the damaged region in the file —
-    /// what [`crate::Store::repair`] quarantines.
+    /// The byte range `[start, end)` of the damaged region in the file.
     pub range: (usize, usize),
     /// How many entries this fault definitely cost (0 for trailing garbage).
     pub entries_lost: u64,
@@ -137,15 +136,6 @@ impl EntryScan {
     #[must_use]
     pub fn corrupt_entries(&self) -> u64 {
         self.faults.iter().map(|f| f.entries_lost).sum()
-    }
-
-    /// Total damaged bytes across all fault ranges.
-    #[must_use]
-    pub fn quarantine_bytes(&self) -> u64 {
-        self.faults
-            .iter()
-            .map(|f| (f.range.1 - f.range.0) as u64)
-            .sum()
     }
 }
 
@@ -184,8 +174,8 @@ impl<'a> Cursor<'a> {
 /// # Errors
 ///
 /// `Err` only when the *header* is unreadable (too short, bad magic, or an
-/// unknown version) — then nothing in the file can be trusted and repair
-/// quarantines it whole.  All damage past the header comes back as
+/// unknown version) — then nothing in the file can be trusted, and the store
+/// reads it as empty.  All damage past the header comes back as
 /// [`EntryScan::faults`] alongside every entry that survived.
 pub fn scan_entries(bytes: &[u8]) -> Result<EntryScan, String> {
     let mut c = Cursor { buf: bytes, pos: 0 };
@@ -217,7 +207,7 @@ pub fn scan_entries(bytes: &[u8]) -> Result<EntryScan, String> {
             Err(e) => {
                 // Framing is gone: nothing after this point can be trusted
                 // to start where an entry starts, so the rest of the file is
-                // one quarantined region.
+                // one damaged region.
                 scan.faults.push(EntryFault {
                     what: format!("entry {i}: {e}"),
                     range: (start, bytes.len()),
@@ -337,6 +327,6 @@ mod tests {
         assert_eq!(scan.corrupt_entries(), 0);
         assert_eq!(scan.faults.len(), 1);
         assert!(scan.faults[0].what.contains("trailing"));
-        assert_eq!(scan.quarantine_bytes(), 4);
+        assert_eq!(scan.faults[0].range, (bytes.len() - 4, bytes.len()));
     }
 }

@@ -18,6 +18,10 @@ use sdv_obs::Obs;
 ///
 /// The default implementation is [`RealIo`].  Implementations must be
 /// thread-safe: the store shares one handle across all writer threads.
+/// The store itself calls only `read`, `write`, `rename`, `create_dir_all`
+/// and `lock`; `remove_file`, `read_dir`, `file_len` and `modified` have no
+/// caller in this crate and stay only because implementations outside it
+/// define them.
 pub trait StoreIo: Send + Sync {
     /// Reads a whole file (`std::fs::read`).
     ///
@@ -75,11 +79,6 @@ pub trait StoreIo: Send + Sync {
     /// # Errors
     /// Propagates the underlying metadata failure.
     fn modified(&self, path: &Path) -> io::Result<SystemTime>;
-
-    /// Whether a file exists (default: probes via [`StoreIo::file_len`]).
-    fn exists(&self, path: &Path) -> bool {
-        self.file_len(path).is_ok()
-    }
 }
 
 /// The production [`StoreIo`]: plain `std::fs`, no interposition.

@@ -1,4 +1,5 @@
-//! A mergeable, concurrency-safe, self-healing result store in one file.
+//! A concurrency-safe result cache in one file: damage is a miss, and the
+//! next write heals it.
 //!
 //! The simulation layer persists `content-hash → serialized result` entries so
 //! repeated experiment runs (and CI jobs seeding developer machines) reuse
@@ -19,22 +20,24 @@
 //!   count × ( key_lo u64 | key_hi u64 | payload_len u32 | crc32 u32 | payload )
 //! ```
 //!
-//! The `fingerprint` identifies the *producer behaviour* (for the simulator:
-//! a hash of what two canonical cells measure with the current build).  A
-//! store is always opened for one fingerprint; a data file written by a
-//! different producer is invisible to readers, replaced on write, and
-//! reclaimed by [`Store::gc`].
+//! The `fingerprint` identifies the *producer* (for the simulator: a
+//! build-time hash of the model's source and the toolchain).  A store is
+//! always opened for one fingerprint; a data file written by a different
+//! producer is invisible to readers and replaced on the next write.
 //!
-//! # Durability and self-healing
+//! # Durability: corruption is a miss
 //!
-//! All file I/O goes through the [`StoreIo`] trait ([`RealIo`] in
-//! production), so every failure path is provable under the deterministic
-//! [`FaultPlan`] injector.  The per-entry CRC32 localizes corruption to the
-//! entry it hit: readers silently serve the intact remainder of a damaged
-//! file, [`Store::verify`] reports damage at entry granularity, and
-//! [`Store::repair`] salvages the intact entries, quarantines the damaged
-//! bytes under `quarantine/`, and atomically rewrites the file — losing
-//! only provably-corrupt entries, never the store.
+//! Every entry can be recomputed, so the store never tries to recover a
+//! damaged entry: it detects damage, and the producer recomputes what was
+//! lost.  All file I/O goes
+//! through the [`StoreIo`] trait ([`RealIo`] in production), so every
+//! failure path is provable under the deterministic [`FaultPlan`] injector.
+//! The per-entry CRC32 localizes corruption to the entry it hit: readers
+//! serve the intact remainder of a damaged file (the rest are misses),
+//! [`Store::verify`] reports damage at entry granularity, and the next
+//! [`Store::put_batch`] atomically rewrites the file from its intact entries
+//! plus the batch.  A file with an unreadable header reads as empty and is
+//! replaced whole by the next write.
 //!
 //! # Concurrency
 //!
@@ -46,7 +49,9 @@
 //!   write is *read–merge–write* under the lock, so two processes populating
 //!   the same store concurrently both land all of their entries.  The kernel
 //!   owns lock lifetime — a crashed writer's lock is released automatically,
-//!   with no staleness heuristics or stealing.
+//!   with no staleness heuristics or stealing.  Because only the lock holder
+//!   writes, one fixed temp name, `store.tmp`, serves every writer: the next
+//!   writer overwrites a crashed writer's leftover and renames it away.
 //!
 //! # Example
 //!
@@ -75,19 +80,12 @@ pub use format::{crc32, scan_entries, serialize_entries, EntryFault, EntryScan, 
 pub use io::{ObservedIo, RealIo, StoreIo};
 pub use sdv_obs::{Obs, ObsLevel};
 
-/// Age (by file mtime) beyond which a leftover `store.tmp.*` file is presumed
-/// abandoned by a crashed writer and reclaimed by [`Store::gc`].  A live
-/// write holds its temp file for milliseconds, so a healthy one never comes
-/// close to this; anything younger is presumed in flight and left alone (gc
-/// must never race a live writer's rename).
-pub const GC_TEMP_MAX_AGE: std::time::Duration = std::time::Duration::from_secs(30);
-
 /// The data file inside a store directory.
 const DATA_FILE: &str = "store.bin";
 /// The writer lock beside it.
 const LOCK_FILE: &str = "store.lock";
-/// A writer's temp file is this prefix plus its process id.
-const TEMP_PREFIX: &str = "store.tmp.";
+/// The temp file of an atomic rewrite, written only under the writer lock.
+const TEMP_FILE: &str = "store.tmp";
 
 /// The in-memory form of a data file: opaque payloads keyed by content hash.
 type Entries = HashMap<u128, Vec<u8>>;
@@ -106,66 +104,16 @@ pub struct PutReport {
     pub discarded_stale: u64,
 }
 
-/// What [`Store::merge_from`] did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MergeReport {
-    /// Entries newly inserted into the destination.
-    pub inserted: u64,
-    /// Entries whose key the destination already held.
-    pub updated: u64,
-    /// Source entries skipped because they were written by a different
-    /// producer fingerprint.
-    pub skipped_stale: u64,
-}
-
-impl std::fmt::Display for MergeReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} entries inserted, {} already present, {} stale skipped",
-            self.inserted, self.updated, self.skipped_stale
-        )
-    }
-}
-
-/// What [`Store::gc`] reclaimed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GcReport {
-    /// Entries in the kept data file (its fingerprint matched).
-    pub kept_entries: u64,
-    /// Whether the data file was deleted (foreign fingerprint, foreign
-    /// version, or unparseable).
-    pub removed_file: bool,
-    /// Entries in the deleted data file (0 for an unparseable one).
-    pub removed_entries: u64,
-    /// Leftover temp files deleted (only ones older than the writer
-    /// abandonment threshold — live writers' pending temps survive).
-    pub removed_strays: u64,
-}
-
-impl std::fmt::Display for GcReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "kept {} entries; removed {} stale data file ({} entries) and {} stray temp files",
-            self.kept_entries,
-            u64::from(self.removed_file),
-            self.removed_entries,
-            self.removed_strays
-        )
-    }
-}
-
 /// The outcome of a structural [`Store::verify`] pass.
 #[derive(Debug, Clone, Default)]
 pub struct VerifyReport {
     /// Intact entries in a data file carrying the store's fingerprint.
     pub entries: u64,
     /// Intact entries in a structurally valid data file with a foreign
-    /// fingerprint (stale but harmless — [`Store::gc`] reclaims them).
+    /// fingerprint (stale but harmless — misses, replaced by the next write).
     pub stale_entries: u64,
     /// Entries lost to localized damage (CRC mismatch, truncation,
-    /// duplicates) — what [`Store::repair`] would quarantine.
+    /// duplicates) — misses, dropped by the next write.
     pub corrupt_entries: u64,
     /// Structural problems found; empty for a healthy store.
     pub errors: Vec<String>,
@@ -208,45 +156,6 @@ impl std::fmt::Display for VerifyReport {
     }
 }
 
-/// What [`Store::repair`] salvaged, quarantined, and rewrote.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RepairReport {
-    /// Whether a damaged data file was atomically rewritten.
-    pub repaired: bool,
-    /// Intact entries carried over into the rewritten file.
-    pub recovered_entries: u64,
-    /// Entries lost to damage (their bytes are in `quarantine/`).
-    pub quarantined_entries: u64,
-    /// Damaged bytes moved under `quarantine/`.
-    pub quarantined_bytes: u64,
-    /// Whether the data file's header was unreadable, so it was moved whole
-    /// into `quarantine/`.
-    pub quarantined_file: bool,
-}
-
-impl RepairReport {
-    /// `true` when nothing needed repair.
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        !self.repaired && !self.quarantined_file
-    }
-}
-
-impl std::fmt::Display for RepairReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{}: {} entries recovered, {} quarantined ({} damaged bytes), \
-             {} unreadable file(s) quarantined",
-            if self.is_clean() { "clean" } else { "repaired" },
-            self.recovered_entries,
-            self.quarantined_entries,
-            self.quarantined_bytes,
-            u64::from(self.quarantined_file)
-        )
-    }
-}
-
 /// Aggregate size statistics for a store directory.
 #[derive(Debug, Clone, Default)]
 pub struct StoreStats {
@@ -256,7 +165,8 @@ pub struct StoreStats {
     pub payload_bytes: u64,
     /// Size of the data file on disk (stale or unreadable included).
     pub file_bytes: u64,
-    /// Entries in a structurally valid data file with a foreign fingerprint.
+    /// Entries in a structurally valid data file with a foreign fingerprint
+    /// (misses, replaced by the next write).
     pub stale_entries: u64,
 }
 
@@ -282,10 +192,6 @@ pub struct Store {
     io: Arc<dyn StoreIo>,
     /// Memo of the last loaded disk state (`None` = not loaded).
     memo: RwLock<Option<Entries>>,
-    /// Observability handle; defaults to `Off` (every call is one enum
-    /// compare).  [`Store::set_obs`] swaps in a live handle and wraps the
-    /// I/O seam in [`io::ObservedIo`].
-    obs: Arc<Obs>,
 }
 
 impl Store {
@@ -317,18 +223,15 @@ impl Store {
             fingerprint,
             io,
             memo: RwLock::new(None),
-            obs: Arc::new(Obs::default()),
         })
     }
 
     /// Attaches an observability handle: subsequent filesystem calls are
     /// counted per operation through an [`io::ObservedIo`] wrapper (lock
-    /// waits get a histogram and, under tracing, spans), and
-    /// [`Store::repair`] reports what it salvaged as events.  Observation
-    /// only — behaviour and on-disk bytes are unchanged.
+    /// waits get a histogram and, under tracing, spans).  Observation only —
+    /// behaviour and on-disk bytes are unchanged.
     pub fn set_obs(&mut self, obs: Arc<Obs>) {
-        self.io = Arc::new(io::ObservedIo::new(Arc::clone(&self.io), Arc::clone(&obs)));
-        self.obs = obs;
+        self.io = Arc::new(io::ObservedIo::new(Arc::clone(&self.io), obs));
     }
 
     /// The store directory.
@@ -343,10 +246,10 @@ impl Store {
         self.fingerprint
     }
 
-    /// Reads the raw bytes of the data file in store directory `dir`;
-    /// `Ok(None)` when it does not exist.
-    fn read_data(&self, dir: &Path) -> stdio::Result<Option<Vec<u8>>> {
-        match self.io.read(&dir.join(DATA_FILE)) {
+    /// Reads the raw bytes of the data file; `Ok(None)` when it does not
+    /// exist.
+    fn read_data(&self) -> stdio::Result<Option<Vec<u8>>> {
+        match self.io.read(&self.dir.join(DATA_FILE)) {
             Ok(bytes) => Ok(Some(bytes)),
             Err(e) if e.kind() == ErrorKind::NotFound => Ok(None),
             Err(e) => Err(e),
@@ -363,23 +266,6 @@ impl Store {
     /// break mutual exclusion.
     fn lock_writer(&self) -> stdio::Result<std::fs::File> {
         self.io.lock(&self.dir.join(LOCK_FILE))
-    }
-
-    /// Drops the memo so the next [`Store::get`] reloads from disk.
-    fn forget(&self) {
-        *self.memo.write().unwrap_or_else(PoisonError::into_inner) = None;
-    }
-
-    /// Whether a temp file at `path` is old enough (by mtime) to be treated
-    /// as abandoned by a crashed writer.  `false` when the file is gone or
-    /// its age cannot be determined — never presume abandonment without
-    /// evidence.
-    fn is_stale(&self, path: &Path) -> bool {
-        self.io
-            .modified(path)
-            .ok()
-            .and_then(|mtime| std::time::SystemTime::now().duration_since(mtime).ok())
-            .is_some_and(|age| age >= GC_TEMP_MAX_AGE)
     }
 
     /// Loads the data file (once) and returns the entry's payload.
@@ -403,7 +289,7 @@ impl Store {
     /// fingerprint, unreadable header, or a failed read; the intact entries
     /// of a damaged file are served).
     fn load(&self) -> Entries {
-        match self.read_data(&self.dir) {
+        match self.read_data() {
             Ok(Some(bytes)) => match scan_entries(&bytes) {
                 Ok(scan) if scan.fingerprint == self.fingerprint => scan.entries,
                 _ => HashMap::new(),
@@ -415,9 +301,9 @@ impl Store {
     /// Inserts a batch of entries, merging with whatever the data file
     /// already holds (a read–merge–write under the writer lock).  A batch
     /// that adds nothing new leaves the file untouched.  A damaged file is
-    /// healed in passing: its damaged bytes are quarantined and its intact
-    /// entries merge with the batch, so writing never silently drops
-    /// salvageable data.
+    /// healed in passing: its intact entries merge with the batch and the
+    /// rewrite drops the damage.  A file with an unreadable header, or one
+    /// written under another fingerprint, is treated as empty and replaced.
     ///
     /// # Errors
     ///
@@ -428,12 +314,10 @@ impl Store {
         if entries.is_empty() {
             return Ok(report);
         }
-        let path = self.dir.join(DATA_FILE);
         let _lock = self.lock_writer()?;
-        let (mut merged, on_disk_fresh) = match self.read_data(&self.dir)? {
+        let (mut merged, on_disk_fresh) = match self.read_data()? {
             Some(bytes) => match scan_entries(&bytes) {
                 Ok(scan) if scan.fingerprint == self.fingerprint => {
-                    self.quarantine_ranges(&bytes, &scan.faults)?;
                     let fresh = scan.is_clean();
                     (scan.entries, fresh)
                 }
@@ -441,10 +325,7 @@ impl Store {
                     report.discarded_stale += scan.entries.len() as u64;
                     (HashMap::new(), false)
                 }
-                Err(_) => {
-                    self.quarantine_file(&path)?;
-                    (HashMap::new(), false)
-                }
+                Err(_) => (HashMap::new(), false),
             },
             None => (HashMap::new(), false),
         };
@@ -469,40 +350,11 @@ impl Store {
     }
 
     /// Replaces the data file via the atomic write-temp + rename protocol.
+    /// The caller holds the writer lock, so the one temp name never races.
     fn write_atomic(&self, bytes: &[u8]) -> stdio::Result<()> {
-        let tmp = self
-            .dir
-            .join(format!("{TEMP_PREFIX}{}", std::process::id()));
+        let tmp = self.dir.join(TEMP_FILE);
         self.io.write(&tmp, bytes)?;
         self.io.rename(&tmp, &self.dir.join(DATA_FILE))
-    }
-
-    /// Merges every live entry of the store directory `src` into this store.
-    ///
-    /// A source written under a different fingerprint is skipped (its
-    /// results are stale for this producer); an unreadable source is skipped
-    /// silently, and a damaged one contributes its intact entries.
-    /// `merge(A, B)` and `merge(B, A)` into empty stores produce the same
-    /// entry *set* whenever A and B agree on shared keys — which
-    /// content-hashed deterministic results always do.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures from reading `src` or writing this store.
-    pub fn merge_from(&self, src: &Path) -> stdio::Result<MergeReport> {
-        let mut report = MergeReport::default();
-        let Some(Ok(scan)) = self.read_data(src)?.map(|bytes| scan_entries(&bytes)) else {
-            return Ok(report);
-        };
-        if scan.fingerprint != self.fingerprint {
-            report.skipped_stale = scan.entries.len() as u64;
-            return Ok(report);
-        }
-        let batch: Vec<(u128, Vec<u8>)> = scan.entries.into_iter().collect();
-        let put = self.put_batch(&batch)?;
-        report.inserted = put.inserted;
-        report.updated = put.updated;
-        Ok(report)
     }
 
     /// Every live entry of the store (a data file carrying this handle's
@@ -513,56 +365,10 @@ impl Store {
     ///
     /// Propagates I/O failures from reading the data file.
     pub fn entries(&self) -> stdio::Result<HashMap<u128, Vec<u8>>> {
-        Ok(match self.read_data(&self.dir)?.map(|b| scan_entries(&b)) {
+        Ok(match self.read_data()?.map(|b| scan_entries(&b)) {
             Some(Ok(scan)) if scan.fingerprint == self.fingerprint => scan.entries,
             _ => HashMap::new(),
         })
-    }
-
-    /// Deletes the data file when its fingerprint differs from `keep` or its
-    /// header is unreadable, plus abandoned temp files (the lock file and the
-    /// `quarantine/` directory are never touched), and reports what was
-    /// reclaimed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures from listing or deleting files.
-    pub fn gc(&self, keep: u64) -> stdio::Result<GcReport> {
-        let mut report = GcReport::default();
-        for path in self.io.read_dir(&self.dir)? {
-            let is_temp = path
-                .file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with(TEMP_PREFIX));
-            // A leftover temp of a crashed writer.  Only reclaim provably old
-            // ones: a concurrent writer's pending temp must survive a gc that
-            // races it.
-            if is_temp && self.is_stale(&path) {
-                self.io.remove_file(&path)?;
-                report.removed_strays += 1;
-            }
-        }
-        let path = self.dir.join(DATA_FILE);
-        if self.io.exists(&path) {
-            // Under the writer lock, so a write landing between the scan and
-            // the delete cannot be lost.
-            let _lock = self.lock_writer()?;
-            if let Some(bytes) = self.read_data(&self.dir)? {
-                match scan_entries(&bytes) {
-                    Ok(scan) if scan.fingerprint == keep => {
-                        report.kept_entries = scan.entries.len() as u64;
-                    }
-                    stale_or_unreadable => {
-                        self.io.remove_file(&path)?;
-                        report.removed_file = true;
-                        report.removed_entries =
-                            stale_or_unreadable.map_or(0, |scan| scan.entries.len() as u64);
-                    }
-                }
-            }
-        }
-        self.forget();
-        Ok(report)
     }
 
     /// Verifies the data file at per-entry granularity: magic, version,
@@ -575,7 +381,7 @@ impl Store {
     /// returned as errors.
     pub fn verify(&self) -> stdio::Result<VerifyReport> {
         let mut report = VerifyReport::default();
-        let Some(bytes) = self.read_data(&self.dir)? else {
+        let Some(bytes) = self.read_data()? else {
             return Ok(report);
         };
         let path = self.dir.join(DATA_FILE);
@@ -603,125 +409,6 @@ impl Store {
         Ok(report)
     }
 
-    /// Repairs a damaged data file: salvages the intact entries, quarantines
-    /// the damaged bytes under `quarantine/`, and atomically rewrites the
-    /// file — losing only provably-corrupt entries, never the store.  A file
-    /// whose header is unreadable (bad magic, a version other than
-    /// [`STORE_VERSION`]) is moved whole into `quarantine/`.  The repair runs
-    /// under the writer lock, and the file's own fingerprint is preserved
-    /// (repair heals a stale file without adopting it).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures; damage itself is repaired, not reported as
-    /// an error.
-    pub fn repair(&self) -> stdio::Result<RepairReport> {
-        let report = self.repair_data_file()?;
-        self.obs.counter("store.repair.runs", 1);
-        self.obs
-            .counter("store.repair.repaired_files", u64::from(report.repaired));
-        self.obs
-            .counter("store.repair.recovered_entries", report.recovered_entries);
-        self.obs.counter(
-            "store.repair.quarantined_entries",
-            report.quarantined_entries,
-        );
-        self.obs
-            .counter("store.repair.quarantined_bytes", report.quarantined_bytes);
-        self.obs.counter(
-            "store.repair.quarantined_files",
-            u64::from(report.quarantined_file),
-        );
-        if !report.is_clean() {
-            self.obs.instant(
-                "store repair",
-                "store",
-                &[
-                    ("dir", self.dir.display().to_string()),
-                    ("recovered_entries", report.recovered_entries.to_string()),
-                    (
-                        "quarantined_entries",
-                        report.quarantined_entries.to_string(),
-                    ),
-                    ("quarantined_file", report.quarantined_file.to_string()),
-                ],
-            );
-        }
-        Ok(report)
-    }
-
-    /// The work of [`Store::repair`], without its observability.
-    fn repair_data_file(&self) -> stdio::Result<RepairReport> {
-        let mut report = RepairReport::default();
-        let path = self.dir.join(DATA_FILE);
-        if !self.io.exists(&path) {
-            return Ok(report);
-        }
-        let _lock = self.lock_writer()?;
-        // Re-read under the lock: the pre-lock existence probe may have
-        // raced a writer.
-        let Some(bytes) = self.read_data(&self.dir)? else {
-            return Ok(report);
-        };
-        match scan_entries(&bytes) {
-            Ok(scan) if scan.is_clean() => return Ok(report),
-            Ok(scan) => {
-                report.quarantined_bytes = self.quarantine_ranges(&bytes, &scan.faults)?;
-                report.quarantined_entries = scan.corrupt_entries();
-                report.recovered_entries = scan.entries.len() as u64;
-                self.write_atomic(&serialize_entries(scan.fingerprint, &scan.entries))?;
-                report.repaired = true;
-            }
-            Err(_) => {
-                self.quarantine_file(&path)?;
-                report.quarantined_file = true;
-                report.quarantined_bytes = bytes.len() as u64;
-            }
-        }
-        self.forget();
-        Ok(report)
-    }
-
-    /// The first free `quarantine/store[.N].bad` name.
-    fn quarantine_slot(&self) -> stdio::Result<PathBuf> {
-        let qdir = self.dir.join("quarantine");
-        self.io.create_dir_all(&qdir)?;
-        for n in 0u32.. {
-            let name = if n == 0 {
-                "store.bad".to_string()
-            } else {
-                format!("store.{n}.bad")
-            };
-            let candidate = qdir.join(name);
-            if !self.io.exists(&candidate) {
-                return Ok(candidate);
-            }
-        }
-        unreachable!("some quarantine slot is free")
-    }
-
-    /// Writes the damaged byte ranges of the data file into `quarantine/`;
-    /// returns how many bytes were preserved (0, and nothing written, for a
-    /// clean file).
-    fn quarantine_ranges(&self, bytes: &[u8], faults: &[EntryFault]) -> stdio::Result<u64> {
-        let mut damaged = Vec::new();
-        for fault in faults {
-            damaged.extend_from_slice(&bytes[fault.range.0..fault.range.1]);
-        }
-        if damaged.is_empty() {
-            return Ok(0);
-        }
-        let slot = self.quarantine_slot()?;
-        self.io.write(&slot, &damaged)?;
-        Ok(damaged.len() as u64)
-    }
-
-    /// Moves a wholly-unreadable data file into `quarantine/`.
-    fn quarantine_file(&self, path: &Path) -> stdio::Result<()> {
-        let slot = self.quarantine_slot()?;
-        self.io.rename(path, &slot)
-    }
-
     /// Aggregate size statistics (reads the data file).
     ///
     /// # Errors
@@ -729,7 +416,7 @@ impl Store {
     /// Propagates I/O failures from reading the data file.
     pub fn stats(&self) -> stdio::Result<StoreStats> {
         let mut stats = StoreStats::default();
-        let Some(bytes) = self.read_data(&self.dir)? else {
+        let Some(bytes) = self.read_data()? else {
             return Ok(stats);
         };
         stats.file_bytes = bytes.len() as u64;
@@ -771,10 +458,6 @@ mod tests {
 
     fn key(top: u8, low: u64) -> u128 {
         (u128::from(top) << 120) | u128::from(low)
-    }
-
-    fn quarantined(dir: &Path, name: &str) -> bool {
-        dir.join("quarantine").join(name).exists()
     }
 
     #[test]
@@ -862,50 +545,14 @@ mod tests {
         assert!(new.entries().unwrap().is_empty());
         let stats = new.stats().unwrap();
         assert_eq!((stats.entries, stats.stale_entries), (0, 2));
-        // gc under the new fingerprint reclaims the stale file.
-        let gc = new.gc(2).unwrap();
-        assert!(gc.removed_file);
-        assert_eq!(gc.removed_entries, 2);
-        assert!(!dir.join(DATA_FILE).exists());
 
         // Writing under the new fingerprint discards a stale file's contents.
-        old.put_batch(&stale).unwrap();
         let put = new.put_batch(&[(key(7, 3), vec![3])]).unwrap();
         assert_eq!(put.discarded_stale, 2);
         let stats = new.stats().unwrap();
         assert_eq!((stats.entries, stats.stale_entries), (1, 0));
-        let gc = new.gc(2).unwrap();
-        assert_eq!((gc.kept_entries, gc.removed_file), (1, false));
         assert!(new.get(key(8, 2)).is_none());
         fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn merge_from_unions_two_stores() {
-        let dir_a = tmp_dir("merge-a");
-        let dir_b = tmp_dir("merge-b");
-        let a = Store::open(&dir_a, 1).unwrap();
-        let b = Store::open(&dir_b, 1).unwrap();
-        a.put_batch(&[(key(1, 1), vec![1]), (key(2, 2), vec![2])])
-            .unwrap();
-        b.put_batch(&[(key(2, 2), vec![2]), (key(3, 3), vec![3])])
-            .unwrap();
-        let report = a.merge_from(&dir_b).unwrap();
-        assert_eq!(report.inserted, 1);
-        assert_eq!(report.updated, 1);
-        assert_eq!(report.skipped_stale, 0);
-        assert_eq!(a.entries().unwrap().len(), 3);
-        assert!(report.to_string().contains("1 entries inserted"));
-        // Merging a store written under a different fingerprint imports nothing.
-        let foreign_dir = tmp_dir("merge-f");
-        let foreign = Store::open(&foreign_dir, 9).unwrap();
-        foreign.put_batch(&[(key(4, 4), vec![4])]).unwrap();
-        let report = a.merge_from(&foreign_dir).unwrap();
-        assert_eq!(report.inserted, 0);
-        assert_eq!(report.skipped_stale, 1);
-        for d in [&dir_a, &dir_b, &foreign_dir] {
-            fs::remove_dir_all(d).unwrap();
-        }
     }
 
     #[test]
@@ -932,8 +579,8 @@ mod tests {
     }
 
     #[test]
-    fn damaged_shards_serve_their_intact_entries() {
-        let dir = tmp_dir("salvage-read");
+    fn damaged_files_serve_their_intact_entries() {
+        let dir = tmp_dir("damaged-read");
         let store = Store::open(&dir, 1).unwrap();
         let batch: Vec<(u128, Vec<u8>)> =
             (0..8u64).map(|i| (key(3, i), vec![i as u8; 4])).collect();
@@ -955,57 +602,6 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn repair_salvages_quarantines_and_rewrites() {
-        let dir = tmp_dir("repair");
-        let store = Store::open(&dir, 1).unwrap();
-        let batch: Vec<(u128, Vec<u8>)> =
-            (0..10u64).map(|i| (key(4, i), vec![i as u8; 5])).collect();
-        store.put_batch(&batch).unwrap();
-        // Corrupt two entries.
-        let path = dir.join(DATA_FILE);
-        let mut bytes = fs::read(&path).unwrap();
-        bytes[24 + 24 + 1] ^= 0x01; // entry 0 payload
-        bytes[24 + 29 * 3 + 24 + 2] ^= 0x01; // entry 3 payload
-        fs::write(&path, bytes).unwrap();
-
-        let fresh = Store::open(&dir, 1).unwrap();
-        let report = fresh.repair().unwrap();
-        assert!(report.repaired);
-        assert_eq!(report.recovered_entries, 8);
-        assert_eq!(report.quarantined_entries, 2);
-        assert_eq!(report.quarantined_bytes, 2 * 29);
-        assert!(!report.quarantined_file);
-        assert!(!report.is_clean());
-        assert!(report.to_string().contains("2 quarantined"));
-
-        // Post-repair: verify is clean, the survivors read back, the damaged
-        // bytes are preserved under quarantine/.
-        let after = Store::open(&dir, 1).unwrap();
-        let verify = after.verify().unwrap();
-        assert!(verify.is_ok(), "{verify}");
-        assert_eq!(verify.corrupt_entries, 0);
-        assert_eq!(after.entries().unwrap().len(), 8);
-        assert!(after.get(key(4, 0)).is_none());
-        assert!(after.get(key(4, 3)).is_none());
-        assert_eq!(after.get(key(4, 5)), Some(vec![5u8; 5]));
-        assert!(quarantined(&dir, "store.bad"));
-        // A second repair pass finds nothing to do.
-        let again = after.repair().unwrap();
-        assert!(again.is_clean());
-        assert!(again.to_string().starts_with("clean"), "{again}");
-
-        // An unreadable header is quarantined whole, in the next free slot.
-        fs::write(&path, b"not a store at all").unwrap();
-        let report = after.repair().unwrap();
-        assert!(report.quarantined_file);
-        assert_eq!(report.quarantined_bytes, 18);
-        assert!(!path.exists());
-        assert!(quarantined(&dir, "store.1.bad"));
-        assert!(after.entries().unwrap().is_empty());
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
     /// A version-1 file: the current layout with the version field set to 1
     /// (its version-1 entries lacked the CRC, but the header alone decides).
     fn version_1_file(fingerprint: u64, entries: &Entries) -> Vec<u8> {
@@ -1014,45 +610,42 @@ mod tests {
         bytes
     }
 
+    /// The files in a store directory, sorted.
+    fn listing(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
     #[test]
-    fn version_1_shards_are_misses_and_gc_reclaims_them() {
+    fn version_1_files_are_misses_and_a_writer_replaces_them() {
         let dir = tmp_dir("v1-retired");
         fs::create_dir_all(&dir).unwrap();
         let mut entries = HashMap::new();
         entries.insert(key(2, 1), vec![1, 2, 3]);
         entries.insert(key(2, 2), vec![4]);
-        let path = dir.join(DATA_FILE);
-        fs::write(&path, version_1_file(1, &entries)).unwrap();
+        fs::write(dir.join(DATA_FILE), version_1_file(1, &entries)).unwrap();
         let store = Store::open(&dir, 1).unwrap();
         assert_eq!(store.get(key(2, 1)), None, "never adopted");
         let verify = store.verify().unwrap();
         assert!(!verify.is_ok());
         assert_eq!(verify.entries, 0);
         assert!(verify.errors[0].contains("version 1"), "{verify}");
-        let gc = store.gc(1).unwrap();
-        assert_eq!((gc.kept_entries, gc.removed_file), (0, true));
-        assert!(!path.exists(), "gc reclaims it");
 
-        fs::write(&path, version_1_file(1, &entries)).unwrap();
-        let report = store.repair().unwrap();
-        assert!(report.quarantined_file, "quarantined whole");
-        assert!(!report.repaired);
-        assert_eq!(report.recovered_entries, 0);
-        assert!(!path.exists());
-        assert!(quarantined(&dir, "store.bad"));
-        assert!(store.verify().unwrap().is_ok());
-
-        // A writer quarantines it too, and rewrites the file without it.
-        fs::write(&path, version_1_file(1, &entries)).unwrap();
+        // A writer treats it as empty and replaces it whole.
         store.put_batch(&[(key(2, 9), vec![9])]).unwrap();
-        assert!(quarantined(&dir, "store.1.bad"));
         assert_eq!(store.entries().unwrap().len(), 1);
         assert_eq!(store.get(key(2, 2)), None);
+        assert!(store.verify().unwrap().is_ok());
+        assert_eq!(listing(&dir), [DATA_FILE, LOCK_FILE]);
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn put_batch_heals_damaged_shards_instead_of_discarding() {
+    fn put_batch_heals_damaged_files_instead_of_discarding() {
         let dir = tmp_dir("put-heal");
         let store = Store::open(&dir, 1).unwrap();
         let batch: Vec<(u128, Vec<u8>)> =
@@ -1064,11 +657,11 @@ mod tests {
         fs::write(&path, bytes).unwrap();
         let fresh = Store::open(&dir, 1).unwrap();
         fresh.put_batch(&[(key(7, 99), vec![9])]).unwrap();
-        // Intact survivors + the new entry; damage quarantined, file healed.
+        // Intact survivors + the new entry; the damage is dropped.
         let entries = fresh.entries().unwrap();
         assert_eq!(entries.len(), 6, "5 survivors + 1 new");
         assert!(fresh.verify().unwrap().is_ok());
-        assert!(quarantined(&dir, "store.bad"));
+        assert_eq!(listing(&dir), [DATA_FILE, LOCK_FILE]);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1102,14 +695,15 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_repair_and_writers_lose_no_entries() {
-        let dir = tmp_dir("concurrent-repair");
+    fn concurrent_writers_heal_a_damaged_file_and_lose_no_entries() {
+        let dir = tmp_dir("concurrent-heal");
         let seed = Store::open(&dir, 1).unwrap();
         let baseline: Vec<(u128, Vec<u8>)> = (0..40u64)
             .map(|i| (key((i % 4) as u8, i), vec![7]))
             .collect();
         seed.put_batch(&baseline).unwrap();
-        // Corrupt one entry so the repairers have real work.
+        // Corrupt the payload of the last (highest-key) entry, so the first
+        // writer to take the lock finds a damaged file.
         let path = dir.join(DATA_FILE);
         let mut bytes = fs::read(&path).unwrap();
         let len = bytes.len();
@@ -1117,104 +711,60 @@ mod tests {
         fs::write(&path, bytes).unwrap();
         let threads = 4u64;
         let per_thread = 25u64;
+        // Every writer opens its handle before any writes, so each one's
+        // read–merge–write races the others on the damaged file.
+        let start = std::sync::Barrier::new(threads as usize);
         std::thread::scope(|scope| {
             for t in 0..threads {
-                let dir = dir.clone();
+                let (dir, start) = (dir.clone(), &start);
                 scope.spawn(move || {
                     let store = Store::open(&dir, 1).unwrap();
                     let batch: Vec<(u128, Vec<u8>)> = (0..per_thread)
                         .map(|i| (key((i % 4) as u8, 1_000 + t * 100 + i), vec![t as u8]))
                         .collect();
+                    start.wait();
                     store.put_batch(&batch).unwrap();
-                });
-            }
-            for _ in 0..2 {
-                let dir = dir.clone();
-                scope.spawn(move || {
-                    let store = Store::open(&dir, 1).unwrap();
-                    store.repair().unwrap();
                 });
             }
         });
         let store = Store::open(&dir, 1).unwrap();
-        let entries = store.entries().unwrap();
-        // Exactly one baseline entry was corrupted; whether a writer healed
-        // the file before or after a repairer quarantined it, every other
-        // entry and all new ones survive.
+        // Exactly the corrupted baseline entry is gone; every other one and
+        // every new one survives whichever writer healed the file.
+        assert_eq!(
+            store.entries().unwrap().len() as u64,
+            40 - 1 + threads * per_thread
+        );
         assert!(
-            entries.len() as u64 >= 40 - 1 + threads * per_thread,
-            "lost entries: only the corrupted one may go ({} left)",
-            entries.len()
+            store.get(key(3, 39)).is_none(),
+            "the damaged entry is a miss"
         );
         assert!(store.verify().unwrap().is_ok());
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// [`GC_TEMP_MAX_AGE`] is the exact staleness threshold: a temp file is
-    /// live strictly below it, reclaimable at or beyond it, and a missing
-    /// file is never presumed abandoned.
     #[test]
-    fn gc_temp_max_age_is_the_staleness_threshold() {
-        let dir = tmp_dir("gc-threshold");
-        fs::create_dir_all(&dir).unwrap();
-        let store = Store::open(&dir, 1).unwrap();
-        let path = dir.join("store.tmp.1");
-        fs::write(&path, b"half a write").unwrap();
-        assert!(!store.is_stale(&path), "a fresh temp file is presumed live");
+    fn a_crashed_writers_temp_is_consumed_by_the_next_write() {
+        let dir = tmp_dir("crashed-temp");
+        let first = [(key(6, 1), vec![1]), (key(6, 2), vec![2])];
+        Store::open(&dir, 1).unwrap().put_batch(&first).unwrap();
+        // The temp file lands, then the writer dies before the rename.
+        let plan = Arc::new(FaultPlan::crash_after_temp_write(0));
+        let crashed = Store::open_with_io(&dir, 1, plan).unwrap();
+        assert!(crashed.put_batch(&[(key(6, 3), vec![3])]).is_err());
+        assert_eq!(listing(&dir), [DATA_FILE, LOCK_FILE, TEMP_FILE]);
 
-        let backdate = |by: std::time::Duration| {
-            let f = fs::OpenOptions::new().write(true).open(&path).unwrap();
-            f.set_times(fs::FileTimes::new().set_modified(std::time::SystemTime::now() - by))
-                .unwrap();
-        };
-        backdate(GC_TEMP_MAX_AGE - std::time::Duration::from_secs(5));
+        let next = Store::open(&dir, 1).unwrap();
+        next.put_batch(&[(key(6, 4), vec![4])]).unwrap();
+        assert_eq!(listing(&dir), [DATA_FILE, LOCK_FILE], "no stray temp");
+        let fresh = Store::open(&dir, 1).unwrap();
+        for (k, v) in first.iter().chain(&[(key(6, 4), vec![4])]) {
+            assert_eq!(fresh.get(*k).as_ref(), Some(v), "acknowledged {k:#x}");
+        }
         assert!(
-            !store.is_stale(&path),
-            "just under the threshold is still live"
+            fresh.get(key(6, 3)).is_none(),
+            "the crashed batch never landed"
         );
-        backdate(GC_TEMP_MAX_AGE + std::time::Duration::from_secs(5));
-        assert!(store.is_stale(&path), "past the threshold is reclaimable");
-
-        assert!(
-            !store.is_stale(&dir.join("never-existed.tmp.2")),
-            "absence of evidence is not abandonment"
-        );
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// Backdates a file's mtime past the writer-abandonment threshold.
-    fn age(path: &Path) {
-        let old =
-            std::time::SystemTime::now() - (GC_TEMP_MAX_AGE + std::time::Duration::from_secs(30));
-        let f = fs::OpenOptions::new().write(true).open(path).unwrap();
-        f.set_times(fs::FileTimes::new().set_modified(old)).unwrap();
-    }
-
-    #[test]
-    fn gc_reclaims_abandoned_temps_but_never_locks() {
-        let dir = tmp_dir("gc-strays");
-        let store = Store::open(&dir, 1).unwrap();
-        store.put_batch(&[(key(1, 1), vec![1])]).unwrap();
-        fs::write(dir.join("store.tmp.999"), b"half a write").unwrap();
-        fs::write(dir.join("store.tmp.998"), b"in flight").unwrap();
-        fs::write(dir.join("unrelated.txt"), b"left alone").unwrap();
-        age(&dir.join("store.tmp.999"));
-        age(&dir.join(LOCK_FILE));
-        let report = store.gc(1).unwrap();
-        assert_eq!(report.removed_strays, 1, "only the abandoned temp goes");
-        assert_eq!((report.kept_entries, report.removed_file), (1, false));
-        assert!(
-            dir.join("store.tmp.998").exists(),
-            "a fresh temp may belong to a live writer and must survive gc"
-        );
-        assert!(
-            dir.join(LOCK_FILE).exists(),
-            "the lock file is never deleted, however old: a held OS lock lives \
-             on the inode, and a fresh inode under the same name would break \
-             mutual exclusion"
-        );
-        assert!(dir.join("unrelated.txt").exists());
-        assert!(report.to_string().contains("stray"));
+        assert!(fresh.verify().unwrap().is_ok());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1243,6 +793,12 @@ mod tests {
         );
         drop(held);
         assert!(probe.try_lock().is_ok(), "released on drop");
+        assert!(
+            dir.join(LOCK_FILE).exists(),
+            "the lock file is never deleted: a held OS lock lives on the \
+             inode, and a fresh inode under the same name would break mutual \
+             exclusion"
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1256,7 +812,6 @@ mod tests {
         assert!(stats.to_string().contains("0 entries"));
         assert!(store.entries().unwrap().is_empty());
         assert!(format!("{store:?}").contains("Store"));
-        assert!(store.repair().unwrap().is_clean());
         assert_eq!(store.put_batch(&[]).unwrap(), PutReport::default());
         assert!(
             !dir.join(DATA_FILE).exists(),

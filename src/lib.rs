@@ -16,8 +16,8 @@
 //!   vectorization engine (Table of Loads, VRMT, vector register file).
 //! * [`uarch`] — the cycle-level out-of-order superscalar pipeline.
 //! * [`workloads`] — synthetic SPEC95-analogue kernels.
-//! * [`store`] — the mergeable, concurrency-safe, self-healing result store
-//!   (one CRC-framed data file per store directory).
+//! * [`store`] — the concurrency-safe result cache (one CRC-framed data file
+//!   per store directory; damage is a miss, the next write heals it).
 //! * [`sim`] — experiment configurations, the run engine and figure generators.
 //!
 //! # Quickstart

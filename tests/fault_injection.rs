@@ -10,15 +10,16 @@
 //!   `Store::open` on the real filesystem succeeds and `verify` reports zero
 //!   corrupt entries among those acknowledged by completed `put_batch` calls.
 //! * **Panic freedom** — truncating the data file at every byte offset never
-//!   panics `open`/`get`/`verify`, and `repair` retains exactly the entries
-//!   whose bytes survived intact.
-//! * **Self-healing** — detected corruption (bit flips) is quarantined by
-//!   `repair`, after which `verify` is clean.
+//!   panics `open`/`get`/`verify`, and a fresh handle serves exactly the
+//!   entries whose bytes survived intact.
+//! * **Corruption is a miss, and the next write heals it** — whatever a
+//!   fault left behind, a fresh handle serves the intact entries, and one
+//!   `put_batch` rewrites the file so `verify` is clean.
 
 use proptest::prelude::*;
 use sdv::store::{Fault, FaultPlan, IoOp, Store};
 use std::collections::HashMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 const FP: u64 = 0x5d5d;
@@ -41,6 +42,31 @@ fn payload(seed: u64) -> Vec<u8> {
 /// Spreads seeds over the key space (the top bytes come from the seed).
 fn key(seed: u64) -> u128 {
     (u128::from(seed) << 64) | u128::from(seed.wrapping_mul(0x9e37_79b9))
+}
+
+/// A key no test batch uses: `key(u64::MAX)` has a low half of
+/// `-0x9e37_79b9`, and every other key a high half below `u64::MAX`.
+const HEAL_KEY: u128 = u128::MAX;
+
+/// The "next write heals it" contract on a possibly damaged store in `dir`:
+/// a fresh handle serves the intact entries; one `put_batch` of a new key
+/// then leaves `verify` clean, holding exactly those entries plus the new
+/// one.  Returns the intact entries the fresh handle served.
+fn next_write_heals(dir: &Path) -> HashMap<u128, Vec<u8>> {
+    let store = Store::open(dir, FP).unwrap();
+    let intact = store.entries().unwrap();
+    for (k, v) in &intact {
+        assert_eq!(store.get(*k).as_ref(), Some(v), "served intact");
+    }
+    store.put_batch(&[(HEAL_KEY, vec![0xee])]).unwrap();
+    let healed = Store::open(dir, FP).unwrap();
+    let report = healed.verify().unwrap();
+    assert!(report.is_ok(), "after the next write: {report}");
+    assert_eq!(report.corrupt_entries, 0);
+    let mut expected = intact.clone();
+    expected.insert(HEAL_KEY, vec![0xee]);
+    assert_eq!(healed.entries().unwrap(), expected);
+    intact
 }
 
 proptest! {
@@ -97,8 +123,8 @@ proptest! {
 
     /// Seeded fault schedules (the fuzz entry point: crashes, torn writes,
     /// bit flips, EIO, ENOSPC at derived points) never make the store
-    /// unopenable or panic any read path, and one `repair` pass always
-    /// restores a clean `verify` for whatever survived.
+    /// unopenable or panic any read path: a fresh handle serves whatever
+    /// survived intact, and the next write restores a clean `verify`.
     #[test]
     fn seeded_fault_schedules_always_leave_a_repairable_store(
         seed in any::<u64>(),
@@ -121,18 +147,15 @@ proptest! {
 
         let recovered = Store::open(&dir, FP).unwrap();
         let _ = recovered.verify().unwrap(); // must not panic; may report damage
-        let _ = recovered.repair().unwrap();
-        let healed = recovered.verify().unwrap();
-        prop_assert!(healed.is_ok(), "after repair: {}", healed);
-        prop_assert_eq!(healed.corrupt_entries, 0);
+        next_write_heals(&dir);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 
 /// Truncating the data file at *every* byte offset never panics
-/// `open`/`get`/`verify`, and `repair` retains exactly the entries whose
-/// bytes survived intact (computed from the file layout, not from repair's
-/// own claims).
+/// `open`/`get`/`verify`; a fresh handle serves exactly the entries whose
+/// bytes survived intact (computed from the file layout, not from the
+/// store's own claims), and the repair — the next write — keeps them.
 #[test]
 fn truncation_at_every_offset_never_panics_and_repair_keeps_intact_entries() {
     let entries: HashMap<u128, Vec<u8>> = (0..6u64)
@@ -166,19 +189,16 @@ fn truncation_at_every_offset_never_panics_and_repair_keeps_intact_entries() {
             let _ = store.get(*k); // must not panic
         }
         let _ = store.verify().unwrap(); // must not panic
-        let _ = store.repair().unwrap();
 
-        let healed = store.verify().unwrap();
-        assert!(healed.is_ok(), "cut {cut}: after repair: {healed}");
-        let survivors = store.entries().unwrap();
         let expected: HashMap<u128, Vec<u8>> = ranges
             .iter()
             .filter(|(_, _, end)| cut >= 24 && *end <= cut)
             .map(|(k, _, _)| (*k, entries[k].clone()))
             .collect();
         assert_eq!(
-            survivors, expected,
-            "cut {cut}: exactly the fully-written entries survive repair"
+            next_write_heals(&dir),
+            expected,
+            "cut {cut}: exactly the fully-written entries are served"
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -215,9 +235,9 @@ fn transient_errors_fail_once_then_the_retry_lands() {
 }
 
 /// A bit flip inside an entry's payload is detected by `verify` at per-entry
-/// granularity, quarantined by `repair`, and only that entry is lost.
+/// granularity, only that entry is lost, and the next write heals the file.
 #[test]
-fn bit_flip_is_detected_quarantined_and_contained() {
+fn bit_flip_is_detected_contained_and_healed_by_the_next_write() {
     let dir = tmp_dir("bitflip");
     let keys: Vec<u128> = (0..4u64)
         .map(|i| (0x0c_u128 << 120) | u128::from(i))
@@ -237,15 +257,12 @@ fn bit_flip_is_detected_quarantined_and_contained() {
     let report = store.verify().unwrap();
     assert!(!report.is_ok(), "the flipped entry is detected");
     assert_eq!(report.corrupt_entries, 1, "{report}");
+    assert_eq!(store.get(keys[1]), None, "the victim is a miss");
 
-    let repair = store.repair().unwrap();
-    assert_eq!(repair.quarantined_entries, 1, "{repair}");
-    assert_eq!(repair.recovered_entries, 3, "{repair}");
-    assert!(dir.join("quarantine").join("store.bad").exists());
-
-    let healed = store.verify().unwrap();
-    assert!(healed.is_ok(), "{healed}");
-    assert_eq!(store.entries().unwrap().len(), 3, "only the victim is lost");
+    let intact = next_write_heals(&dir);
+    let expected: HashMap<u128, Vec<u8>> =
+        batch.into_iter().filter(|(k, _)| *k != keys[1]).collect();
+    assert_eq!(intact, expected, "only the victim is lost");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
