@@ -4,9 +4,8 @@ use std::fmt;
 
 /// How bad a finding is.
 ///
-/// Only [`Severity::Error`] findings make `sdv-analyze check` (and the
-/// [`crate::check`] pre-flight used by the run engine) fail; warnings are
-/// printed but do not reject a workload.
+/// Only [`Severity::Error`] findings make `sdv-analyze check` fail; warnings
+/// are printed but do not reject a workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Severity {
     /// Suspicious but not certainly wrong (e.g. statically unreachable code).

@@ -70,7 +70,7 @@ pub struct Analysis {
 
 impl Analysis {
     /// Whether any finding is error-severity (the program is rejected by
-    /// `sdv-analyze check` and the run-engine pre-flight).
+    /// `sdv-analyze check`).
     #[must_use]
     pub fn has_errors(&self) -> bool {
         self.diags.iter().any(|d| d.severity == Severity::Error)

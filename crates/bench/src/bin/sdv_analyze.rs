@@ -8,8 +8,7 @@
 //! * `check` runs every `sdv-analyze` pass (CFG, use-before-def, footprint)
 //!   over each named workload and prints the findings.  Error-severity
 //!   findings make the command exit 1 — this is the CI gate that keeps every
-//!   kernel statically clean, and the same verdict the run engine's
-//!   pre-flight enforces before simulating a cell.
+//!   kernel statically clean.
 //! * `envelope` prints each workload's conservative resource envelope
 //!   (footprint interval, live-register bound, §3 vectorizable bound, CFG
 //!   shape).  `--json` emits one stable-schema JSON document for artifact
@@ -28,8 +27,7 @@
 use sdv_analyze::{analyze, Severity};
 use sdv_workloads::Workload;
 
-const USAGE: &str =
-    "usage: sdv-analyze check [--json] [--scale N] [WORKLOAD... | all | extended]\n\
+const USAGE: &str = "usage: sdv-analyze check [--json] [--scale N] [WORKLOAD... | all | extended]
        sdv-analyze envelope [--json] [--scale N] [WORKLOAD... | all | extended]";
 
 fn usage_error(message: &str) -> ! {

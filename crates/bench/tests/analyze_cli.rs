@@ -69,7 +69,13 @@ fn usage_errors_exit_two() {
     ] {
         let out = run(args);
         assert_eq!(out.status.code(), Some(2), "args {args:?}");
-        assert!(stderr(&out).contains("usage:"), "args {args:?}");
+        let err = stderr(&out);
+        assert!(err.contains("usage:"), "args {args:?}");
+        // The second banner line lines up under the first's command name.
+        assert!(
+            err.contains("\n       sdv-analyze envelope "),
+            "args {args:?}: {err}"
+        );
     }
 }
 

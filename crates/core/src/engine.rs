@@ -810,16 +810,6 @@ impl VectorizationEngine {
     pub fn finish(&mut self) {
         self.vrf.release_all();
     }
-
-    /// Context switch (§3.2): the additional structures are simply invalidated.
-    pub fn invalidate_all(&mut self) {
-        self.tl.clear();
-        self.vrmt.clear();
-        self.vrf.release_all();
-        self.reg_map.iter_mut().for_each(|m| *m = None);
-        self.committed_map.iter_mut().for_each(|m| *m = None);
-        self.map_refs.iter_mut().for_each(|c| *c = 0);
-    }
 }
 
 fn operands_match(recorded: &Operand, current: &Operand) -> bool {
@@ -1188,17 +1178,6 @@ mod tests {
         assert_eq!(usage.registers_released, 1);
         assert_eq!(usage.computed_not_used + usage.computed_used, 1);
         assert_eq!(usage.not_computed, 3);
-    }
-
-    #[test]
-    fn invalidate_all_clears_every_structure() {
-        let mut e = engine();
-        let _ = vectorize_load(&mut e, 0x1000, 0x8000, 8);
-        e.invalidate_all();
-        assert!(e.vrmt().is_empty());
-        assert!(e.tl().is_empty());
-        assert_eq!(e.vrf().allocated_count(), 0);
-        assert_eq!(e.current_mapping(xr(1)), None);
     }
 
     #[test]

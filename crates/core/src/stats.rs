@@ -44,13 +44,6 @@ impl DvStats {
         self.load_instances + self.arith_instances
     }
 
-    /// Dynamic instructions executed in vector mode: validations plus the
-    /// instances that triggered vector execution (the numerator of Figure 3).
-    #[must_use]
-    pub fn vector_mode_instructions(&self) -> u64 {
-        self.validations() + self.vector_instances()
-    }
-
     /// Fraction of stores that conflicted with a vector register
     /// (the paper reports 4.5 % for SpecInt and 2.5 % for SpecFP).
     #[must_use]
@@ -108,7 +101,6 @@ mod tests {
         };
         assert_eq!(s.validations(), 30);
         assert_eq!(s.vector_instances(), 10);
-        assert_eq!(s.vector_mode_instructions(), 40);
         assert!((s.store_conflict_rate() - 0.045).abs() < 1e-12);
         assert!((s.nonzero_offset_rate() - 0.1).abs() < 1e-12);
     }

@@ -164,12 +164,11 @@ impl Emulator {
     /// This is the batched front-end hand-off: the PC is translated to a text
     /// index **once** for the whole group and sequential flow advances the
     /// index directly, instead of re-deriving it from the PC on every
-    /// instruction the way [`Self::step`] does.  With `stop_on_redirect` the
-    /// group additionally ends after a taken control transfer, which aligns
-    /// group boundaries with a fetch group (at most one taken branch per
-    /// group).  The group always ends when the program halts; the `halt`
-    /// instruction itself is retired as the last record and [`Self::halted`]
-    /// turns true.
+    /// instruction the way [`Self::step`] does.  The group ends after a taken
+    /// control transfer, which aligns group boundaries with a fetch group (at
+    /// most one taken branch per group).  It also ends when the program
+    /// halts; the `halt` instruction itself is retired as the last record and
+    /// [`Self::halted`] turns true.
     ///
     /// # Errors
     ///
@@ -178,12 +177,7 @@ impl Emulator {
     /// segment before any instruction of the group could execute.  A PC that
     /// leaves the text segment *mid*-group ends the group instead; the next
     /// call reports the error.
-    pub fn step_group(
-        &mut self,
-        max_n: usize,
-        stop_on_redirect: bool,
-        out: &mut Vec<Retired>,
-    ) -> Result<usize, EmuError> {
+    pub fn step_group(&mut self, max_n: usize, out: &mut Vec<Retired>) -> Result<usize, EmuError> {
         if self.halted {
             return Err(EmuError::Halted);
         }
@@ -200,20 +194,10 @@ impl Emulator {
             let r = self.exec(pc, inst);
             out.push(r);
             n += 1;
-            if self.halted {
+            if self.halted || r.taken {
                 break;
             }
-            if r.taken {
-                if stop_on_redirect {
-                    break;
-                }
-                match text_index(r.next_pc, self.insts.len()) {
-                    Some(target) => idx = target,
-                    None => break, // the next call reports InvalidPc
-                }
-            } else {
-                idx += 1;
-            }
+            idx += 1;
         }
         Ok(n)
     }
@@ -727,26 +711,21 @@ mod tests {
         let mut reference = Emulator::new(&program);
         let expected = reference.run(1_000);
 
-        for stop_on_redirect in [false, true] {
-            for group in [1usize, 3, 4, 8] {
-                let mut emu = Emulator::new(&program);
-                let mut got = Vec::new();
-                loop {
-                    match emu.step_group(group, stop_on_redirect, &mut got) {
-                        Ok(_) => {}
-                        Err(EmuError::Halted) => break,
-                        Err(e) => panic!("unexpected error: {e}"),
-                    }
-                    if emu.halted() {
-                        break;
-                    }
+        for group in [1usize, 3, 4, 8] {
+            let mut emu = Emulator::new(&program);
+            let mut got = Vec::new();
+            loop {
+                match emu.step_group(group, &mut got) {
+                    Ok(_) => {}
+                    Err(EmuError::Halted) => break,
+                    Err(e) => panic!("unexpected error: {e}"),
                 }
-                assert_eq!(
-                    got, expected,
-                    "group={group} stop_on_redirect={stop_on_redirect}"
-                );
-                assert_eq!(emu.int_reg(x(2)), reference.int_reg(x(2)));
+                if emu.halted() {
+                    break;
+                }
             }
+            assert_eq!(got, expected, "group={group}");
+            assert_eq!(emu.int_reg(x(2)), reference.int_reg(x(2)));
         }
     }
 
@@ -762,14 +741,14 @@ mod tests {
         let mut emu = Emulator::new(&program);
         let mut out = Vec::new();
         // First group: li, addi, bne (taken) — stops at the redirect.
-        let n = emu.step_group(16, true, &mut out).unwrap();
+        let n = emu.step_group(16, &mut out).unwrap();
         assert_eq!(n, 3);
         assert!(out[2].taken);
         // Second group runs to the halt and retires it.
-        let n = emu.step_group(16, true, &mut out).unwrap();
+        let n = emu.step_group(16, &mut out).unwrap();
         assert_eq!(n, 3, "addi, bne (not taken), halt");
         assert!(emu.halted());
-        assert_eq!(emu.step_group(16, true, &mut out), Err(EmuError::Halted));
+        assert_eq!(emu.step_group(16, &mut out), Err(EmuError::Halted));
         assert_eq!(out.len(), 6);
     }
 
@@ -779,7 +758,7 @@ mod tests {
         a.halt();
         let mut emu = Emulator::new(&a.finish());
         let mut out = Vec::new();
-        assert_eq!(emu.step_group(0, true, &mut out), Ok(0));
+        assert_eq!(emu.step_group(0, &mut out), Ok(0));
         assert!(out.is_empty());
         assert!(!emu.halted());
     }

@@ -211,11 +211,6 @@ impl SparseMemory {
         f64::from_bits(self.read_u64(addr))
     }
 
-    /// Writes an `f64` as its IEEE-754 bit pattern.
-    pub fn write_f64(&mut self, addr: u64, value: f64) {
-        self.write_u64(addr, value.to_bits());
-    }
-
     /// Reads a value of `width` bytes (1, 2, 4 or 8), zero-extended to 64 bits.
     ///
     /// # Panics
@@ -282,7 +277,7 @@ mod tests {
         m.write_u16(20, 0xbeef);
         m.write_u32(30, 0xdead_beef);
         m.write_u64(40, 0x0123_4567_89ab_cdef);
-        m.write_f64(50, -1234.5678);
+        m.write_u64(50, (-1234.5678f64).to_bits());
         assert_eq!(m.read_u8(10), 0xab);
         assert_eq!(m.read_u16(20), 0xbeef);
         assert_eq!(m.read_u32(30), 0xdead_beef);

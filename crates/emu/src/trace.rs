@@ -44,15 +44,6 @@ pub struct Retired {
     pub dst_value: u64,
 }
 
-impl Retired {
-    /// Whether this instruction is a backward control transfer that was taken
-    /// (the loop-closing condition used for the GMRBB register of §3.3).
-    #[must_use]
-    pub fn is_taken_backward_branch(&self) -> bool {
-        self.inst.is_control() && self.taken && self.next_pc <= self.pc
-    }
-}
-
 /// Aggregate stride statistics, the data behind Figure 1.
 ///
 /// Strides are expressed in *elements* (the address delta divided by the
@@ -166,7 +157,6 @@ impl StrideProfiler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdv_isa::{ArchReg, Opcode};
 
     #[test]
     fn stride_zero_and_positive() {
@@ -214,25 +204,6 @@ mod tests {
         assert!((merged.fraction(1) - 0.5).abs() < 1e-12);
         assert!((merged.fraction(0) - 0.5).abs() < 1e-12);
         assert!((merged.fraction_below(4) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn backward_branch_detection() {
-        let inst = Inst::branch(Opcode::Bne, ArchReg::int(1), ArchReg::ZERO, 0x1000);
-        let mk = |pc, next_pc, taken| Retired {
-            seq: 0,
-            pc,
-            inst,
-            next_pc,
-            taken,
-            mem: None,
-            src1_value: 0,
-            src2_value: 0,
-            dst_value: 0,
-        };
-        assert!(mk(0x1040, 0x1000, true).is_taken_backward_branch());
-        assert!(!mk(0x1040, 0x1044, false).is_taken_backward_branch());
-        assert!(!mk(0x1000, 0x1044, true).is_taken_backward_branch());
     }
 
     #[test]

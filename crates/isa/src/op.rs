@@ -243,26 +243,10 @@ impl Opcode {
         matches!(self.class(), OpClass::Store)
     }
 
-    /// Whether this opcode is a conditional branch.
-    #[must_use]
-    pub const fn is_branch(self) -> bool {
-        matches!(self.class(), OpClass::Branch)
-    }
-
     /// Whether this opcode transfers control (branch or jump).
     #[must_use]
     pub const fn is_control(self) -> bool {
         self.class().is_control()
-    }
-
-    /// Whether the destination register (if any) is a floating-point register.
-    #[must_use]
-    pub const fn writes_fp(self) -> bool {
-        use Opcode::*;
-        matches!(
-            self,
-            Fadd | Fsub | Fmul | Fdiv | Fsqrt | Fneg | Fabs | Fmin | Fmax | Fcvtlf | Flw | Fld
-        )
     }
 
     /// A short lowercase mnemonic used by the disassembler.
@@ -377,7 +361,6 @@ mod tests {
         for op in Opcode::all() {
             assert_eq!(op.is_load(), op.class() == OpClass::Load);
             assert_eq!(op.is_store(), op.class() == OpClass::Store);
-            assert_eq!(op.is_branch(), op.class() == OpClass::Branch);
             assert_eq!(op.is_control(), op.class().is_control());
             assert_eq!(
                 op.class().is_arith(),
@@ -414,14 +397,5 @@ mod tests {
         for op in Opcode::all() {
             assert!(seen.insert(op.mnemonic()), "duplicate mnemonic {op}");
         }
-    }
-
-    #[test]
-    fn fp_destination_classification() {
-        assert!(Opcode::Fadd.writes_fp());
-        assert!(Opcode::Fld.writes_fp());
-        assert!(!Opcode::Fcvtfl.writes_fp());
-        assert!(!Opcode::Feq.writes_fp());
-        assert!(!Opcode::Add.writes_fp());
     }
 }

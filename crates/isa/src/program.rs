@@ -97,12 +97,6 @@ impl Program {
         text_index(pc, self.insts.len())
     }
 
-    /// The instruction stored at `pc`, if any.
-    #[must_use]
-    pub fn inst_at(&self, pc: u64) -> Option<&Inst> {
-        self.index_of_pc(pc).map(|i| &self.insts[i])
-    }
-
     /// All instructions in text order.
     #[must_use]
     pub fn insts(&self) -> &[Inst] {
@@ -190,7 +184,6 @@ mod tests {
         for i in 0..p.len() {
             let pc = Program::pc_of(i);
             assert_eq!(p.index_of_pc(pc), Some(i));
-            assert_eq!(p.inst_at(pc), Some(&p.insts()[i]));
         }
         assert_eq!(p.index_of_pc(TEXT_BASE + 2), None, "misaligned pc");
         assert_eq!(p.index_of_pc(TEXT_BASE - 4), None, "pc below text");

@@ -266,12 +266,6 @@ impl Cache {
         self.stats.accesses += 1;
         self.stats.hits += 1;
     }
-
-    /// Invalidates every line (used on context-switch style resets in tests).
-    pub fn flush(&mut self) {
-        self.stamps.fill(0);
-        self.dirty.fill(false);
-    }
 }
 
 #[cfg(test)]
@@ -358,20 +352,6 @@ mod tests {
         c.access(0x100, false); // should evict 0x000 (the true LRU)
         assert!(!c.probe(0x000));
         assert!(c.probe(0x080));
-    }
-
-    #[test]
-    fn flush_invalidates_everything() {
-        let mut c = small();
-        c.access(0x0, true);
-        c.flush();
-        assert!(!c.probe(0x0));
-        assert!(!c.access(0x0, false).hit);
-        assert_eq!(
-            c.access(0x80, false).writeback,
-            None,
-            "flushed lines are not written back"
-        );
     }
 
     #[test]

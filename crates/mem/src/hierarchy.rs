@@ -198,12 +198,6 @@ impl DataMemory {
         Some(done)
     }
 
-    /// Whether `addr` currently hits in the L1 without changing any state.
-    #[must_use]
-    pub fn probe_l1(&self, addr: u64) -> bool {
-        self.l1.probe(addr)
-    }
-
     /// L1 data-cache statistics.
     #[must_use]
     pub fn l1_stats(&self) -> CacheStats {
@@ -380,10 +374,15 @@ mod tests {
     fn stores_allocate_and_dirty_lines() {
         let cfg = MemHierarchyConfig::table1();
         let mut d = DataMemory::new(&cfg);
-        d.access(0x1000, true, 0);
-        assert!(d.probe_l1(0x1000));
+        let done = d.access(0x1000, true, 0).expect("an MSHR is free");
         assert_eq!(d.l1_stats().misses, 1);
         assert_eq!(d.accesses(), 1);
+        // The store allocated the line: a later load hits it.
+        assert_eq!(
+            d.access(0x1000, false, done),
+            Some(done + cfg.l1_hit_cycles)
+        );
+        assert_eq!(d.l1_stats().hits, 1);
     }
 
     #[test]

@@ -107,16 +107,6 @@ impl PortSet {
         self.count
     }
 
-    /// Number of words a single access can return (1 for scalar ports,
-    /// `line_words` for wide ports).
-    #[must_use]
-    pub fn words_per_access(&self, line_words: usize) -> usize {
-        match self.kind {
-            PortKind::Scalar => 1,
-            PortKind::Wide => line_words,
-        }
-    }
-
     /// Starts a new cycle: all ports become available again.
     pub fn begin_cycle(&mut self) {
         self.used_this_cycle = 0;
@@ -189,12 +179,6 @@ mod tests {
         // 4 grants over 4 cycles * 2 ports = 0.5 occupancy.
         assert!((p.stats().occupancy(2) - 0.5).abs() < 1e-12);
         assert_eq!(PortStats::default().occupancy(2), 0.0);
-    }
-
-    #[test]
-    fn words_per_access_depends_on_kind() {
-        assert_eq!(PortSet::new(PortKind::Scalar, 1).words_per_access(4), 1);
-        assert_eq!(PortSet::new(PortKind::Wide, 1).words_per_access(4), 4);
     }
 
     #[test]

@@ -30,7 +30,6 @@ use sdv_isa::Program;
 use sdv_obs::{Obs, ObsLevel};
 use sdv_uarch::RunStats;
 use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
@@ -315,9 +314,6 @@ pub struct RunEngine {
     store: Option<sdv_store::Store>,
     /// Newly simulated results not yet flushed by a periodic persist.
     unpersisted: AtomicU64,
-    /// Pre-flight verdicts memoized by program content hash: `None` = clean,
-    /// `Some(summary)` = rejected with that error summary.
-    preflight: Mutex<HashMap<u64, Option<String>>>,
     /// Failed cells, memoized so a panicking cell is attempted exactly once
     /// per session.
     failed: Mutex<HashMap<CellKey, CellError>>,
@@ -362,7 +358,6 @@ impl RunEngine {
             created: Instant::now(),
             store: None,
             unpersisted: AtomicU64::new(0),
-            preflight: Mutex::new(HashMap::new()),
             failed: Mutex::new(HashMap::new()),
             store_disabled: AtomicBool::new(false),
             obs: Arc::new(Obs::default()),
@@ -646,41 +641,6 @@ impl RunEngine {
         }
     }
 
-    /// Statically checks `workload` (built at this engine's scale) before any
-    /// cycle is spent on it, memoized by program *content* hash: two workloads
-    /// that build the same program share one verdict, and re-checking is a
-    /// map lookup.
-    ///
-    /// # Errors
-    ///
-    /// Returns the summary of every error-severity `sdv-analyze` finding when
-    /// the program fails [`preflight_program`].
-    pub fn preflight(&self, workload: Workload) -> Result<(), String> {
-        let program = workload.build(self.rc.scale);
-        let hash = program_hash(&program);
-        if let Some(verdict) = recover(self.preflight.lock()).get(&hash) {
-            return match verdict {
-                None => Ok(()),
-                Some(summary) => Err(summary.clone()),
-            };
-        }
-        let verdict = preflight_program(&program)
-            .err()
-            .map(|e| format!("{workload}: {e}"));
-        recover(self.preflight.lock()).insert(hash, verdict.clone());
-        match verdict {
-            None => Ok(()),
-            Some(summary) => Err(summary),
-        }
-    }
-
-    /// Number of distinct programs the pre-flight memo holds (diagnostics /
-    /// test introspection).
-    #[must_use]
-    pub fn preflight_cached_programs(&self) -> usize {
-        recover(self.preflight.lock()).len()
-    }
-
     /// The stride profile of `workload` at this engine's budget (the data
     /// behind Figure 1), memoized for the session and served from and
     /// persisted to the attached store like a cell.  Probes count in
@@ -766,14 +726,6 @@ impl RunEngine {
     /// cache is only consulted at batch start), but results stay correct and
     /// [`Self::report`] still counts each unique cell once: `simulated`
     /// tracks cells entering the cache, not simulations performed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a cell's workload fails the static [`Self::preflight`] check
-    /// (an in-tree [`Workload`] never does — `sdv-analyze`'s kernel test and
-    /// the CI `check` step pin that).  Cells served from the session cache or
-    /// the store skip the pre-flight: their programs already passed it when
-    /// first simulated.
     #[must_use]
     pub fn run_cells(&self, cells: &[(UarchConfig, Workload)]) -> Vec<RunStats> {
         self.requested
@@ -809,17 +761,6 @@ impl RunEngine {
             }
             misses
         };
-
-        // Pre-flight every workload about to be simulated: statically broken
-        // programs are rejected before any simulation budget is spent.
-        let mut checked = HashSet::new();
-        for key in &misses {
-            if checked.insert(key.workload) {
-                if let Err(summary) = self.preflight(key.workload) {
-                    panic!("run engine pre-flight rejected {summary}");
-                }
-            }
-        }
 
         // Queue depth of this batch: how many unique cells actually need
         // simulating after dedup, memo and store probes.
@@ -951,20 +892,13 @@ impl std::fmt::Debug for RunEngine {
     }
 }
 
-/// Content hash of a program: instructions plus the initial data image.
-/// Workloads that assemble the same program share one pre-flight verdict.
-fn program_hash(program: &Program) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    program.insts().hash(&mut h);
-    for seg in program.data_segments() {
-        seg.addr.hash(&mut h);
-        seg.bytes.hash(&mut h);
-    }
-    h.finish()
-}
-
-/// The static check behind [`RunEngine::preflight`]: runs `sdv-analyze` over
-/// `program` and summarizes any error-severity findings.
+/// Runs `sdv-analyze` over `program` and summarizes any error-severity
+/// findings.
+///
+/// The run engine does not call this: every in-tree kernel is proven clean
+/// at each [`RunConfig`] preset's scale by `tests/analysis_properties.rs`
+/// and CI's `sdv-analyze check` step.  It stays public for the benchmark
+/// (`perfbench/`), which times it as its `analyze.preflight` layer.
 ///
 /// # Errors
 ///
@@ -1227,25 +1161,6 @@ mod tests {
     }
 
     #[test]
-    fn preflight_accepts_every_workload_and_memoizes_by_content() {
-        let engine = RunEngine::new(rc());
-        let all = Workload::extended();
-        for &w in &all {
-            engine.preflight(w).expect("in-tree kernels are clean");
-        }
-        let cached = engine.preflight_cached_programs();
-        assert!(cached >= 1 && cached <= all.len());
-        for &w in &all {
-            engine.preflight(w).expect("memo hit stays clean");
-        }
-        assert_eq!(
-            engine.preflight_cached_programs(),
-            cached,
-            "re-checks are content-hash memo hits"
-        );
-    }
-
-    #[test]
     fn preflight_rejects_a_broken_program() {
         use sdv_isa::{ArchReg, Asm};
         let mut a = Asm::new();
@@ -1253,19 +1168,6 @@ mod tests {
         a.halt();
         let err = super::preflight_program(&a.finish()).expect_err("use-before-def is an error");
         assert!(err.contains("use-before-def"), "{err}");
-    }
-
-    #[test]
-    fn run_cells_preflights_each_program_once() {
-        let engine = RunEngine::new(rc());
-        let cfg = UarchConfig::four_way(1, PortKind::Wide);
-        let _ = engine.run_cell(&cfg, Workload::Compress);
-        assert_eq!(engine.preflight_cached_programs(), 1);
-        // Cache hit: no new simulation, no new pre-flight entry.
-        let _ = engine.run_cell(&cfg, Workload::Compress);
-        // Different config, same workload: new cell, same program verdict.
-        let _ = engine.run_cell(&cfg.with_vectorization(true), Workload::Compress);
-        assert_eq!(engine.preflight_cached_programs(), 1);
     }
 
     #[test]

@@ -125,20 +125,6 @@ impl FuConfig {
         }
     }
 
-    /// The number of units able to execute `class`.
-    #[must_use]
-    pub fn units_for(&self, class: OpClass) -> usize {
-        match class {
-            OpClass::IntAlu => self.int_alu.count,
-            OpClass::IntMul | OpClass::IntDiv => self.int_mul.count,
-            OpClass::FpAdd => self.fp_add.count,
-            OpClass::FpMul | OpClass::FpDiv => self.fp_mul.count,
-            // Branches and jumps execute on the integer ALUs.
-            OpClass::Branch | OpClass::Jump => self.int_alu.count,
-            _ => usize::MAX,
-        }
-    }
-
     /// The execution latency of `class` (memory classes are handled by the
     /// memory hierarchy, not here).
     #[must_use]
@@ -589,8 +575,6 @@ mod tests {
         assert_eq!(fu.latency_for(OpClass::IntDiv), 12);
         assert_eq!(fu.latency_for(OpClass::FpMul), 4);
         assert_eq!(fu.latency_for(OpClass::FpDiv), 14);
-        assert_eq!(fu.units_for(OpClass::Branch), 3);
-        assert_eq!(fu.units_for(OpClass::FpDiv), 1);
     }
 
     #[test]

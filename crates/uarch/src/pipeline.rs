@@ -656,7 +656,7 @@ impl Processor {
                 self.pending.clear();
                 self.pending_pos = 0;
                 let want = (self.cfg.fetch_width - fetched).min(capacity - self.fetch_queue.len());
-                match self.emu.step_group(want, true, &mut self.pending) {
+                match self.emu.step_group(want, &mut self.pending) {
                     Ok(n) => debug_assert!(n > 0, "a non-empty group was requested"),
                     Err(EmuError::Halted) => {
                         self.emulator_done = true;

@@ -154,17 +154,6 @@ impl WaiterArena {
         }
     }
 
-    /// Returns every node of the list headed by `head` to the free list.
-    pub fn free_list(&mut self, mut head: u32) {
-        while head != NO_WAITER {
-            let node = head as usize;
-            head = self.next[node];
-            self.next[node] = self.free;
-            self.free = node as u32;
-            self.stats.live -= 1;
-        }
-    }
-
     /// Frees every node at once (squash rebuild).  Keeps the pool storage, so
     /// this never gives memory back or allocates.
     pub fn reset(&mut self) {
@@ -510,7 +499,8 @@ mod tests {
             let h = [1, 2, 3, 4]
                 .into_iter()
                 .fold(NO_WAITER, |h, dep| arena.push(h, dep));
-            arena.free_list(h);
+            out.clear();
+            arena.drain_into(h, &mut out);
         }
         let stats = arena.stats();
         assert_eq!(stats.heap_growths, 0, "pool never regrew");

@@ -96,16 +96,6 @@ impl SeqSet {
         self.items.get(pos).copied()
     }
 
-    /// The smallest element strictly greater than `seq`.
-    #[must_use]
-    pub fn next_after(&self, seq: u64) -> Option<u64> {
-        let pos = match self.items.binary_search(&seq) {
-            Ok(pos) => pos + 1,
-            Err(pos) => pos,
-        };
-        self.items.get(pos).copied()
-    }
-
     /// The smallest element strictly smaller than `bound`, if any exists.
     #[must_use]
     pub fn any_below(&self, bound: u64) -> bool {
@@ -141,9 +131,6 @@ mod tests {
         assert!(!s.insert(5), "duplicates are rejected");
         assert_eq!(s.len(), 5);
         assert_eq!(s.first(), Some(1));
-        assert_eq!(s.next_after(3), Some(5));
-        assert_eq!(s.next_after(4), Some(5));
-        assert_eq!(s.next_after(9), None);
         assert!(s.any_below(2));
         assert!(!s.any_below(1));
         assert!(s.remove(5));

@@ -6,8 +6,9 @@
 //! (or an unsound shortcut in a kernel), never acceptable noise.  Three
 //! properties are pinned here for every in-tree kernel:
 //!
-//! 1. the analyzer finds no error-severity diagnostics (the same verdict the
-//!    run-engine pre-flight and CI's `sdv-analyze check` step enforce),
+//! 1. the analyzer finds no error-severity diagnostics at the scale of every
+//!    `RunConfig` preset (CI's `sdv-analyze check` step enforces the same
+//!    verdict at scales 1 and 8),
 //! 2. the addresses an emulated run actually touches stay inside the static
 //!    footprint interval (or the analyzer declared the footprint unbounded),
 //! 3. the simulated vector-mode fraction never exceeds the static
@@ -47,9 +48,20 @@ fn dynamic_footprint(w: Workload) -> Option<(u64, u64)> {
 
 #[test]
 fn every_kernel_is_statically_clean() {
-    for w in Workload::extended() {
-        let analysis = analyze(&w.build(RC.scale));
-        assert!(!analysis.has_errors(), "{w}: {:#?}", analysis.diags);
+    let presets = [
+        RunConfig::quick(),
+        RunConfig::standard(),
+        RunConfig::thorough(),
+    ];
+    for scale in presets.map(|rc| rc.scale) {
+        for w in Workload::extended() {
+            let analysis = analyze(&w.build(scale));
+            assert!(
+                !analysis.has_errors(),
+                "{w} at scale {scale}: {:#?}",
+                analysis.diags
+            );
+        }
     }
 }
 
