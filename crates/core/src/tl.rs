@@ -146,13 +146,6 @@ impl TableOfLoads {
         })
     }
 
-    /// Clears the whole table (context switches invalidate it, §3.2).
-    pub fn clear(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
-    }
-
     /// Number of dynamic loads observed.
     #[must_use]
     pub fn observations(&self) -> u64 {
@@ -265,17 +258,6 @@ mod tests {
         }
         assert_eq!(t.len(), 100);
         assert_eq!(t.replacements(), 0);
-    }
-
-    #[test]
-    fn clear_empties_the_table() {
-        let mut t = tl();
-        t.observe(0x1000, 0x8000);
-        assert!(!t.is_empty());
-        t.clear();
-        assert!(t.is_empty());
-        assert!(t.peek(0x1000).is_none());
-        assert_eq!(t.observations(), 1, "statistics survive a clear");
     }
 
     #[test]

@@ -280,14 +280,6 @@ impl Vrmt {
         removed
     }
 
-    /// Clears the table (context switch).
-    pub fn clear(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
-        self.refs.iter_mut().for_each(|c| *c = 0);
-    }
-
     /// Number of entries stored.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -399,16 +391,6 @@ mod tests {
         assert!(t.invalidate_pc(0x1008).is_some());
         assert!(t.invalidate_pc(0x1008).is_none());
         assert!(t.is_empty());
-    }
-
-    #[test]
-    fn clear_empties() {
-        let v = ids(1);
-        let mut t = Vrmt::new(64, 4, false);
-        t.insert(entry(0x1000, v[0]));
-        t.clear();
-        assert!(t.is_empty());
-        assert_eq!(t.iter().count(), 0);
     }
 
     #[test]

@@ -1,22 +1,34 @@
-//! The L1 → L2 → memory timing path for data and instruction accesses.
+//! Table 1's memory hierarchy as one object: [`DataMemory`] owns the L1-I,
+//! the L1-D, the one unified L2 and the L1-D's MSHR file.
 //!
-//! There is one L2, as in Table 1: [`DataMemory`] owns it, and
-//! [`InstMemory::fetch_latency`] borrows it ([`DataMemory::l2_mut`]), so code
-//! and data lines compete for the same sets and evict each other.
+//! * **Data** ([`DataMemory::access_through`]): an access needs a free L1-D
+//!   port ([`PortSet`]) and then, on an L1-D miss, a free MSHR.  A miss
+//!   fills the L1-D and looks up the L2; a dirty L1-D victim is written back
+//!   into the L2 in the background.  A later access to a line whose miss is
+//!   still in flight merges with that miss and completes with it.
+//! * **Fetch** ([`DataMemory::fetch_latency`]): an L1-I miss takes no MSHR.
+//!   Table 1's L1-I line is 64 bytes and its L2 line 32, so a miss looks up
+//!   (and on an L2 miss fills) only the 32-byte L2 line holding the fetch
+//!   PC; the other half of the L1-I line is neither looked up nor brought
+//!   into the L2, and the latency is that one lookup's.
+//! * **One L2**: code and data lines compete for the same L2 sets and evict
+//!   each other, and the L2's counters cover both.
 //!
-//! Both paths are built for a cheap common case:
+//! The component is *timing-directed*: it tracks tags and latencies, while
+//! the data values live in the functional emulator.  It is built for a cheap
+//! common case:
 //!
-//! * [`DataMemory::access`] resolves an L1 hit with a **single** tag lookup
-//!   ([`Cache::try_hit`]) instead of the old `probe`-then-`access` double
-//!   scan; only real misses pay for victim selection.
-//! * The MSHR file is a deque ordered by completion cycle, so retiring
-//!   completed misses pops from the front instead of a retain-scan over the
-//!   whole file on every access.
-//! * [`InstMemory::fetch_latency`] keeps a one-entry last-line buffer:
-//!   sequential fetch re-touches the same I-line `line_bytes / 4` times, and
-//!   each re-touch is counted without re-walking the set.
+//! * an L1-D hit is resolved with a single tag lookup ([`Cache::try_hit`]);
+//!   only real misses pay for victim selection;
+//! * the MSHR file is a deque ordered by completion cycle, so retiring
+//!   completed misses pops from the front, and the macro-stepper reads the
+//!   next completion ([`DataMemory::next_miss_done_cycle`]) without a scan;
+//! * fetch keeps a one-entry last-line buffer: sequential fetch re-touches
+//!   the same I-line once per instruction, and each re-touch is counted
+//!   without re-walking the set.
 
 use crate::cache::{Cache, CacheConfig, CacheStats};
+use crate::port::PortSet;
 use std::collections::VecDeque;
 
 /// Latency and capacity parameters of the whole hierarchy (Table 1).
@@ -62,31 +74,29 @@ impl Default for MemHierarchyConfig {
     }
 }
 
-/// An in-flight L1 miss.
+/// An in-flight L1-D miss.
 #[derive(Debug, Clone, Copy)]
 struct Miss {
     line_addr: u64,
     done_cycle: u64,
 }
 
-/// The data side of the memory hierarchy: L1-D backed by L2 backed by memory,
-/// with a bounded number of outstanding misses.
-///
-/// The component is *timing-directed*: it tracks tags and latencies, while the
-/// actual data values live in the functional emulator.  [`DataMemory::access`]
-/// returns the cycle at which the access completes, or `None` when all MSHRs
-/// are busy and the access must be retried later.
+/// The whole memory hierarchy of one processor: L1-I and L1-D over one
+/// unified L2 over main memory, with a bounded number of outstanding L1-D
+/// misses (see the module docs).
 #[derive(Debug, Clone)]
 pub struct DataMemory {
     cfg: MemHierarchyConfig,
-    l1: Cache,
+    l1d: Cache,
+    l1i: Cache,
     l2: Cache,
-    /// In-flight misses, ordered by `done_cycle` (ascending): retirement pops
-    /// from the front instead of scanning the whole file.
+    /// The I-line the previous fetch resolved: a one-entry line buffer in
+    /// front of the L1-I.
+    last_fetch_line: Option<u64>,
+    /// In-flight L1-D misses, ordered by `done_cycle` (ascending): retirement
+    /// pops from the front instead of scanning the whole file.
     outstanding: VecDeque<Miss>,
     mshr_full_events: u64,
-    accesses: u64,
-    line_accesses: u64,
 }
 
 impl DataMemory {
@@ -95,31 +105,25 @@ impl DataMemory {
     pub fn new(cfg: &MemHierarchyConfig) -> Self {
         DataMemory {
             cfg: *cfg,
-            l1: Cache::new(cfg.l1d),
+            l1d: Cache::new(cfg.l1d),
+            l1i: Cache::new(cfg.l1i),
             l2: Cache::new(cfg.l2),
+            last_fetch_line: None,
             outstanding: VecDeque::new(),
             mshr_full_events: 0,
-            accesses: 0,
-            line_accesses: 0,
         }
     }
 
-    /// The L1 data-cache line size in bytes.
-    #[must_use]
-    pub fn line_bytes(&self) -> u64 {
-        self.cfg.l1d.line_bytes as u64
-    }
-
-    /// The line-aligned address containing `addr`.
+    /// The L1-D line-aligned address containing `addr`.
     #[must_use]
     pub fn line_addr(&self, addr: u64) -> u64 {
-        self.l1.line_addr(addr)
+        self.l1d.line_addr(addr)
     }
 
     /// Removes completed misses from the MSHR file.  The file is ordered by
     /// completion cycle, so this is a lazy front-pop, not a retain-scan: the
     /// common no-op case costs one comparison.
-    pub fn retire_misses(&mut self, now: u64) {
+    fn retire_misses(&mut self, now: u64) {
         while self
             .outstanding
             .front()
@@ -129,27 +133,51 @@ impl DataMemory {
         }
     }
 
-    /// Completion cycle of the next outstanding miss to retire, if any.
-    ///
-    /// The MSHR file is kept sorted by completion cycle, so this is a front
-    /// peek.  The macro-stepping main loop uses it as a wakeup candidate when
-    /// the pipeline is frozen on an outstanding miss; entries whose
-    /// `done_cycle` has already passed (but have not yet been lazily retired)
-    /// are still reported, which only makes the candidate conservative.
-    #[must_use]
-    pub fn next_miss_done_cycle(&self) -> Option<u64> {
+    /// Completion cycle of the next outstanding miss still in flight at
+    /// `now`, if any.  Misses completed by `now` are retired first, so a
+    /// long-completed miss never pins a wakeup bound to the past.
+    pub fn next_miss_done_cycle(&mut self, now: u64) -> Option<u64> {
+        self.retire_misses(now);
         self.outstanding.front().map(|m| m.done_cycle)
     }
 
-    /// Performs one data access starting at cycle `now`.
+    /// Performs one L1-D access through one of `ports`: the path every
+    /// load, store and vector-load line access of the pipeline takes.
+    ///
+    /// An access needs a free port first.  With none left this cycle it
+    /// returns `None` and changes nothing, not even [`PortStats`]'s
+    /// `conflicts` (so that counter stays 0 on this path).  A granted port
+    /// is used up for the cycle even when the access then finds every MSHR
+    /// busy and returns `None` ([`Self::access`]): the grant is wasted and
+    /// the caller retries on a later cycle.
+    ///
+    /// [`PortStats`]: crate::port::PortStats
+    pub fn access_through(
+        &mut self,
+        ports: &mut PortSet,
+        addr: u64,
+        is_write: bool,
+        now: u64,
+    ) -> Option<u64> {
+        if ports.free_this_cycle() == 0 || !ports.try_acquire() {
+            return None;
+        }
+        self.access(addr, is_write, now)
+    }
+
+    /// Performs one L1-D access starting at cycle `now`, with no port.
     ///
     /// Returns the cycle at which the data is available (for loads) or the
-    /// write is accepted (for stores), or `None` if no MSHR is free.
+    /// write is accepted (for stores), or `None` if the access misses and no
+    /// MSHR is free.
+    ///
+    /// An access that merges into an in-flight miss to its line returns
+    /// without touching the L1-D: it is not counted in [`Self::l1d_stats`],
+    /// and a store merging there does not mark the line dirty, so the line
+    /// may later be evicted without a writeback.
     pub fn access(&mut self, addr: u64, is_write: bool, now: u64) -> Option<u64> {
         self.retire_misses(now);
-        self.accesses += 1;
-        self.line_accesses += 1;
-        let line = self.l1.line_addr(addr);
+        let line = self.l1d.line_addr(addr);
 
         // A miss to a line that is already being fetched merges with it.
         // (A line has at most one in-flight miss: later accesses merge here
@@ -162,7 +190,7 @@ impl DataMemory {
 
         // The common case: one combined lookup resolves the hit, updates LRU
         // and the dirty bit, and we are done.
-        if self.l1.try_hit(addr, is_write) {
+        if self.l1d.try_hit(addr, is_write) {
             return Some(now + self.cfg.l1_hit_cycles);
         }
 
@@ -171,7 +199,7 @@ impl DataMemory {
             self.mshr_full_events += 1;
             return None;
         }
-        let l1_out = self.l1.allocate_miss(addr, is_write);
+        let l1_out = self.l1d.allocate_miss(addr, is_write);
 
         // Dirty victim is written back into L2 (no extra latency modelled for
         // the writeback itself, it proceeds in the background).
@@ -198,10 +226,42 @@ impl DataMemory {
         Some(done)
     }
 
+    /// The latency, in cycles, of fetching the L1-I line containing `pc`.
+    ///
+    /// Sequential fetch (and a front end re-polling the same group while a
+    /// miss is in flight) asks for the same line over and over; the last-line
+    /// buffer short-circuits that case.  The line is necessarily still
+    /// resident and already MRU — only a fetch from a *different* line could
+    /// evict it, and that fetch would have replaced the buffer — so the
+    /// short-circuit counts the hit and returns without re-walking the set,
+    /// leaving every `CacheStats` counter identical to a full lookup.  (Even
+    /// after a miss the follow-up is an L1 hit: the miss allocated the line.)
+    pub fn fetch_latency(&mut self, pc: u64) -> u64 {
+        let line = self.l1i.line_addr(pc);
+        if self.last_fetch_line == Some(line) {
+            self.l1i.count_repeat_hit();
+            return self.cfg.l1_hit_cycles;
+        }
+        self.last_fetch_line = Some(line);
+        if self.l1i.access(pc, false).hit {
+            self.cfg.l1_hit_cycles
+        } else if self.l2.access(pc, false).hit {
+            self.cfg.l2_hit_cycles
+        } else {
+            self.cfg.memory_cycles
+        }
+    }
+
     /// L1 data-cache statistics.
     #[must_use]
-    pub fn l1_stats(&self) -> CacheStats {
-        self.l1.stats()
+    pub fn l1d_stats(&self) -> CacheStats {
+        self.l1d.stats()
+    }
+
+    /// L1 instruction-cache statistics.
+    #[must_use]
+    pub fn l1i_stats(&self) -> CacheStats {
+        self.l1i.stats()
     }
 
     /// Statistics of the unified L2 (data accesses, writebacks and
@@ -211,21 +271,10 @@ impl DataMemory {
         self.l2.stats()
     }
 
-    /// The unified L2, for [`InstMemory::fetch_latency`].
-    pub fn l2_mut(&mut self) -> &mut Cache {
-        &mut self.l2
-    }
-
     /// Number of accesses rejected because every MSHR was busy.
     #[must_use]
     pub fn mshr_full_events(&self) -> u64 {
         self.mshr_full_events
-    }
-
-    /// Total number of accesses presented to the hierarchy.
-    #[must_use]
-    pub fn accesses(&self) -> u64 {
-        self.accesses
     }
 
     /// Number of outstanding misses at `now`.
@@ -235,78 +284,10 @@ impl DataMemory {
     }
 }
 
-/// The instruction-fetch side: L1-I backed by the unified L2 (owned by
-/// [`DataMemory`] and passed in per fetch) backed by memory.
-///
-/// Fetch is modelled at line granularity: the front end asks for the latency
-/// of fetching the line containing the fetch PC.  An L1-I miss looks up the
-/// L2 line holding that PC only: Table 1's L1-I line is 64 bytes and its L2
-/// line 32, so a miss reads (and on an L2 miss fills) the one 32-byte L2
-/// line of the fetch PC, and the other half of the L1-I line is neither
-/// looked up nor brought into the L2.  The latency is that one lookup's.
-#[derive(Debug, Clone)]
-pub struct InstMemory {
-    cfg: MemHierarchyConfig,
-    l1: Cache,
-    /// The I-line the previous fetch resolved: a one-entry line buffer in
-    /// front of the L1.
-    last_line: Option<u64>,
-}
-
-impl InstMemory {
-    /// Creates an empty instruction-memory path.
-    #[must_use]
-    pub fn new(cfg: &MemHierarchyConfig) -> Self {
-        InstMemory {
-            cfg: *cfg,
-            l1: Cache::new(cfg.l1i),
-            last_line: None,
-        }
-    }
-
-    /// The latency, in cycles, of fetching the line containing `pc`, with
-    /// `l2` the hierarchy's unified L2 ([`DataMemory::l2_mut`]).
-    ///
-    /// Sequential fetch (and a front end re-polling the same group while a
-    /// miss is in flight) asks for the same line over and over; the last-line
-    /// buffer short-circuits that case.  The line is necessarily still
-    /// resident and already MRU — only an access to a *different* line could
-    /// evict it, and that access would have replaced the buffer — so the
-    /// short-circuit counts the hit and returns without re-walking the set,
-    /// leaving every `CacheStats` counter identical to a full lookup.  (Even
-    /// after a miss the follow-up is an L1 hit: the miss allocated the line.)
-    pub fn fetch_latency(&mut self, pc: u64, l2: &mut Cache) -> u64 {
-        let line = self.l1.line_addr(pc);
-        if self.last_line == Some(line) {
-            self.l1.count_repeat_hit();
-            return self.cfg.l1_hit_cycles;
-        }
-        self.last_line = Some(line);
-        if self.l1.access(pc, false).hit {
-            self.cfg.l1_hit_cycles
-        } else if l2.access(pc, false).hit {
-            self.cfg.l2_hit_cycles
-        } else {
-            self.cfg.memory_cycles
-        }
-    }
-
-    /// The L1-I line size in bytes.
-    #[must_use]
-    pub fn line_bytes(&self) -> u64 {
-        self.cfg.l1i.line_bytes as u64
-    }
-
-    /// L1 instruction-cache statistics.
-    #[must_use]
-    pub fn l1_stats(&self) -> CacheStats {
-        self.l1.stats()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::port::PortKind;
 
     #[test]
     fn latencies_follow_the_hierarchy() {
@@ -375,32 +356,23 @@ mod tests {
         let cfg = MemHierarchyConfig::table1();
         let mut d = DataMemory::new(&cfg);
         let done = d.access(0x1000, true, 0).expect("an MSHR is free");
-        assert_eq!(d.l1_stats().misses, 1);
-        assert_eq!(d.accesses(), 1);
+        assert_eq!(d.l1d_stats().misses, 1);
+        assert_eq!(d.l1d_stats().accesses, 1);
         // The store allocated the line: a later load hits it.
         assert_eq!(
             d.access(0x1000, false, done),
             Some(done + cfg.l1_hit_cycles)
         );
-        assert_eq!(d.l1_stats().hits, 1);
+        assert_eq!(d.l1d_stats().hits, 1);
     }
 
     #[test]
     fn mshrs_retire_out_of_allocation_order() {
         // An L2-served miss allocated *after* a memory-bound miss completes
-        // first; the done-cycle-ordered file must free it on time.
+        // first; the done-cycle-ordered file must free it on time.  A tiny
+        // direct-mapped L1 forces line A out of the L1 while it stays in
+        // the L2.
         let cfg = MemHierarchyConfig {
-            max_outstanding_misses: 2,
-            ..MemHierarchyConfig::table1()
-        };
-        let mut d = DataMemory::new(&cfg);
-        // Warm line A into L2, then evict it from L1 via B (both set-map
-        // differently in L2, so A stays there).
-        d.access(0x0000, false, 0);
-        let warm = cfg.memory_cycles + 1;
-        // A memory-bound miss (line C) followed by an L2 hit (line A after L1
-        // eviction) — to force A out of L1 use a tiny L1.
-        let cfg2 = MemHierarchyConfig {
             l1d: CacheConfig {
                 size_bytes: 64,
                 line_bytes: 32,
@@ -409,56 +381,113 @@ mod tests {
             max_outstanding_misses: 2,
             ..MemHierarchyConfig::table1()
         };
-        let mut d = DataMemory::new(&cfg2);
+        let mut d = DataMemory::new(&cfg);
         d.access(0x00, false, 0); // A -> L1 set 0, L2
         d.access(0x40, false, 0); // B -> L1 set 0 evicts A
-        let now = warm + 100;
+        let now = cfg.memory_cycles + 101;
         let slow = d.access(0x2000, false, now).unwrap(); // memory-bound
         let fast = d.access(0x00, false, now).unwrap(); // L2 hit, evicts B
         assert!(fast < slow, "the younger miss completes first");
         // At `fast` the fast miss has retired: both MSHRs cannot be busy.
+        assert_eq!(d.next_miss_done_cycle(fast), Some(slow));
         assert_eq!(d.outstanding_misses(fast), 1);
+        assert_eq!(d.next_miss_done_cycle(slow), None);
         assert_eq!(d.outstanding_misses(slow), 0);
+    }
+
+    #[test]
+    fn a_port_granted_to_a_full_mshr_file_is_wasted() {
+        let cfg = MemHierarchyConfig {
+            max_outstanding_misses: 1,
+            ..MemHierarchyConfig::table1()
+        };
+        let mut d = DataMemory::new(&cfg);
+        let mut ports = PortSet::new(PortKind::Scalar, 2);
+        ports.begin_cycle();
+        assert_eq!(
+            d.access_through(&mut ports, 0x0000, false, 0),
+            Some(cfg.memory_cycles)
+        );
+        assert_eq!(d.access_through(&mut ports, 0x1000, false, 0), None);
+        assert_eq!(ports.free_this_cycle(), 0, "the second grant is used up");
+        assert_eq!(ports.stats().grants, 2);
+        assert_eq!(ports.stats().conflicts, 0);
+        assert_eq!(d.mshr_full_events(), 1);
+    }
+
+    #[test]
+    fn no_free_port_means_no_access() {
+        let cfg = MemHierarchyConfig::table1();
+        let mut d = DataMemory::new(&cfg);
+        let mut ports = PortSet::new(PortKind::Wide, 1);
+        ports.begin_cycle();
+        assert!(d.access_through(&mut ports, 0x0000, false, 0).is_some());
+        let (l1d, l2) = (d.l1d_stats(), d.l2_stats());
+        for addr in [0x0000, 0x1000] {
+            assert_eq!(d.access_through(&mut ports, addr, true, 0), None);
+        }
+        assert_eq!(d.l1d_stats(), l1d);
+        assert_eq!(d.l2_stats(), l2);
+        assert_eq!(d.outstanding_misses(0), 1);
+        assert_eq!(d.mshr_full_events(), 0);
+        assert_eq!(ports.stats().grants, 1);
+        assert_eq!(ports.stats().conflicts, 0);
+        // The next cycle has a port again.
+        ports.begin_cycle();
+        assert!(d.access_through(&mut ports, 0x1000, false, 1).is_some());
+        assert_eq!(d.outstanding_misses(1), 2);
+    }
+
+    #[test]
+    fn fetch_misses_take_no_mshr() {
+        let cfg = MemHierarchyConfig::table1();
+        let mut d = DataMemory::new(&cfg);
+        for k in 0..cfg.max_outstanding_misses as u64 {
+            assert!(d.access(0x10_0000 + k * 0x1000, false, 0).is_some());
+        }
+        assert_eq!(d.outstanding_misses(0), cfg.max_outstanding_misses);
+        assert_eq!(d.fetch_latency(0x4000_0000), cfg.memory_cycles);
+        assert_eq!(d.outstanding_misses(0), cfg.max_outstanding_misses);
+        assert_eq!(d.mshr_full_events(), 0);
     }
 
     #[test]
     fn inst_memory_latency() {
         let cfg = MemHierarchyConfig::table1();
-        let mut i = InstMemory::new(&cfg);
-        let l2 = &mut Cache::new(cfg.l2);
-        assert_eq!(i.fetch_latency(0x1000, l2), cfg.memory_cycles);
-        assert_eq!(i.fetch_latency(0x1000, l2), cfg.l1_hit_cycles);
+        let mut d = DataMemory::new(&cfg);
+        assert_eq!(d.fetch_latency(0x1000), cfg.memory_cycles);
+        assert_eq!(d.fetch_latency(0x1000), cfg.l1_hit_cycles);
         assert_eq!(
-            i.fetch_latency(0x1004, l2),
+            d.fetch_latency(0x103c),
             cfg.l1_hit_cycles,
             "same 64-byte line"
         );
-        assert_eq!(i.line_bytes(), 64);
-        assert_eq!(i.l1_stats().accesses, 3);
+        assert_eq!(d.fetch_latency(0x1040), cfg.memory_cycles, "next line");
+        assert_eq!(d.l1i_stats().accesses, 4);
+        assert_eq!(d.l1d_stats().accesses, 0, "fetch leaves the L1-D alone");
     }
 
     #[test]
     fn inst_line_buffer_is_invisible_in_the_counters() {
         let cfg = MemHierarchyConfig::table1();
-        let mut i = InstMemory::new(&cfg);
-        let l2 = &mut Cache::new(cfg.l2);
+        let mut d = DataMemory::new(&cfg);
         // Sequential fetch through one 64-byte line: 1 miss + 15 buffered hits.
         for word in 0..16u64 {
-            let lat = i.fetch_latency(0x1000 + word * 4, l2);
+            let lat = d.fetch_latency(0x1000 + word * 4);
             if word == 0 {
                 assert_eq!(lat, cfg.memory_cycles);
             } else {
                 assert_eq!(lat, cfg.l1_hit_cycles);
             }
         }
-        assert_eq!(i.l1_stats().accesses, 16);
-        assert_eq!(i.l1_stats().hits, 15);
-        assert_eq!(i.l1_stats().misses, 1);
+        assert_eq!(d.l1i_stats().accesses, 16);
+        assert_eq!(d.l1i_stats().hits, 15);
+        assert_eq!(d.l1i_stats().misses, 1);
         // Alternating lines defeat the buffer but still hit the L1.
-        i.fetch_latency(0x1040, l2);
-        assert_eq!(i.fetch_latency(0x1000, l2), cfg.l1_hit_cycles);
-        assert_eq!(i.l1_stats().misses, 2);
-        assert_eq!(i.l1_stats().hits, 16);
+        d.fetch_latency(0x1040);
+        assert_eq!(d.fetch_latency(0x1000), cfg.l1_hit_cycles);
+        assert_eq!(d.l1i_stats().misses, 2);
+        assert_eq!(d.l1i_stats().hits, 16);
     }
 
     #[test]
@@ -475,28 +504,28 @@ mod tests {
         };
         let l2_set_stride = (cfg.l2.sets() * cfg.l2.line_bytes) as u64;
         let code = 0x1000;
-        let evict_from_l1i = |i: &mut InstMemory, d: &mut DataMemory| {
-            assert_eq!(i.fetch_latency(code + 128, d.l2_mut()), cfg.memory_cycles);
+        let evict_from_l1i = |m: &mut DataMemory| {
+            assert_eq!(m.fetch_latency(code + 128), cfg.memory_cycles);
         };
 
         // Evicted from the L1-I only: the fetch miss left the line in the L2.
-        let (mut i, mut d) = (InstMemory::new(&cfg), DataMemory::new(&cfg));
-        assert_eq!(i.fetch_latency(code, d.l2_mut()), cfg.memory_cycles);
-        evict_from_l1i(&mut i, &mut d);
-        assert_eq!(i.fetch_latency(code, d.l2_mut()), cfg.l2_hit_cycles);
+        let mut m = DataMemory::new(&cfg);
+        assert_eq!(m.fetch_latency(code), cfg.memory_cycles);
+        evict_from_l1i(&mut m);
+        assert_eq!(m.fetch_latency(code), cfg.l2_hit_cycles);
 
         // Data lines filling the code line's L2 set evict it there too, so
         // the next fetch goes to memory.
-        let (mut i, mut d) = (InstMemory::new(&cfg), DataMemory::new(&cfg));
-        assert_eq!(i.fetch_latency(code, d.l2_mut()), cfg.memory_cycles);
-        evict_from_l1i(&mut i, &mut d);
+        let mut m = DataMemory::new(&cfg);
+        assert_eq!(m.fetch_latency(code), cfg.memory_cycles);
+        evict_from_l1i(&mut m);
         for k in 1..=cfg.l2.ways as u64 {
             let now = k * 100;
             let data = code + k * l2_set_stride;
-            assert_eq!(d.access(data, false, now), Some(now + cfg.memory_cycles));
+            assert_eq!(m.access(data, false, now), Some(now + cfg.memory_cycles));
         }
-        assert_eq!(i.fetch_latency(code, d.l2_mut()), cfg.memory_cycles);
+        assert_eq!(m.fetch_latency(code), cfg.memory_cycles);
         // The three fetch misses count in the one L2 beside the data misses.
-        assert_eq!(d.l2_stats().accesses, 3 + cfg.l2.ways as u64);
+        assert_eq!(m.l2_stats().accesses, 3 + cfg.l2.ways as u64);
     }
 }

@@ -5,9 +5,9 @@
 //! * [`Cache`]: a set-associative, write-back, write-allocate cache with LRU
 //!   replacement (used for the L1 instruction cache, L1 data cache and the
 //!   unified L2),
-//! * [`DataMemory`]: the L1-D → L2 → main-memory timing path with a bounded
-//!   number of outstanding misses (MSHRs),
-//! * [`InstMemory`]: the instruction-fetch path (L1-I → L2 → memory),
+//! * [`DataMemory`]: the whole hierarchy — L1-I and L1-D over one unified L2
+//!   over main memory, with a bounded number of outstanding L1-D misses
+//!   (MSHRs); its module docs state the access rules,
 //! * [`PortSet`]: the L1 data-cache ports, either *scalar* (one word per
 //!   access) or *wide* (one full cache line per access, §3.7 of the paper),
 //!   with the occupancy accounting behind Figure 12,
@@ -29,6 +29,6 @@ pub mod port;
 pub mod stats;
 
 pub use cache::{Cache, CacheConfig, CacheStats};
-pub use hierarchy::{DataMemory, InstMemory, MemHierarchyConfig};
+pub use hierarchy::{DataMemory, MemHierarchyConfig};
 pub use port::{PortKind, PortSet, PortStats};
 pub use stats::WideBusStats;

@@ -3,9 +3,8 @@
 //!
 //! The pipeline classifies each cycle of `Processor::run` as it retires (see
 //! `Processor::attribute_cycle` in `sdv-uarch`), and macro-step jumps charge
-//! the cycles they skip to [`CycleBucket::MacroStepJumped`] in bulk — this
-//! folds the former `macro_step_telemetry` side channel into the same
-//! substrate as every other stall count.  The taxonomy is *total* by
+//! the cycles they skip to [`CycleBucket::MacroStepJumped`] in bulk, beside
+//! every other stall count.  The taxonomy is *total* by
 //! construction: classification runs first-match over the list below, and
 //! [`CycleBucket::InFlightWait`] is the documented residual (in-flight
 //! instructions are making forward progress — pipeline fill, cache-miss and
@@ -37,8 +36,8 @@ pub enum CycleBucket {
     /// Fetch was stalled (I-cache miss latency or an unresolved
     /// control-flow redirect).
     FetchBlocked,
-    /// Cycles skipped in bulk by a macro-step clock jump (the former
-    /// `macro_step_telemetry` skipped-cycle count).
+    /// Cycles skipped in bulk by a macro-step clock jump (the same count as
+    /// the skipped cycles of `Processor::macro_step_telemetry`).
     MacroStepJumped,
     /// Residual: instructions in flight made forward progress (pipeline
     /// fill, data-cache miss or dependency latency) without commit or a

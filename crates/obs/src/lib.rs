@@ -1,11 +1,8 @@
 //! Unified observability for the SDV stack: metrics, cycle attribution and
 //! event tracing.
 //!
-//! Nine PRs in, telemetry had grown scattered: `macro_step_telemetry` lived
-//! outside `RunStats`, `EngineTiming` only covered wall-clock, and the
-//! supervision events (persist retries, store degradation) were
-//! one-shot `eprintln!` warnings.  This crate is the single substrate the
-//! pipeline, engine and store all report into:
+//! This crate is the one substrate the pipeline, engine and store all
+//! report into:
 //!
 //! * [`MetricsRegistry`] — typed counters, gauges and fixed-bucket histograms
 //!   with stable string names, snapshot/diff/merge, and a hand-rolled

@@ -1,18 +1,17 @@
-//! A minimal multiply-rotate hasher for the pipeline's hot small-key maps.
+//! A minimal multiply-rotate hasher for the pipeline's one hot hash map.
 //!
-//! The busy-cycle loops hit [`std::collections::HashMap`]s keyed by cache
-//! lines and vector-register ids several times per simulated cycle
-//! (store-set disambiguation, Figure-13 access records).  SipHash — the
-//! standard library's DoS-resistant default — costs more than the probe it
-//! guards on those paths, and none of them hash attacker-controlled input,
-//! so they use this Fx-style word hasher instead: one rotate, one xor and
-//! one multiply per written word.
+//! The pipeline's `store_lines` map (64-byte granules covered by in-flight
+//! stores, the load/store disambiguation filter) is probed on the load-issue
+//! path.  SipHash — the standard library's DoS-resistant default —
+//! costs more than the probe it guards there, and the keys are simulated
+//! addresses, not attacker-controlled input, so the map uses this Fx-style
+//! word hasher instead: one rotate, one xor and one multiply per written
+//! word.
 //!
-//! Only the *hasher* changes; the map behaviour is untouched.  Every map
-//! switched to [`FastMap`] is used point-wise (insert / lookup / remove) or
-//! drained into commutative aggregates, so iteration order — the one thing
-//! a hasher swap can perturb — never reaches an observable result.  The
-//! golden-stats suite pins that claim.
+//! Only the *hasher* changes; the map behaviour is untouched.  The map is
+//! used point-wise (insert / lookup / remove) and never iterated, so
+//! iteration order — the one thing a hasher swap can perturb — never
+//! reaches an observable result.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};

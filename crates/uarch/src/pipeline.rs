@@ -95,7 +95,7 @@ use crate::vector_dp::VectorDatapath;
 use sdv_core::{DecodeContext, DecodeOutcome, VectorizationEngine, VregId};
 use sdv_emu::{EmuError, Emulator, Retired};
 use sdv_isa::{OpClass, Program, NUM_ARCH_REGS};
-use sdv_mem::{DataMemory, InstMemory, PortKind, PortSet, WideBusStats};
+use sdv_mem::{DataMemory, PortKind, PortSet, WideBusStats};
 use sdv_obs::{CycleBucket, CycleLedger, MetricsRegistry};
 use sdv_predictor::BranchPredictor;
 use std::cmp::Reverse;
@@ -254,8 +254,8 @@ pub struct Processor {
     cfg: UarchConfig,
     emu: Emulator,
     predictor: BranchPredictor,
-    imem: InstMemory,
-    dmem: DataMemory,
+    /// The memory hierarchy: L1-I, L1-D, the one L2 and the MSHRs.
+    mem: DataMemory,
     ports: PortSet,
     wide_stats: WideBusStats,
     fus: FuPool,
@@ -360,8 +360,7 @@ impl Processor {
         Processor {
             emu: Emulator::new(program),
             predictor: BranchPredictor::new(&cfg.predictor),
-            imem: InstMemory::new(&cfg.memory),
-            dmem: DataMemory::new(&cfg.memory),
+            mem: DataMemory::new(&cfg.memory),
             ports: PortSet::new(cfg.port_kind, cfg.dcache_ports),
             wide_stats: WideBusStats::new(cfg.line_words()),
             fus: FuPool::new(cfg.scalar_fus),
@@ -451,8 +450,8 @@ impl Processor {
     /// Enables (or disables) the cycle-attribution ledger: every simulated
     /// cycle is charged to exactly one [`CycleBucket`], and macro-step clock
     /// jumps charge the skipped window to
-    /// [`CycleBucket::MacroStepJumped`] in bulk, folding the
-    /// [`Self::macro_step_telemetry`] side channel into the same substrate.
+    /// [`CycleBucket::MacroStepJumped`] in bulk (the same skipped-cycle
+    /// count [`Self::macro_step_telemetry`] reports).
     ///
     /// Like the issue trace, the ledger is deliberately *not* part of
     /// [`RunStats`]: stats stay bit-identical whether or not attribution is
@@ -495,25 +494,19 @@ impl Processor {
         registry.add_counter("pipeline.vector.promoted", self.vec_promoted);
         registry.add_counter("pipeline.squash.events", self.squash_events);
         registry.add_counter("pipeline.squash.rearmed_entries", self.squash_rearmed);
-        registry.add_counter("cache.l1d.mshr.full_events", self.dmem.mshr_full_events());
-        let l2 = self.dmem.l2_stats();
+        registry.add_counter("cache.l1d.mshr.full_events", self.mem.mshr_full_events());
+        let l2 = self.mem.l2_stats();
         registry.add_counter("cache.l2.accesses", l2.accesses);
         registry.add_counter("cache.l2.hits", l2.hits);
         registry.add_counter("cache.l2.misses", l2.misses);
         registry.add_counter("cache.l2.writebacks", l2.writebacks);
-        let outstanding = self.dmem.outstanding_misses(self.cycle);
+        let outstanding = self.mem.outstanding_misses(self.cycle);
         registry.set_gauge("cache.l1d.mshr.outstanding_at_end", {
             #[allow(clippy::cast_precision_loss)]
             {
                 outstanding as f64
             }
         });
-    }
-
-    /// The configuration this processor was built with.
-    #[must_use]
-    pub fn config(&self) -> &UarchConfig {
-        &self.cfg
     }
 
     /// The architectural (functional) state, for checking results after a run.
@@ -641,7 +634,7 @@ impl Processor {
             .pending
             .get(self.pending_pos)
             .map_or_else(|| self.emu.pc(), |r| r.pc);
-        let latency = self.imem.fetch_latency(group_pc, self.dmem.l2_mut());
+        let latency = self.mem.fetch_latency(group_pc);
         if latency > self.cfg.memory.l1_hit_cycles {
             self.fetch_ready_cycle = self.cycle + latency;
             return;
@@ -1363,15 +1356,11 @@ impl Processor {
             }
             return LoadAttempt::Retry;
         }
-        if self.ports.free_this_cycle() == 0 {
-            return LoadAttempt::Retry;
-        }
         let addr = self.rob.addr(seq);
-        if !self.ports.try_acquire() {
-            return LoadAttempt::Retry;
-        }
-        let Some(done) = self.dmem.access(addr, false, self.cycle) else {
-            // All MSHRs busy: the port grant is wasted and the load retries.
+        let Some(done) = self
+            .mem
+            .access_through(&mut self.ports, addr, false, self.cycle)
+        else {
             return LoadAttempt::Retry;
         };
         self.rob.set_issued(seq, true);
@@ -1387,7 +1376,7 @@ impl Processor {
         // loads: unissued loads whose sources are available.
         let mut words_used = 1;
         if self.ports.kind() == PortKind::Wide {
-            let line = self.dmem.line_addr(addr);
+            let line = self.mem.line_addr(addr);
             let mut served = std::mem::take(&mut self.peer_scratch);
             served.clear();
             for &key in &self.ready_all {
@@ -1401,7 +1390,7 @@ impl Processor {
                 if !self.rob.contains(peer) || self.rob.issued(peer) {
                     continue;
                 }
-                if self.dmem.line_addr(self.rob.addr(peer)) != line {
+                if self.mem.line_addr(self.rob.addr(peer)) != line {
                     continue;
                 }
                 let (known, fwd) = self.older_store_state_indexed(peer);
@@ -1560,15 +1549,11 @@ impl Processor {
             }
             return false;
         }
-        if self.ports.free_this_cycle() == 0 {
-            return false;
-        }
         let addr = self.rob.addr(seq);
-        if !self.ports.try_acquire() {
-            return false;
-        }
-        let Some(done) = self.dmem.access(addr, false, self.cycle) else {
-            // All MSHRs busy: the port grant is wasted and the load retries.
+        let Some(done) = self
+            .mem
+            .access_through(&mut self.ports, addr, false, self.cycle)
+        else {
             return false;
         };
         self.rob.set_issued(seq, true);
@@ -1581,7 +1566,7 @@ impl Processor {
         // this single access.
         let mut words_used = 1;
         if self.ports.kind() == PortKind::Wide {
-            let line = self.dmem.line_addr(addr);
+            let line = self.mem.line_addr(addr);
             let mut served = std::mem::take(&mut self.peer_scratch);
             served.clear();
             for peer in self.rob.seqs() {
@@ -1595,7 +1580,7 @@ impl Processor {
                 if cold.class != OpClass::Load || !matches!(cold.mode, ExecMode::Scalar) {
                     continue;
                 }
-                if self.dmem.line_addr(self.rob.addr(peer)) != line {
+                if self.mem.line_addr(self.rob.addr(peer)) != line {
                     continue;
                 }
                 if !self.sources_ready(peer) {
@@ -1625,7 +1610,7 @@ impl Processor {
 
     fn step_vector(&mut self) {
         if let (Some(vdp), Some(engine)) = (self.vdp.as_mut(), self.engine.as_mut()) {
-            vdp.step(self.cycle, engine, &mut self.dmem, &mut self.ports);
+            vdp.step(self.cycle, engine, &mut self.mem, &mut self.ports);
         }
     }
 
@@ -1656,8 +1641,9 @@ impl Processor {
         self.recompute_commit_gate();
     }
 
-    /// Commits a completed store at the ROB head: port/MSHR acquire, the
-    /// §3.6 coherence check (and squash), then [`Self::retire_head`].
+    /// Commits a completed store at the ROB head: its L1-D access through a
+    /// port ([`DataMemory::access_through`]), the §3.6 coherence check (and
+    /// squash), then [`Self::retire_head`].
     /// Returns `false` when the store cannot commit this cycle.
     fn commit_store_at_head(&mut self, stores: &mut usize) -> bool {
         let head = self.rob.head();
@@ -1669,12 +1655,13 @@ impl Processor {
         if *stores >= store_limit {
             return false;
         }
-        if self.ports.free_this_cycle() == 0 || !self.ports.try_acquire() {
-            return false;
-        }
         let (addr, width) = (self.rob.addr(head), self.rob.width(head));
-        if self.dmem.access(addr, true, self.cycle).is_none() {
-            return false; // all MSHRs busy; retry next cycle
+        if self
+            .mem
+            .access_through(&mut self.ports, addr, true, self.cycle)
+            .is_none()
+        {
+            return false;
         }
         self.stats.memory_accesses += 1;
         *stores += 1;
@@ -1842,10 +1829,6 @@ impl Processor {
         }
 
         // The machine is idle: find the earliest pending wakeup source.
-        // Retire finished MSHR entries first (normally done lazily inside
-        // `DataMemory::access`, so this is invisible) so a long-completed
-        // miss cannot pin the bound to the past forever.
-        self.dmem.retire_misses(self.cycle);
         let mut bound = u64::MAX;
         if let Some(&Reverse((when, _))) = self.completions.peek() {
             bound = bound.min(when);
@@ -1859,7 +1842,7 @@ impl Processor {
         if let Some(when) = self.vdp.as_ref().and_then(VectorDatapath::next_event_cycle) {
             bound = bound.min(when);
         }
-        if let Some(when) = self.dmem.next_miss_done_cycle() {
+        if let Some(when) = self.mem.next_miss_done_cycle(self.cycle) {
             bound = bound.min(when);
         }
         if let Some(when) = self.fetch_wake_cycle() {
@@ -1953,8 +1936,8 @@ impl Processor {
         }
         self.stats.cycles = self.cycle;
         self.stats.ports = self.ports.stats();
-        self.stats.l1d = self.dmem.l1_stats();
-        self.stats.l1i = self.imem.l1_stats();
+        self.stats.l1d = self.mem.l1d_stats();
+        self.stats.l1i = self.mem.l1i_stats();
         self.stats.wide_bus =
             (self.ports.kind() == PortKind::Wide).then(|| self.wide_stats.clone());
     }

@@ -1,12 +1,13 @@
 //! An ordered set of sequence numbers backed by a sorted `Vec`.
 //!
-//! The wakeup scheduler keeps several program-ordered queues (ready queues,
-//! pending validations, unknown-address stores).  Their populations are small
-//! (bounded by the instruction window) and the operations are dominated by
-//! ordered scans and point insert/remove, for which a sorted vector's binary
-//! search plus `memmove` beats a B-tree — especially in unoptimised builds,
-//! where pointer-chasing tree code pays full function-call freight on the
-//! simulator's hottest path.
+//! The wakeup scheduler keeps two program-ordered sets: `ready_all` (the
+//! issuable entries) and `unknown_stores` (in-flight stores whose address is
+//! not yet known).  Their populations are small (bounded by the instruction
+//! window) and the operations are dominated by ordered scans and point
+//! insert/remove, for which a sorted vector's binary search plus `memmove`
+//! beats a B-tree — especially in unoptimised builds, where pointer-chasing
+//! tree code pays full function-call freight on the simulator's hottest
+//! path.
 
 /// A sorted, duplicate-free set of `u64` sequence numbers.
 #[derive(Debug, Clone, Default)]

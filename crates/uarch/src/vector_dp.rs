@@ -278,22 +278,21 @@ impl VectorDatapath {
             unreachable!("step_load runs load instances only");
         };
         let pending = inst.pending_loads;
-        if pending == 0 || ports.free_this_cycle() == 0 || !ports.try_acquire() {
-            return pending == 0;
+        if pending == 0 {
+            return true;
         }
-        let line_mask = !(dmem.line_bytes() - 1);
+        let first_addr = pattern.addr_of(pending.trailing_zeros() as usize);
+        let Some(ready_at) = dmem.access_through(ports, first_addr, false, now) else {
+            return false;
+        };
         // Group the pending elements that fall into the same cache line as
         // the first one.
-        let first_addr = pattern.addr_of(pending.trailing_zeros() as usize);
-        let line = first_addr & line_mask;
+        let line = dmem.line_addr(first_addr);
         let batch = match ports.kind() {
             PortKind::Wide => lanes(pending)
-                .filter(|&off| pattern.addr_of(off) & line_mask == line)
+                .filter(|&off| dmem.line_addr(pattern.addr_of(off)) == line)
                 .fold(0u64, |m, off| m | 1 << off),
             PortKind::Scalar => pending & pending.wrapping_neg(),
-        };
-        let Some(ready_at) = dmem.access(first_addr, false, now) else {
-            return false; // all MSHRs busy: the port grant is wasted
         };
         self.line_accesses += 1;
         self.elements_started += u64::from(batch.count_ones());

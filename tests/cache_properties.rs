@@ -87,7 +87,7 @@ proptest! {
             };
             prop_assert_eq!(got, expected, "completion diverged at access {}", i);
         }
-        prop_assert_eq!(dmem.l1_stats(), l1.stats());
+        prop_assert_eq!(dmem.l1d_stats(), l1.stats());
         prop_assert_eq!(dmem.l2_stats(), l2.stats());
     }
 }
