@@ -1,4 +1,4 @@
-//! Typed diagnostics and their machine-readable rendering.
+//! Typed diagnostics: the findings the analysis passes report.
 
 use std::fmt;
 
@@ -16,7 +16,7 @@ pub enum Severity {
 }
 
 impl Severity {
-    /// Lowercase name used in text and JSON output.
+    /// Lowercase name used in text output.
     #[must_use]
     pub const fn name(self) -> &'static str {
         match self {
@@ -56,7 +56,7 @@ pub enum Rule {
 }
 
 impl Rule {
-    /// The kebab-case rule id used in text and JSON output.
+    /// The kebab-case rule id used in text output.
     #[must_use]
     pub const fn id(self) -> &'static str {
         match self {
@@ -114,23 +114,6 @@ impl Diag {
             msg: msg.into(),
         }
     }
-
-    /// Renders the finding as a JSON object (stable schema:
-    /// `severity`, `rule`, `pc`, `msg`).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let pc = match self.loc {
-            Some(pc) => format!("\"{pc:#x}\""),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"severity\":\"{}\",\"rule\":\"{}\",\"pc\":{},\"msg\":\"{}\"}}",
-            self.severity,
-            self.rule,
-            pc,
-            sdv_obs::json_escape(&self.msg)
-        )
-    }
 }
 
 impl fmt::Display for Diag {
@@ -158,29 +141,6 @@ mod tests {
         assert_eq!(d.severity, Severity::Error);
         assert!(d.to_string().contains("use-before-def"));
         assert!(d.to_string().contains("0x1000"));
-    }
-
-    #[test]
-    fn json_rendering_is_stable() {
-        let d = Diag::new(Rule::OutOfFootprint, Some(0x1040), "store to 0xdead");
-        assert_eq!(
-            d.to_json(),
-            "{\"severity\":\"error\",\"rule\":\"out-of-footprint\",\
-             \"pc\":\"0x1040\",\"msg\":\"store to 0xdead\"}"
-                .replace("             ", "")
-        );
-        let no_loc = Diag::new(Rule::NoReachableHalt, None, "no halt");
-        assert!(no_loc.to_json().contains("\"pc\":null"));
-    }
-
-    #[test]
-    fn json_escaping() {
-        let d = Diag::new(Rule::NoReachableHalt, None, "a\"b\\c\nd\u{1}");
-        assert!(
-            d.to_json().ends_with(r#""msg":"a\"b\\c\nd\u0001"}"#),
-            "{}",
-            d.to_json()
-        );
     }
 
     #[test]

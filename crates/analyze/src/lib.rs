@@ -17,7 +17,7 @@
 //! * [`envelope`] combines the passes into a per-workload [`Envelope`] of
 //!   conservative resource bounds, cross-checked against simulated `RunStats`
 //!   by `tests/analysis_properties.rs`;
-//! * [`diag`] defines the typed [`Diag`] findings and their JSON form.
+//! * [`diag`] defines the typed [`Diag`] findings.
 //!
 //! # Example
 //!
@@ -75,22 +75,6 @@ impl Analysis {
     pub fn has_errors(&self) -> bool {
         self.diags.iter().any(|d| d.severity == Severity::Error)
     }
-
-    /// Renders the full analysis as a JSON object with a stable schema
-    /// (`diags` array plus the envelope fields under `envelope`).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let diags: Vec<String> = self.diags.iter().map(Diag::to_json).collect();
-        format!(
-            "{{\"errors\":{},\"diags\":[{}],\"envelope\":{}}}",
-            self.diags
-                .iter()
-                .filter(|d| d.severity == Severity::Error)
-                .count(),
-            diags.join(","),
-            self.envelope.to_json()
-        )
-    }
 }
 
 /// Runs every pass over `program`.
@@ -133,7 +117,6 @@ mod tests {
         let analysis = analyze(&a.finish());
         assert!(analysis.diags.is_empty(), "{:?}", analysis.diags);
         assert!(!analysis.has_errors());
-        assert!(analysis.to_json().contains("\"errors\":0"));
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //!       [--vl L1,L2,...] [--vregs R1,R2,...]
 //!       [--csv PATH] [--metrics-json PATH] [--trace PATH]
 //!       [--store-dir DIR | --no-cache]
-//!       [--fail-fast]
 //! ```
 //!
 //! With no selection arguments everything is regenerated.  All generators
@@ -37,8 +36,7 @@
 //! The run is *supervised*: a cell that panics (including the pipeline's
 //! no-progress assertion) is recorded as failed while every other cell still
 //! completes, the failures are summarised at the end, and the exit code is 1
-//! exactly when cells failed (`--fail-fast` instead stops at the first
-//! generator with a failed cell).  Store writes are retried twice with
+//! exactly when cells failed.  Store writes are retried twice with
 //! backoff; an unusable `--store-dir` degrades to in-memory caching with a
 //! warning rather than aborting the sweep.
 //!
@@ -77,15 +75,13 @@ struct Options {
     trace: Option<std::path::PathBuf>,
     store_dir: Option<std::path::PathBuf>,
     no_cache: bool,
-    fail_fast: bool,
 }
 
 const USAGE: &str = "usage: repro [--quick|--standard|--thorough] [--threads N]
              [--table1] [--fig N]... [--headline] [--all] [--extended]
              [--vl L1,L2,...] [--vregs R1,R2,...]
              [--csv PATH] [--metrics-json PATH] [--trace PATH]
-             [--store-dir DIR | --no-cache]
-             [--fail-fast]";
+             [--store-dir DIR | --no-cache]";
 
 /// The figures `repro` regenerates (2, 4, 5, 6 and 8 are block diagrams),
 /// in the order a full run prints them.
@@ -143,7 +139,6 @@ fn parse_args() -> Options {
         trace: None,
         store_dir: None,
         no_cache: false,
-        fail_fast: false,
     };
     let mut args = std::env::args().skip(1).peekable();
     let mut any_selection = false;
@@ -198,7 +193,6 @@ fn parse_args() -> Options {
             "--trace" => opts.trace = Some(parse_path("--trace", args.next())),
             "--store-dir" => opts.store_dir = Some(parse_path("--store-dir", args.next())),
             "--no-cache" => opts.no_cache = true,
-            "--fail-fast" => opts.fail_fast = true,
             other => usage_error(&format!("unknown argument `{other}`")),
         }
     }
@@ -225,16 +219,6 @@ fn report_failures(exp: &Experiment) -> bool {
         eprintln!("repro:   {failure}");
     }
     true
-}
-
-/// Under `--fail-fast`, stops the run at the first generator that produced a
-/// failed cell (the default is to finish the sweep and report at the end).
-fn check_fail_fast(exp: &Experiment, fail_fast: bool) {
-    if fail_fast && exp.report().failed_cells > 0 {
-        report_failures(exp);
-        eprintln!("repro: --fail-fast: stopping at the first failed cell");
-        std::process::exit(1);
-    }
 }
 
 /// The observability level implied by the requested outputs: tracing when a
@@ -309,19 +293,16 @@ fn main() {
             15 => println!("{}", exp.fig15()),
             other => unreachable!("--fig {other} was rejected while parsing"),
         }
-        check_fail_fast(&exp, opts.fail_fast);
     }
 
     if opts.headline {
         println!("{}", exp.headline());
-        check_fail_fast(&exp, opts.fail_fast);
     }
 
     if let Some(path) = &opts.csv {
         let sweep = sweep.get_or_insert_with(|| exp.sweep(&grid));
         write_output(path, "the sweep CSV", &report::sweep_csv(sweep));
         println!("sweep surface written to {}", path.display());
-        check_fail_fast(&exp, opts.fail_fast);
     }
 
     // Persist before printing the report so the store-insert counter is part

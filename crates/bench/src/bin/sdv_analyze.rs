@@ -1,7 +1,7 @@
 //! Static-analysis front end for the in-tree workloads.
 //!
 //! ```text
-//! sdv-analyze check [--json] [--scale N] [WORKLOAD... | all | extended]
+//! sdv-analyze check [--scale N] [WORKLOAD... | all | extended]
 //! sdv-analyze envelope [--json] [--scale N] [WORKLOAD... | all | extended]
 //! ```
 //!
@@ -27,7 +27,7 @@
 use sdv_analyze::{analyze, Severity};
 use sdv_workloads::Workload;
 
-const USAGE: &str = "usage: sdv-analyze check [--json] [--scale N] [WORKLOAD... | all | extended]
+const USAGE: &str = "usage: sdv-analyze check [--scale N] [WORKLOAD... | all | extended]
        sdv-analyze envelope [--json] [--scale N] [WORKLOAD... | all | extended]";
 
 fn usage_error(message: &str) -> ! {
@@ -49,14 +49,16 @@ fn parse_workload(name: &str) -> Workload {
         .unwrap_or_else(|| usage_error(&format!("unknown workload `{name}`")))
 }
 
-fn parse_request(args: &[String]) -> Request {
+/// Parses the arguments after the subcommand; `--json` is accepted only
+/// when `json_allowed` (the `envelope` subcommand).
+fn parse_request(args: &[String], json_allowed: bool) -> Request {
     let mut json = false;
     let mut scale = 1u64;
     let mut workloads: Vec<Workload> = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--json" => json = true,
+            "--json" if json_allowed => json = true,
             "--scale" => {
                 let value = it
                     .next()
@@ -90,17 +92,10 @@ fn parse_request(args: &[String]) -> Request {
 /// `check`: print findings per workload, exit 1 on any error-severity one.
 fn check(req: &Request) {
     let mut failed = false;
-    let mut json_rows: Vec<String> = Vec::new();
     for &w in &req.workloads {
         let analysis = analyze(&w.build(req.scale));
         failed |= analysis.has_errors();
-        if req.json {
-            json_rows.push(format!(
-                "{{\"workload\":\"{}\",{}",
-                w.name(),
-                analysis.to_json().trim_start_matches('{')
-            ));
-        } else if analysis.diags.is_empty() {
+        if analysis.diags.is_empty() {
             println!("{w}: ok");
         } else {
             let errors = analysis
@@ -116,9 +111,6 @@ fn check(req: &Request) {
                 println!("  {d}");
             }
         }
-    }
-    if req.json {
-        println!("{{\"results\":[{}]}}", json_rows.join(","));
     }
     if failed {
         std::process::exit(1);
@@ -168,8 +160,8 @@ fn envelope(req: &Request) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.split_first().map(|(cmd, rest)| (cmd.as_str(), rest)) {
-        Some(("check", rest)) => check(&parse_request(rest)),
-        Some(("envelope", rest)) => envelope(&parse_request(rest)),
+        Some(("check", rest)) => check(&parse_request(rest, false)),
+        Some(("envelope", rest)) => envelope(&parse_request(rest, true)),
         Some((other, _)) => usage_error(&format!("unknown subcommand `{other}`")),
         None => usage_error("a subcommand is required"),
     }

@@ -27,6 +27,7 @@ fn usage_errors_exit_2_and_name_the_flag() {
         (&["--timing-json", "t.json"][..], "--timing-json"),
         (&["--cache-dir", "store"][..], "--cache-dir"),
         (&["--max-retries", "3"][..], "--max-retries"),
+        (&["--fail-fast"][..], "--fail-fast"),
         (&["--vl", "65"][..], "--vl"),
         (&["--fig", "16"][..], "--fig"),
         (&["--fig", "2"][..], "--fig"),

@@ -3,8 +3,12 @@
 //! [`VectorizationEngine`] owns the Table of Loads, the VRMT, the vector
 //! register file and the speculative/committed logical-register maps, and
 //! implements the decode- and commit-time rules of §3.2–§3.6.  It is entirely
-//! timing-agnostic: the pipeline model (`sdv-uarch`) feeds it events and uses
-//! the returned [`DecodeOutcome`] to decide what to do with each instruction.
+//! timing-agnostic: the vector data path (`sdv-uarch`), which owns it, feeds
+//! it events and dispatches the instance each [`DecodeOutcome`] names.
+//!
+//! Decode makes one VRMT check per instruction (`revalidate`) and creates
+//! every vector instance — a load's or an arithmetic op's first instance,
+//! and a load's §3.2 follow-on — through one launcher (`launch`).
 
 use crate::config::DvConfig;
 use crate::stats::DvStats;
@@ -91,17 +95,6 @@ impl DecodeOutcome {
             DecodeOutcome::Scalar => None,
             DecodeOutcome::Validation { vreg, offset, .. } => Some((*vreg, *offset)),
             DecodeOutcome::NewVector { instance } => Some((instance.vreg, instance.start_offset)),
-        }
-    }
-
-    /// The vector instance that must be launched on the vector data path as a
-    /// consequence of this decode, if any.
-    #[must_use]
-    pub fn instance_to_launch(&self) -> Option<&NewVectorInstance> {
-        match self {
-            DecodeOutcome::Scalar => None,
-            DecodeOutcome::Validation { follow_on, .. } => follow_on.as_ref(),
-            DecodeOutcome::NewVector { instance } => Some(instance),
         }
     }
 }
@@ -269,12 +262,6 @@ impl VectorizationEngine {
         self.committed_map[slot] = value;
     }
 
-    /// The hardware configuration.
-    #[must_use]
-    pub fn config(&self) -> &DvConfig {
-        &self.cfg
-    }
-
     /// Event counters.
     #[must_use]
     pub fn stats(&self) -> &DvStats {
@@ -285,12 +272,6 @@ impl VectorizationEngine {
     #[must_use]
     pub fn vrf(&self) -> &VectorRegisterFile {
         &self.vrf
-    }
-
-    /// The Table of Loads.
-    #[must_use]
-    pub fn tl(&self) -> &TableOfLoads {
-        &self.tl
     }
 
     /// The VRMT.
@@ -379,37 +360,22 @@ impl VectorizationEngine {
         let dst = ctx.dst.expect("loads have a destination");
         self.stats.loads_observed += 1;
         let obs = self.tl.observe(ctx.pc, ea);
-
-        if let Some(entry) = self.vrmt.lookup(ctx.pc).copied() {
-            let vl = self.cfg.vector_length;
-            if entry.offset < vl {
-                let pattern = entry.load.expect("load VRMT entries carry a pattern");
-                let expected = pattern.addr_of(entry.offset);
-                let healthy = self.vrf.get(entry.vreg).is_allocated()
-                    && !self.vrf.is_poisoned(entry.vreg, entry.offset);
-                if healthy && expected == ea {
-                    self.stats.load_validations += 1;
-                    return self.validate_element(ctx.pc, entry, dst);
-                }
-                // Mis-speculation: the predicted address was wrong or the
-                // register was invalidated.  Fall back to scalar and let a new
-                // pattern be re-detected.
-                self.stats.validation_failures += 1;
-                if self.vrf.get(entry.vreg).is_allocated() {
-                    self.vrf.poison_from(entry.vreg, entry.offset);
-                }
-                self.vrmt.invalidate_pc(ctx.pc);
-                self.unmap_if_points_to(dst, entry.vreg);
-            } else {
-                // Every element has been validated: this instance starts the
-                // next vector instance (or goes scalar if that fails).
-                self.vrmt.invalidate_pc(ctx.pc);
-            }
+        let predicted = |_: &Self, e: &VrmtEntry| {
+            let pattern = e.load.expect("load VRMT entries carry a pattern");
+            pattern.addr_of(e.offset) == ea
+        };
+        if let Some(outcome) = self.revalidate(ctx.pc, dst, predicted) {
+            return outcome;
         }
-
         if obs.vectorize {
-            if let Some(outcome) = self.new_load_instance(ctx.pc, dst, ea, obs.stride, width) {
-                return outcome;
+            let pattern = LoadPattern {
+                base_addr: ea,
+                stride: obs.stride,
+                width,
+            };
+            let kind = VectorOpKind::Load { pattern };
+            if let Some(instance) = self.launch(ctx.pc, kind, 0, [Operand::None; 2], Some(dst)) {
+                return DecodeOutcome::NewVector { instance };
             }
         }
         self.set_reg_map(dst.flat_index(), None);
@@ -418,224 +384,160 @@ impl VectorizationEngine {
 
     fn decode_arith(&mut self, ctx: &DecodeContext) -> DecodeOutcome {
         let dst = ctx.dst.expect("vectorizable arithmetic has a destination");
-        let current_ops = [
+        let ops = [
             self.describe_operand(ctx.srcs[0]),
             self.describe_operand(ctx.srcs[1]),
         ];
-        let any_vector = current_ops.iter().any(Operand::is_vector);
-
-        if let Some(entry) = self.vrmt.lookup(ctx.pc).copied() {
-            let vl = self.cfg.vector_length;
-            if entry.offset < vl {
-                let healthy = self.vrf.get(entry.vreg).is_allocated()
-                    && !self.vrf.is_poisoned(entry.vreg, entry.offset)
-                    && self.sources_healthy(&entry, entry.offset);
-                let matches = operands_match(&entry.src1, &current_ops[0])
-                    && operands_match(&entry.src2, &current_ops[1]);
-                if healthy && matches {
-                    self.stats.arith_validations += 1;
-                    return self.validate_element(ctx.pc, entry, dst);
-                }
-                self.stats.validation_failures += 1;
-                if self.vrf.get(entry.vreg).is_allocated() {
-                    self.vrf.poison_from(entry.vreg, entry.offset);
-                }
-                self.vrmt.invalidate_pc(ctx.pc);
-                self.unmap_if_points_to(dst, entry.vreg);
-            } else {
-                self.vrmt.invalidate_pc(ctx.pc);
-            }
+        let same_sources = |engine: &Self, e: &VrmtEntry| engine.same_sources(e, &ops);
+        if let Some(outcome) = self.revalidate(ctx.pc, dst, same_sources) {
+            return outcome;
         }
-
-        if any_vector {
-            if let Some(outcome) = self.new_arith_instance(ctx.pc, ctx.class, dst, current_ops) {
-                return outcome;
+        if ops.iter().any(Operand::is_vector) {
+            let start_offset = ops[0]
+                .offset()
+                .max(ops[1].offset())
+                .min(self.cfg.vector_length - 1);
+            let kind = VectorOpKind::Arith { class: ctx.class };
+            if let Some(instance) = self.launch(ctx.pc, kind, start_offset, ops, Some(dst)) {
+                return DecodeOutcome::NewVector { instance };
             }
         }
         self.set_reg_map(dst.flat_index(), None);
         DecodeOutcome::Scalar
     }
 
-    /// Turns the current scalar instance into a validation of
-    /// `entry.offset` and advances the VRMT offset.  When the last element of
-    /// a vectorized load is validated, a follow-on instance continuing the
-    /// address pattern is created immediately (§3.2).
-    fn validate_element(&mut self, pc: u64, entry: VrmtEntry, dst: ArchReg) -> DecodeOutcome {
-        let offset = entry.offset;
-        self.vrf.mark_used(entry.vreg, offset);
-        self.set_reg_map(dst.flat_index(), Some((entry.vreg, offset)));
-        if let Some(e) = self.vrmt.lookup_mut(pc) {
-            e.offset = offset + 1;
+    /// The one VRMT check of §3.2.  When `pc` has an entry, the current
+    /// scalar instance either validates the entry's next element — the
+    /// register is allocated, the element is not poisoned and `matches`
+    /// holds — or drops the entry: a mis-speculation (the element is
+    /// poisoned from there on, and `dst` stops pointing at it) or an
+    /// instance whose elements have all been validated.  Returns the
+    /// validation, or `None` when the caller may launch a new instance.
+    ///
+    /// Validating the last element of a load launches its follow-on
+    /// instance one vector length further along the address pattern
+    /// (§3.2: "a new instance of the vectorized instruction is dispatched
+    /// to the vector data-path"), so the data is prefetched before the
+    /// scalar stream reaches it.
+    fn revalidate(
+        &mut self,
+        pc: u64,
+        dst: ArchReg,
+        matches: impl FnOnce(&Self, &VrmtEntry) -> bool,
+    ) -> Option<DecodeOutcome> {
+        let vl = self.cfg.vector_length;
+        let slot = self.vrmt.lookup(pc)?;
+        let entry = *slot;
+        // Advanced in place: every path below except a successful
+        // validation drops the entry.
+        slot.offset += 1;
+        if entry.offset >= vl {
+            self.vrmt.invalidate_pc(pc);
+            return None;
         }
-        let mut follow_on = None;
-        if offset + 1 == self.cfg.vector_length {
-            if let Some(pattern) = entry.load {
-                follow_on = self.follow_on_load_instance(pc, pattern);
+        let allocated = self.vrf.get(entry.vreg).is_allocated();
+        if allocated && !self.vrf.is_poisoned(entry.vreg, entry.offset) && matches(self, &entry) {
+            if entry.load.is_some() {
+                self.stats.load_validations += 1;
+            } else {
+                self.stats.arith_validations += 1;
             }
+            self.vrf.mark_used(entry.vreg, entry.offset);
+            self.set_reg_map(dst.flat_index(), Some((entry.vreg, entry.offset)));
+            let follow_on = match entry.load {
+                Some(pattern) if entry.offset + 1 == vl => {
+                    let next = LoadPattern {
+                        base_addr: pattern.addr_of(vl),
+                        ..pattern
+                    };
+                    let kind = VectorOpKind::Load { pattern: next };
+                    self.launch(pc, kind, 0, [Operand::None; 2], None)
+                }
+                _ => None,
+            };
+            return Some(DecodeOutcome::Validation {
+                vreg: entry.vreg,
+                offset: entry.offset,
+                follow_on,
+            });
         }
-        DecodeOutcome::Validation {
-            vreg: entry.vreg,
-            offset,
-            follow_on,
+        self.stats.validation_failures += 1;
+        if allocated {
+            self.vrf.poison_from(entry.vreg, entry.offset);
         }
+        self.vrmt.invalidate_pc(pc);
+        self.unmap_if_points_to(dst, entry.vreg);
+        None
     }
 
-    /// Creates the next vector instance of a vectorized load, one vector
-    /// length further along its address pattern.
-    fn follow_on_load_instance(
+    /// The one vector-instance launcher: the first instance of a strided
+    /// load or of a vectorized arithmetic op (`dst` is the creating
+    /// instruction's destination, which validates element `start_offset`),
+    /// or a load's follow-on instance (`dst` is `None`: the next scalar
+    /// instance validates element 0).  Returns `None`, counting
+    /// `no_free_vreg`, when no vector register can be allocated.
+    fn launch(
         &mut self,
         pc: u64,
-        pattern: LoadPattern,
-    ) -> Option<NewVectorInstance> {
-        let vl = self.cfg.vector_length;
-        let next = LoadPattern {
-            base_addr: pattern.addr_of(vl),
-            ..pattern
-        };
-        let Some(vreg) = self.allocate_vreg(pc) else {
-            self.stats.no_free_vreg += 1;
-            return None;
-        };
-        let first = next.addr_of(0);
-        let last = next.addr_of(vl - 1);
-        let (lo, hi) = if first <= last {
-            (first, last)
-        } else {
-            (last, first)
-        };
-        self.vrf.set_addr_range(vreg, lo, hi + next.width - 1);
-        self.vrmt.insert(VrmtEntry {
-            pc,
-            vreg,
-            offset: 0,
-            src1: Operand::None,
-            src2: Operand::None,
-            load: Some(next),
-        });
-        self.stats.load_instances += 1;
-        self.stats.elements_launched += vl as u64;
-        Some(NewVectorInstance {
-            vreg,
-            pc,
-            kind: VectorOpKind::Load { pattern: next },
-            start_offset: 0,
-            src1: Operand::None,
-            src2: Operand::None,
-        })
-    }
-
-    /// Allocates a vector register, reclaiming eligible registers first if the
-    /// file is exhausted.
-    fn allocate_vreg(&mut self, pc: u64) -> Option<VregId> {
-        if let Some(vreg) = self.vrf.allocate(pc, self.gmrbb) {
-            return Some(vreg);
-        }
-        self.release_registers();
-        self.vrf.allocate(pc, self.gmrbb)
-    }
-
-    fn new_load_instance(
-        &mut self,
-        pc: u64,
-        dst: ArchReg,
-        ea: u64,
-        stride: i64,
-        width: u64,
-    ) -> Option<DecodeOutcome> {
-        let Some(vreg) = self.allocate_vreg(pc) else {
-            self.stats.no_free_vreg += 1;
-            return None;
-        };
-        let vl = self.cfg.vector_length;
-        let pattern = LoadPattern {
-            base_addr: ea,
-            stride,
-            width,
-        };
-        // Address range covered by the whole instance, for store coherence.
-        let first = pattern.addr_of(0);
-        let last = pattern.addr_of(vl - 1);
-        let (lo, hi) = if first <= last {
-            (first, last)
-        } else {
-            (last, first)
-        };
-        self.vrf.set_addr_range(vreg, lo, hi + width - 1);
-
-        let entry = VrmtEntry {
-            pc,
-            vreg,
-            offset: 1, // the triggering instance validates element 0
-            src1: Operand::None,
-            src2: Operand::None,
-            load: Some(pattern),
-        };
-        self.vrmt.insert(entry);
-        self.vrf.mark_used(vreg, 0);
-        self.set_reg_map(dst.flat_index(), Some((vreg, 0)));
-        self.stats.load_instances += 1;
-        self.stats.elements_launched += vl as u64;
-        Some(DecodeOutcome::NewVector {
-            instance: NewVectorInstance {
-                vreg,
-                pc,
-                kind: VectorOpKind::Load { pattern },
-                start_offset: 0,
-                src1: Operand::None,
-                src2: Operand::None,
-            },
-        })
-    }
-
-    fn new_arith_instance(
-        &mut self,
-        pc: u64,
-        class: OpClass,
-        dst: ArchReg,
+        kind: VectorOpKind,
+        start_offset: usize,
         ops: [Operand; 2],
-    ) -> Option<DecodeOutcome> {
-        let Some(vreg) = self.allocate_vreg(pc) else {
+        dst: Option<ArchReg>,
+    ) -> Option<NewVectorInstance> {
+        // An exhausted file first reclaims the registers it can.
+        let vreg = self.vrf.allocate(pc, self.gmrbb).or_else(|| {
+            self.release_registers();
+            self.vrf.allocate(pc, self.gmrbb)
+        });
+        let Some(vreg) = vreg else {
             self.stats.no_free_vreg += 1;
             return None;
         };
         let vl = self.cfg.vector_length;
-        let start_offset = ops
-            .iter()
-            .map(Operand::offset)
-            .max()
-            .unwrap_or(0)
-            .min(vl - 1);
+        let load = match kind {
+            VectorOpKind::Load { pattern } => {
+                // Address range covered by the whole instance, for store
+                // coherence (§3.6).
+                let (first, last) = (pattern.addr_of(0), pattern.addr_of(vl - 1));
+                let hi = first.max(last) + pattern.width - 1;
+                self.vrf.set_addr_range(vreg, first.min(last), hi);
+                self.stats.load_instances += 1;
+                Some(pattern)
+            }
+            VectorOpKind::Arith { .. } => {
+                // Elements below the starting offset are never produced;
+                // mark them done so the freeing rules of §3.3 still apply.
+                for i in 0..start_offset {
+                    self.vrf.set_ready(vreg, i);
+                    self.vrf.set_free_flag(vreg, i);
+                }
+                self.stats.arith_instances += 1;
+                None
+            }
+        };
         if start_offset != 0 {
             self.stats.instances_with_nonzero_offset += 1;
         }
-        // Elements below the starting offset are never produced; mark them
-        // done so the freeing rules of §3.3 still apply.
-        for i in 0..start_offset {
-            self.vrf.set_ready(vreg, i);
-            self.vrf.set_free_flag(vreg, i);
-        }
-        let entry = VrmtEntry {
+        self.vrmt.insert(VrmtEntry {
             pc,
             vreg,
-            offset: start_offset + 1,
+            offset: start_offset + usize::from(dst.is_some()),
             src1: ops[0],
             src2: ops[1],
-            load: None,
-        };
-        self.vrmt.insert(entry);
-        self.vrf.mark_used(vreg, start_offset);
-        self.set_reg_map(dst.flat_index(), Some((vreg, start_offset)));
-        self.stats.arith_instances += 1;
+            load,
+        });
+        if let Some(dst) = dst {
+            self.vrf.mark_used(vreg, start_offset);
+            self.set_reg_map(dst.flat_index(), Some((vreg, start_offset)));
+        }
         self.stats.elements_launched += (vl - start_offset) as u64;
-        Some(DecodeOutcome::NewVector {
-            instance: NewVectorInstance {
-                vreg,
-                pc,
-                kind: VectorOpKind::Arith { class },
-                start_offset,
-                src1: ops[0],
-                src2: ops[1],
-            },
+        Some(NewVectorInstance {
+            vreg,
+            pc,
+            kind,
+            start_offset,
+            src1: ops[0],
+            src2: ops[1],
         })
     }
 
@@ -651,15 +553,21 @@ impl VectorizationEngine {
         }
     }
 
-    /// Whether the source elements this validation would rely on are allocated
-    /// and not poisoned.
-    fn sources_healthy(&self, entry: &VrmtEntry, offset: usize) -> bool {
-        [&entry.src1, &entry.src2].into_iter().all(|op| match op {
-            Operand::Vector { vreg, .. } => {
-                self.vrf.get(*vreg).is_allocated() && !self.vrf.is_poisoned(*vreg, offset)
-            }
-            _ => true,
-        })
+    /// Whether `ops` are the operands `entry` was vectorized with (a vector
+    /// operand compares by register alone) and every vector source element
+    /// a validation of `entry.offset` reads is allocated and not poisoned.
+    fn same_sources(&self, entry: &VrmtEntry, ops: &[Operand; 2]) -> bool {
+        [entry.src1, entry.src2]
+            .iter()
+            .zip(ops)
+            .all(|pair| match pair {
+                (Operand::Vector { vreg, .. }, Operand::Vector { vreg: current, .. }) => {
+                    vreg == current
+                        && self.vrf.get(*vreg).is_allocated()
+                        && !self.vrf.is_poisoned(*vreg, entry.offset)
+                }
+                (recorded, current) => recorded == current,
+            })
     }
 
     fn unmap_if_points_to(&mut self, reg: ArchReg, vreg: VregId) {
@@ -754,14 +662,13 @@ impl VectorizationEngine {
     }
 
     /// Applies the register freeing rules and reclaims registers that are no
-    /// longer referenced by any table.  Returns the number of registers released.
-    pub fn release_registers(&mut self) -> usize {
+    /// longer referenced by any table.
+    fn release_registers(&mut self) {
         let mut released = std::mem::take(&mut self.release_scratch);
         self.vrf.release_eligible_into(self.gmrbb, &mut released);
         for &id in &released {
             self.forget_register(id);
         }
-        let reclaimed = released.len();
         self.release_scratch = released;
 
         // Reference scan: registers whose VRMT entry has been replaced and that
@@ -779,9 +686,7 @@ impl VectorizationEngine {
             self.vrf.force_release(id);
             self.forget_register(id);
         }
-        let reclaimed = reclaimed + candidates.len();
         self.reclaim_scratch = candidates;
-        reclaimed
     }
 
     fn map_references(&self, id: VregId) -> bool {
@@ -812,17 +717,6 @@ impl VectorizationEngine {
     }
 }
 
-fn operands_match(recorded: &Operand, current: &Operand) -> bool {
-    match (recorded, current) {
-        (Operand::None, Operand::None) => true,
-        (Operand::Scalar { reg: r1, value: v1 }, Operand::Scalar { reg: r2, value: v2 }) => {
-            r1 == r2 && v1 == v2
-        }
-        (Operand::Vector { vreg: a, .. }, Operand::Vector { vreg: b, .. }) => a == b,
-        _ => false,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -844,17 +738,47 @@ mod tests {
         e: &mut VectorizationEngine,
         pc: u64,
         base: u64,
-        stride: u64,
+        stride: i64,
     ) -> NewVectorInstance {
         let dst = xr(1);
-        for i in 0..3u64 {
-            let out = e.decode(&DecodeContext::load(pc, dst, base + i * stride, 8));
+        let addr = |i: i64| base.wrapping_add_signed(i * stride);
+        for i in 0..3 {
+            let out = e.decode(&DecodeContext::load(pc, dst, addr(i), 8));
             assert_eq!(out, DecodeOutcome::Scalar);
         }
-        match e.decode(&DecodeContext::load(pc, dst, base + 3 * stride, 8)) {
+        match e.decode(&DecodeContext::load(pc, dst, addr(3), 8)) {
             DecodeOutcome::NewVector { instance } => instance,
             other => panic!("expected NewVector, got {other:?}"),
         }
+    }
+
+    /// Validates elements 1..=3 of the load instance `inst` (vector length
+    /// 4) at their predicted addresses; returns the outcome of the last.
+    fn validate_remaining(e: &mut VectorizationEngine, inst: &NewVectorInstance) -> DecodeOutcome {
+        let VectorOpKind::Load { pattern } = inst.kind else {
+            panic!("expected a load instance");
+        };
+        let mut last = DecodeOutcome::Scalar;
+        for k in 1..4 {
+            last = e.decode(&DecodeContext::load(inst.pc, xr(1), pattern.addr_of(k), 8));
+            assert!(
+                matches!(last, DecodeOutcome::Validation { offset, .. } if offset == k),
+                "element {k}: {last:?}"
+            );
+        }
+        last
+    }
+
+    /// The follow-on instance launched when the last element validates.
+    fn follow_on_of(outcome: DecodeOutcome) -> NewVectorInstance {
+        let DecodeOutcome::Validation {
+            follow_on: Some(next),
+            ..
+        } = outcome
+        else {
+            panic!("expected a follow-on instance, got {outcome:?}");
+        };
+        next
     }
 
     #[test]
@@ -934,6 +858,76 @@ mod tests {
         assert!(matches!(out, DecodeOutcome::Validation { offset: 0, .. }));
         assert_eq!(e.stats().load_validations, 4);
         assert_eq!(e.stats().load_instances, 2);
+    }
+
+    #[test]
+    fn follow_on_address_range_covers_the_next_vector_length() {
+        // (stride, base, follow-on's lowest byte, highest byte): with a
+        // negative stride element 3 holds the lowest address.
+        for (stride, base, lo, hi) in [(8, 0x8000, 0x8038, 0x8057), (-8, 0x9000, 0x8fb0, 0x8fcf)] {
+            let mut e = engine();
+            let inst = vectorize_load(&mut e, 0x1000, base, stride);
+            let next = follow_on_of(validate_remaining(&mut e, &inst));
+            let pattern = LoadPattern {
+                base_addr: base.wrapping_add_signed(7 * stride),
+                stride,
+                width: 8,
+            };
+            assert_eq!(next.kind, VectorOpKind::Load { pattern });
+            let range = e.vrf().get(next.vreg).addr_range();
+            assert_eq!(range, Some((lo, hi)), "stride {stride}");
+        }
+    }
+
+    #[test]
+    fn follow_on_vrmt_entry_starts_at_element_zero() {
+        let mut e = engine();
+        let inst = vectorize_load(&mut e, 0x1000, 0x8000, 8);
+        let next = follow_on_of(validate_remaining(&mut e, &inst));
+        let entry = e.vrmt().iter().find(|x| x.pc == 0x1000).unwrap();
+        assert_eq!((entry.vreg, entry.offset), (next.vreg, 0));
+        // Its creator validated none of its elements.
+        assert!(!e.vrf().get(next.vreg).element(0).used);
+        assert_eq!(e.current_mapping(xr(1)), Some((inst.vreg, 3)));
+        let out = e.decode(&DecodeContext::load(0x1000, xr(1), 0x8038, 8));
+        let expected = DecodeOutcome::Validation {
+            vreg: next.vreg,
+            offset: 0,
+            follow_on: None,
+        };
+        assert_eq!(out, expected);
+    }
+
+    fn one_register_engine() -> VectorizationEngine {
+        VectorizationEngine::new(&DvConfig {
+            vector_registers: 1,
+            ..DvConfig::default()
+        })
+    }
+
+    #[test]
+    fn last_element_validates_without_a_free_register_for_the_follow_on() {
+        let mut e = one_register_engine();
+        let inst = vectorize_load(&mut e, 0x1000, 0x8000, 8);
+        let last = validate_remaining(&mut e, &inst);
+        let expected = DecodeOutcome::Validation {
+            vreg: inst.vreg,
+            offset: 3,
+            follow_on: None,
+        };
+        assert_eq!(last, expected);
+        assert_eq!(e.stats().no_free_vreg, 1);
+    }
+
+    #[test]
+    fn arith_without_a_free_register_falls_back_to_scalar() {
+        let mut e = one_register_engine();
+        let _ = vectorize_load(&mut e, 0x1000, 0x8000, 8);
+        // x1 is vector-mapped, but the only register holds the load.
+        let ctx = DecodeContext::arith(0x1004, OpClass::IntAlu, xr(2), [Some((xr(1), 0)), None]);
+        assert_eq!(e.decode(&ctx), DecodeOutcome::Scalar);
+        assert_eq!(e.stats().no_free_vreg, 1);
+        assert_eq!(e.current_mapping(xr(2)), None);
     }
 
     #[test]

@@ -171,22 +171,10 @@ impl Vrmt {
         ((pc >> 2) as usize) & (self.sets.len() - 1)
     }
 
-    /// Looks up the entry for `pc`, refreshing its LRU position.
-    pub fn lookup(&mut self, pc: u64) -> Option<&VrmtEntry> {
-        self.stamp += 1;
-        let stamp = self.stamp;
-        let idx = self.set_of(pc);
-        self.sets[idx]
-            .iter_mut()
-            .find(|s| s.entry.pc == pc)
-            .map(|s| {
-                s.last_used = stamp;
-                &s.entry
-            })
-    }
-
-    /// Mutable lookup (used to advance the offset after a validation).
-    pub fn lookup_mut(&mut self, pc: u64) -> Option<&mut VrmtEntry> {
+    /// Looks up the entry for `pc`, refreshing its LRU position.  The
+    /// entry is returned mutably so a validation can advance its offset in
+    /// place.
+    pub fn lookup(&mut self, pc: u64) -> Option<&mut VrmtEntry> {
         self.stamp += 1;
         let stamp = self.stamp;
         let idx = self.set_of(pc);
@@ -339,7 +327,7 @@ mod tests {
         let mut t = Vrmt::new(64, 4, false);
         assert!(t.insert(entry(0x1000, v[0])).is_none());
         assert_eq!(t.lookup(0x1000).unwrap().vreg, v[0]);
-        t.lookup_mut(0x1000).unwrap().offset = 3;
+        t.lookup(0x1000).unwrap().offset = 3;
         assert_eq!(t.lookup(0x1000).unwrap().offset, 3);
         assert!(t.lookup(0x2000).is_none());
     }

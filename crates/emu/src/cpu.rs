@@ -730,7 +730,7 @@ mod tests {
     }
 
     #[test]
-    fn step_group_stops_on_taken_transfers_when_asked() {
+    fn step_group_stops_after_a_taken_transfer() {
         let mut a = Asm::new();
         a.li(x(1), 2);
         a.label("loop");

@@ -5,7 +5,7 @@
 //! `store.io.read.calls`, `engine.store.hit_rate`); see `docs/OBSERVABILITY.md`
 //! for the full naming table.  Registries serialise to a hand-rolled,
 //! versioned JSON document ([`METRICS_SCHEMA`]) in the same house style as
-//! `Analysis::to_json`, and parse back for the
+//! `Envelope::to_json` in `sdv-analyze`, and parse back for the
 //! `sdv-obs` CLI's `summarize`/`diff` commands.
 
 use crate::json::{parse_json, Json};

@@ -73,8 +73,6 @@ pub struct BranchPredictor {
     gshare: Gshare,
     btb: Btb,
     ras: ReturnAddressStack,
-    lookups: u64,
-    mispredictions: u64,
 }
 
 impl BranchPredictor {
@@ -85,8 +83,6 @@ impl BranchPredictor {
             gshare: Gshare::new(cfg.gshare_entries, cfg.history_bits),
             btb: Btb::new(cfg.btb_sets, cfg.btb_ways),
             ras: ReturnAddressStack::new(cfg.ras_depth),
-            lookups: 0,
-            mispredictions: 0,
         }
     }
 
@@ -132,37 +128,6 @@ impl BranchPredictor {
     pub fn update_jump(&mut self, pc: u64, target: u64) {
         self.btb.insert(pc, target);
     }
-
-    /// Records the outcome of one predicted control instruction for the
-    /// aggregate accuracy counters.
-    pub fn record_outcome(&mut self, correct: bool) {
-        self.lookups += 1;
-        if !correct {
-            self.mispredictions += 1;
-        }
-    }
-
-    /// Number of predictions whose outcome has been recorded.
-    #[must_use]
-    pub fn lookups(&self) -> u64 {
-        self.lookups
-    }
-
-    /// Number of recorded mispredictions.
-    #[must_use]
-    pub fn mispredictions(&self) -> u64 {
-        self.mispredictions
-    }
-
-    /// Misprediction rate over the recorded outcomes (0 when nothing recorded).
-    #[must_use]
-    pub fn misprediction_rate(&self) -> f64 {
-        if self.lookups == 0 {
-            0.0
-        } else {
-            self.mispredictions as f64 / self.lookups as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -202,18 +167,6 @@ mod tests {
         assert_eq!(bp.predict_return(0x9000).target, Some(0x1234));
         // Empty RAS falls back to the BTB (which knows nothing here).
         assert_eq!(bp.predict_return(0x9000).target, None);
-    }
-
-    #[test]
-    fn accuracy_counters() {
-        let mut bp = BranchPredictor::new(&PredictorConfig::default());
-        bp.record_outcome(true);
-        bp.record_outcome(false);
-        bp.record_outcome(true);
-        bp.record_outcome(true);
-        assert_eq!(bp.lookups(), 4);
-        assert_eq!(bp.mispredictions(), 1);
-        assert!((bp.misprediction_rate() - 0.25).abs() < 1e-12);
     }
 
     #[test]

@@ -92,7 +92,7 @@ use crate::rob::{Rob, RobCold, WaiterArena, WaiterStats, NO_WAITER};
 use crate::seqset::SeqSet;
 use crate::stats::RunStats;
 use crate::vector_dp::VectorDatapath;
-use sdv_core::{DecodeContext, DecodeOutcome, VectorizationEngine, VregId};
+use sdv_core::{DecodeContext, VregId};
 use sdv_emu::{EmuError, Emulator, Retired};
 use sdv_isa::{OpClass, Program, NUM_ARCH_REGS};
 use sdv_mem::{DataMemory, PortKind, PortSet, WideBusStats};
@@ -259,8 +259,9 @@ pub struct Processor {
     ports: PortSet,
     wide_stats: WideBusStats,
     fus: FuPool,
-    engine: Option<VectorizationEngine>,
-    vdp: Option<VectorDatapath>,
+    /// The DV unit (§3): the vectorization engine inside the vector data
+    /// path; `None` when the mechanism is disabled.
+    dv: Option<VectorDatapath>,
     rob: Rob,
     /// Pooled waiter lists (one per producer, headed by the ROB's
     /// `waiter_head` lane): pre-sized so steady-state dispatch never touches
@@ -353,10 +354,9 @@ impl Processor {
     /// Builds a processor for `program` with configuration `cfg`.
     #[must_use]
     pub fn new(cfg: &UarchConfig, program: &Program) -> Self {
-        let engine = cfg.vectorization.map(|dv| VectorizationEngine::new(&dv));
-        let vdp = cfg
+        let dv = cfg
             .vectorization
-            .map(|dv| VectorDatapath::new(cfg.vector_fus, dv.vector_length));
+            .map(|dv| VectorDatapath::new(&dv, cfg.vector_fus));
         Processor {
             emu: Emulator::new(program),
             predictor: BranchPredictor::new(&cfg.predictor),
@@ -364,8 +364,7 @@ impl Processor {
             ports: PortSet::new(cfg.port_kind, cfg.dcache_ports),
             wide_stats: WideBusStats::new(cfg.line_words()),
             fus: FuPool::new(cfg.scalar_fus),
-            engine,
-            vdp,
+            dv,
             rob: Rob::new(cfg.rob_size),
             // Hard bound: every live waiter node's dependent is in flight and
             // holds at most two source edges, so 2 × window nodes suffice.
@@ -570,7 +569,7 @@ impl Processor {
     fn attribute_cycle(&mut self, committed_before: u64) {
         let bucket = if self.stats.committed > committed_before {
             CycleBucket::Committing
-        } else if self.vdp.as_ref().is_some_and(|v| v.active_instances() > 0) {
+        } else if self.dv.as_ref().is_some_and(|v| v.active_instances() > 0) {
             CycleBucket::VectorDatapathBusy
         } else if self.cycle_flags & FLAG_UNKNOWN_STORE != 0 {
             CycleBucket::UnknownStoreMasked
@@ -672,7 +671,6 @@ impl Processor {
                 };
                 let correct = prediction.taken == retired.taken
                     && (!retired.taken || prediction.target == Some(retired.next_pc));
-                self.predictor.record_outcome(correct);
                 match retired.inst.op.class() {
                     OpClass::Branch => {
                         self.predictor
@@ -753,7 +751,7 @@ impl Processor {
     }
 
     fn would_block_on_scalar(&self, r: &Retired) -> bool {
-        let Some(engine) = &self.engine else {
+        let Some(dv) = &self.dv else {
             return false;
         };
         if !r.inst.op.class().is_arith() {
@@ -762,7 +760,7 @@ impl Processor {
         // One batched VRMT pass over both sources instead of up to four
         // point lookups.
         let srcs = [r.inst.src1, r.inst.src2];
-        let maps = engine.current_mappings(srcs);
+        let maps = dv.engine().current_mappings(srcs);
         if !maps.iter().any(Option::is_some) {
             return false;
         }
@@ -780,16 +778,16 @@ impl Processor {
     fn dispatch_core(&mut self, r: Retired) {
         let class = r.inst.op.class();
 
-        // Ask the vectorization engine what this instruction becomes.  For a
-        // non-vectorizable instruction with no destination (stores, branches,
-        // nops) the engine's decode is a no-op by construction, so the
-        // context build and the call are skipped outright.
-        let outcome = match self.engine.as_mut() {
-            Some(engine) if class.is_vectorizable() || r.inst.dst.is_some() => {
-                let ctx = Self::decode_context(&r);
-                engine.decode(&ctx)
+        // Ask the DV unit what this instruction becomes; it dispatches any
+        // vector instance the decode creates.  For a non-vectorizable
+        // instruction with no destination (stores, branches, nops) the
+        // engine's decode is a no-op by construction, so the context build
+        // and the call are skipped outright.
+        let mode = match self.dv.as_mut() {
+            Some(dv) if class.is_vectorizable() || r.inst.dst.is_some() => {
+                dv.decode(&Self::decode_context(&r))
             }
-            _ => DecodeOutcome::Scalar,
+            _ => ExecMode::Scalar,
         };
 
         // Record source dependences *before* updating the destination mapping.
@@ -807,29 +805,6 @@ impl Processor {
                     src_vec[i] = Some((vreg, generation, offset));
                 }
             }
-        }
-
-        let mode = match (&outcome, self.engine.as_ref()) {
-            (DecodeOutcome::Scalar, _) | (_, None) => ExecMode::Scalar,
-            (outcome, Some(engine)) => {
-                let (vreg, offset) = outcome.validated_element().expect("vectorized outcome");
-                ExecMode::Validation {
-                    vreg,
-                    generation: engine.vreg_generation(vreg),
-                    offset,
-                }
-            }
-        };
-
-        // Launch a new vector instance if one was created (either the first
-        // instance of the instruction or the §3.2 follow-on that continues a
-        // load pattern after its last element was validated).
-        if let Some(instance) = outcome.instance_to_launch() {
-            let engine = self.engine.as_ref().expect("vector outcome implies engine");
-            self.vdp
-                .as_mut()
-                .expect("engine implies datapath")
-                .dispatch(instance, engine);
         }
 
         // Update the destination mapping.
@@ -851,9 +826,9 @@ impl Processor {
             self.stats.post_mispredict_window += 1;
             if let ExecMode::Validation { vreg, offset, .. } = mode {
                 if self
-                    .engine
+                    .dv
                     .as_ref()
-                    .is_some_and(|e| e.element_ready(vreg, offset))
+                    .is_some_and(|dv| dv.engine().element_ready(vreg, offset))
                 {
                     self.stats.post_mispredict_reused += 1;
                 }
@@ -927,7 +902,7 @@ impl Processor {
                     let _ = self.rob.swap_waiter_head(producer, head);
                 }
             }
-            let has_vec_wait = self.engine.is_some() && src_vec.iter().any(Option::is_some);
+            let has_vec_wait = self.dv.is_some() && src_vec.iter().any(Option::is_some);
             self.rob.set_pending_scalar(seq, pending);
             self.rob.set_has_vec_wait(seq, has_vec_wait);
             if pending > 0 {
@@ -967,9 +942,9 @@ impl Processor {
     /// ready set it would have seen polling every entry in place.
     fn drain_vector_wakeups(&mut self) {
         while let Some(vreg) = self
-            .engine
+            .dv
             .as_mut()
-            .and_then(VectorizationEngine::pop_touched)
+            .and_then(|dv| dv.engine_mut().pop_touched())
         {
             let Some(list) = self.vec_waiters.get_mut(vreg.index()) else {
                 continue;
@@ -1057,7 +1032,7 @@ impl Processor {
         &self,
         src_vec: &[Option<(VregId, u64, usize)>; 2],
     ) -> Option<VregId> {
-        let engine = self.engine.as_ref()?;
+        let engine = self.dv.as_ref()?.engine();
         src_vec
             .iter()
             .flatten()
@@ -1066,9 +1041,10 @@ impl Processor {
     }
 
     fn validation_ready(&self, vreg: VregId, generation: u64, offset: usize) -> bool {
-        self.engine
+        self.dv
             .as_ref()
-            .expect("validations exist only with the engine")
+            .expect("validations exist only with the DV unit")
+            .engine()
             .element_resolved(vreg, generation, offset)
     }
 
@@ -1609,8 +1585,8 @@ impl Processor {
     // --------------------------------------------------------------- vector
 
     fn step_vector(&mut self) {
-        if let (Some(vdp), Some(engine)) = (self.vdp.as_mut(), self.engine.as_mut()) {
-            vdp.step(self.cycle, engine, &mut self.mem, &mut self.ports);
+        if let Some(dv) = self.dv.as_mut() {
+            dv.step(self.cycle, &mut self.mem, &mut self.ports);
         }
     }
 
@@ -1666,8 +1642,8 @@ impl Processor {
         self.stats.memory_accesses += 1;
         *stores += 1;
         let mut squash = false;
-        if let Some(engine) = self.engine.as_mut() {
-            squash = engine.commit_store(addr, width).squash;
+        if let Some(dv) = self.dv.as_mut() {
+            squash = dv.engine_mut().commit_store(addr, width).squash;
         }
         if squash {
             self.squash_younger_than_front();
@@ -1710,24 +1686,21 @@ impl Processor {
             } => {
                 self.stats.committed_validations += 1;
                 self.stats.committed_vector_mode += 1;
-                if let Some(engine) = self.engine.as_mut() {
-                    engine.commit_validation(vreg, offset, dst.filter(|d| !d.is_zero()));
-                }
-                if let Some(vdp) = self.vdp.as_mut() {
-                    vdp.note_validation(vreg, generation, offset);
+                if let Some(dv) = self.dv.as_mut() {
+                    dv.commit_validation(vreg, generation, offset, dst.filter(|d| !d.is_zero()));
                 }
             }
             ExecMode::Scalar => {
-                if let (Some(engine), Some(dst)) = (self.engine.as_mut(), dst) {
+                if let (Some(dv), Some(dst)) = (self.dv.as_mut(), dst) {
                     if !dst.is_zero() && !r.inst.is_control() {
-                        engine.commit_scalar_write(dst);
+                        dv.engine_mut().commit_scalar_write(dst);
                     }
                 }
             }
         }
         if r.inst.is_control() {
-            if let Some(engine) = self.engine.as_mut() {
-                engine.commit_control(r.pc, r.taken, r.next_pc);
+            if let Some(dv) = self.dv.as_mut() {
+                dv.engine_mut().commit_control(r.pc, r.taken, r.next_pc);
             }
         }
         // Release the rename mapping if this instruction still owns it.
@@ -1795,7 +1768,7 @@ impl Processor {
         if self.stats.committed >= max_insts || self.finished() {
             return;
         }
-        if self.vdp.as_ref().is_some_and(|v| v.active_instances() > 0) {
+        if self.dv.as_ref().is_some_and(|v| v.active_instances() > 0) {
             return;
         }
         // Promote now what the next walk would promote anyway: the drain is
@@ -1839,7 +1812,7 @@ impl Processor {
                 bound = bound.min(self.rob.complete_cycle(head));
             }
         }
-        if let Some(when) = self.vdp.as_ref().and_then(VectorDatapath::next_event_cycle) {
+        if let Some(when) = self.dv.as_ref().and_then(VectorDatapath::next_event_cycle) {
             bound = bound.min(when);
         }
         if let Some(when) = self.mem.next_miss_done_cycle(self.cycle) {
@@ -1922,17 +1895,14 @@ impl Processor {
     // -------------------------------------------------------------- helpers
 
     fn finalize(&mut self) {
-        if let Some(engine) = self.engine.as_mut() {
-            engine.finish();
-            self.stats.dv = Some(*engine.stats());
-            self.stats.element_usage = Some(*engine.vrf().usage());
-        }
-        if let Some(vdp) = self.vdp.as_mut() {
-            vdp.finalize(&mut self.wide_stats);
+        if let Some(dv) = self.dv.as_mut() {
+            dv.finalize(&mut self.wide_stats);
+            self.stats.dv = Some(*dv.engine().stats());
+            self.stats.element_usage = Some(*dv.engine().vrf().usage());
             // Speculative vector-load line accesses are real L1 traffic and
             // count towards the paper's "number of memory requests".
-            self.stats.vector_line_accesses = vdp.line_accesses();
-            self.stats.memory_accesses += vdp.line_accesses();
+            self.stats.vector_line_accesses = dv.line_accesses();
+            self.stats.memory_accesses += dv.line_accesses();
         }
         self.stats.cycles = self.cycle;
         self.stats.ports = self.ports.stats();

@@ -1,8 +1,10 @@
 //! The vector data path (§3.4): vector instruction queue, vector functional
 //! units and vector load address generation.
 //!
-//! Vector instances created by the [`sdv_core::VectorizationEngine`] are
-//! dispatched here by the pipeline.  Each cycle the data path
+//! [`VectorDatapath`] owns the [`sdv_core::VectorizationEngine`], and the
+//! pipeline reaches the engine only through it: [`VectorDatapath::decode`]
+//! runs the engine's decode and dispatches the vector instance it creates.
+//! Each cycle the data path
 //!
 //! * delivers results whose latency has elapsed (setting the element R flags),
 //! * lets every load instance perform at most one L1 access (a *wide* port
@@ -18,7 +20,12 @@
 
 use crate::config::FuConfig;
 use crate::fu::FuPool;
-use sdv_core::{NewVectorInstance, Operand, VectorOpKind, VectorizationEngine, VregId};
+use crate::pipeline::ExecMode;
+use sdv_core::{
+    DecodeContext, DecodeOutcome, DvConfig, NewVectorInstance, Operand, VectorOpKind,
+    VectorizationEngine, VregId,
+};
+use sdv_isa::ArchReg;
 use sdv_mem::{DataMemory, PortKind, PortSet, WideBusStats};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -82,9 +89,10 @@ struct Instance {
     pending_loads: u64,
 }
 
-/// The vector data path.
+/// The vector data path, with the engine whose instances it computes.
 #[derive(Debug, Clone)]
 pub struct VectorDatapath {
+    engine: VectorizationEngine,
     fus: FuPool,
     vl: usize,
     instances: Vec<Instance>,
@@ -103,18 +111,57 @@ pub struct VectorDatapath {
 }
 
 impl VectorDatapath {
-    /// Creates an empty data path with the given vector functional units.
+    /// Creates an engine sized by `dv` and an empty data path with the
+    /// given vector functional units.
     #[must_use]
-    pub fn new(fus: FuConfig, vector_length: usize) -> Self {
+    pub fn new(dv: &DvConfig, fus: FuConfig) -> Self {
         VectorDatapath {
+            engine: VectorizationEngine::new(dv),
             fus: FuPool::new(fus),
-            vl: vector_length,
+            vl: dv.vector_length,
             instances: Vec::new(),
             events: BinaryHeap::new(),
             records: Vec::new(),
-            resolved: vec![0; vector_length + 1],
+            resolved: vec![0; dv.vector_length + 1],
             elements_started: 0,
             line_accesses: 0,
+        }
+    }
+
+    /// The engine: its maps, register file and counters.
+    #[must_use]
+    pub fn engine(&self) -> &VectorizationEngine {
+        &self.engine
+    }
+
+    /// The engine, for the commit hooks that touch it alone.  Decode goes
+    /// through [`Self::decode`], so every instance it creates is dispatched.
+    pub(crate) fn engine_mut(&mut self) -> &mut VectorizationEngine {
+        &mut self.engine
+    }
+
+    /// Runs the engine's decode (§3.2) on one instruction and dispatches the
+    /// vector instance it creates, if any: the instruction's first instance,
+    /// or a load's follow-on once its last element validates.  Returns how
+    /// the instruction itself executes.
+    pub fn decode(&mut self, ctx: &DecodeContext) -> ExecMode {
+        let outcome = self.engine.decode(ctx);
+        let Some((vreg, offset)) = outcome.validated_element() else {
+            return ExecMode::Scalar;
+        };
+        let generation = self.engine.vreg_generation(vreg);
+        if let DecodeOutcome::NewVector { instance }
+        | DecodeOutcome::Validation {
+            follow_on: Some(instance),
+            ..
+        } = outcome
+        {
+            self.dispatch(&instance);
+        }
+        ExecMode::Validation {
+            vreg,
+            generation,
+            offset,
         }
     }
 
@@ -149,10 +196,10 @@ impl VectorDatapath {
     }
 
     /// Accepts a freshly created vector instance from decode.
-    pub fn dispatch(&mut self, inst: &NewVectorInstance, engine: &VectorizationEngine) {
+    fn dispatch(&mut self, inst: &NewVectorInstance) {
         // The register is being re-used: accounting records from its previous
         // generation can no longer receive validations, so resolve them now.
-        let generation = engine.vreg_generation(inst.vreg);
+        let generation = self.engine.vreg_generation(inst.vreg);
         if let Some(list) = self.records.get_mut(inst.vreg.index()) {
             let mut i = 0;
             while i < list.len() {
@@ -169,7 +216,7 @@ impl VectorDatapath {
             VectorOpKind::Arith { .. } => 0,
         };
         let src = |op: &Operand| match op {
-            Operand::Vector { vreg, .. } => Some((*vreg, engine.vreg_generation(*vreg))),
+            Operand::Vector { vreg, .. } => Some((*vreg, self.engine.vreg_generation(*vreg))),
             _ => None,
         };
         self.instances.push(Instance {
@@ -182,9 +229,17 @@ impl VectorDatapath {
         });
     }
 
-    /// Marks the words corresponding to a committed validation as useful in
-    /// the Figure 13 accounting.
-    pub fn note_validation(&mut self, vreg: VregId, generation: u64, offset: usize) {
+    /// Commits a validation: the engine's commit (V flag, §3.3 freeing of
+    /// the element `dst` mapped before), then the Figure 13 note that the
+    /// validated element's word was useful.
+    pub fn commit_validation(
+        &mut self,
+        vreg: VregId,
+        generation: u64,
+        offset: usize,
+        dst: Option<ArchReg>,
+    ) {
+        self.engine.commit_validation(vreg, offset, dst);
         let Some(list) = self.records.get_mut(vreg.index()) else {
             return;
         };
@@ -215,13 +270,7 @@ impl VectorDatapath {
     }
 
     /// Advances the data path by one cycle.
-    pub fn step(
-        &mut self,
-        now: u64,
-        engine: &mut VectorizationEngine,
-        dmem: &mut DataMemory,
-        ports: &mut PortSet,
-    ) {
+    pub fn step(&mut self, now: u64, dmem: &mut DataMemory, ports: &mut PortSet) {
         // Idle fast path: nothing in flight and nothing to deliver.  (The FU
         // cycle reset can be skipped too — nothing has issued since the last
         // reset, and an instance dispatched later this cycle is only stepped
@@ -235,8 +284,8 @@ impl VectorDatapath {
                 break;
             }
             self.events.pop();
-            if engine.vreg_generation(ev.vreg) == ev.generation {
-                engine.set_element_ready(ev.vreg, ev.offset);
+            if self.engine.vreg_generation(ev.vreg) == ev.generation {
+                self.engine.set_element_ready(ev.vreg, ev.offset);
             }
         }
 
@@ -250,10 +299,10 @@ impl VectorDatapath {
             let inst = &self.instances[idx];
             // A released-and-reallocated register means the results are no
             // longer wanted; drop the instance.
-            let done = engine.vreg_generation(inst.vreg) != inst.generation
+            let done = self.engine.vreg_generation(inst.vreg) != inst.generation
                 || match inst.kind {
                     VectorOpKind::Load { .. } => self.step_load(idx, now, dmem, ports),
-                    VectorOpKind::Arith { .. } => self.step_arith(idx, now, engine),
+                    VectorOpKind::Arith { .. } => self.step_arith(idx, now),
                 };
             if done {
                 self.instances.swap_remove(idx);
@@ -322,7 +371,7 @@ impl VectorDatapath {
     /// One cycle of the arithmetic instance at `idx`: starts its next
     /// element on a free unit once the element's sources are resolved.
     /// Returns whether the instance is done.
-    fn step_arith(&mut self, idx: usize, now: u64, engine: &VectorizationEngine) -> bool {
+    fn step_arith(&mut self, idx: usize, now: u64) -> bool {
         let inst = self.instances[idx];
         let VectorOpKind::Arith { class } = inst.kind else {
             unreachable!("step_arith runs arithmetic instances only");
@@ -335,7 +384,7 @@ impl VectorDatapath {
             .srcs
             .iter()
             .flatten()
-            .all(|&(vreg, generation)| engine.element_resolved(vreg, generation, offset));
+            .all(|&(vreg, generation)| self.engine.element_resolved(vreg, generation, offset));
         if ready {
             if let Some(latency) = self.fus.try_issue(class) {
                 self.elements_started += 1;
@@ -351,9 +400,12 @@ impl VectorDatapath {
         self.instances[idx].next >= self.vl
     }
 
-    /// Flushes the Figure 13 accounting for every recorded vector-load access
-    /// into `wide`, classifying words by whether a validation consumed them.
+    /// Finishes a run: releases every vector register (so the Figure 15
+    /// usage counts work still in flight) and flushes the Figure 13
+    /// accounting for every recorded vector-load access into `wide`,
+    /// classifying words by whether a validation consumed them.
     pub fn finalize(&mut self, wide: &mut WideBusStats) {
+        self.engine.finish();
         for list in &mut self.records {
             for rec in list.drain(..) {
                 self.resolved[useful_words(rec.used).min(self.vl)] += 1;
@@ -371,144 +423,131 @@ impl VectorDatapath {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdv_core::{DecodeContext, DecodeOutcome, DvConfig};
-    use sdv_isa::{ArchReg, OpClass};
+    use sdv_isa::OpClass;
     use sdv_mem::MemHierarchyConfig;
 
-    fn setup() -> (VectorizationEngine, DataMemory, PortSet, VectorDatapath) {
-        let engine = VectorizationEngine::new(&DvConfig::default());
+    fn setup() -> (DataMemory, PortSet, VectorDatapath) {
         let dmem = DataMemory::new(&MemHierarchyConfig::table1());
         let ports = PortSet::new(PortKind::Wide, 1);
-        let vdp = VectorDatapath::new(FuConfig::four_way(), 4);
-        (engine, dmem, ports, vdp)
+        let vdp = VectorDatapath::new(&DvConfig::default(), FuConfig::four_way());
+        (dmem, ports, vdp)
     }
 
-    fn vectorize_load(
-        engine: &mut VectorizationEngine,
-        pc: u64,
-        base: u64,
-        stride: u64,
-    ) -> NewVectorInstance {
+    /// Decodes a strided load at `pc` until it vectorizes; the decode that
+    /// creates the instance also dispatches it.  Returns its register.
+    fn vectorize_load(vdp: &mut VectorDatapath, pc: u64, base: u64, stride: u64) -> VregId {
         let dst = ArchReg::int(1);
         for i in 0..3u64 {
-            engine.decode(&DecodeContext::load(pc, dst, base + i * stride, 8));
+            let mode = vdp.decode(&DecodeContext::load(pc, dst, base + i * stride, 8));
+            assert_eq!(mode, ExecMode::Scalar);
         }
-        match engine.decode(&DecodeContext::load(pc, dst, base + 3 * stride, 8)) {
-            DecodeOutcome::NewVector { instance } => instance,
-            other => panic!("expected NewVector, got {other:?}"),
+        match vdp.decode(&DecodeContext::load(pc, dst, base + 3 * stride, 8)) {
+            ExecMode::Validation {
+                vreg, offset: 0, ..
+            } => vreg,
+            other => panic!("expected a validation of element 0, got {other:?}"),
+        }
+    }
+
+    /// Steps the data path until nothing is in flight.
+    fn drain(vdp: &mut VectorDatapath, dmem: &mut DataMemory, ports: &mut PortSet, from: u64) {
+        let mut cycle = from;
+        while vdp.active_instances() > 0 || !vdp.events.is_empty() {
+            ports.begin_cycle();
+            vdp.step(cycle, dmem, ports);
+            cycle += 1;
+            assert!(cycle < 1000, "the vector data path should drain quickly");
         }
     }
 
     #[test]
     fn load_instance_fetches_all_elements_with_one_wide_access() {
-        let (mut engine, mut dmem, mut ports, mut vdp) = setup();
+        let (mut dmem, mut ports, mut vdp) = setup();
         // Stride 8 with a 32-byte line; the base is chosen so the vector
         // instance (which starts at base + 3*stride = 0x8000) is line aligned
         // and all four elements share one line.
-        let inst = vectorize_load(&mut engine, 0x1000, 0x7fe8, 8);
-        vdp.dispatch(&inst, &engine);
+        let vreg = vectorize_load(&mut vdp, 0x1000, 0x7fe8, 8);
         assert_eq!(vdp.active_instances(), 1);
-
-        let mut cycle = 0;
-        while vdp.active_instances() > 0 || !vdp.events.is_empty() {
-            ports.begin_cycle();
-            vdp.step(cycle, &mut engine, &mut dmem, &mut ports);
-            cycle += 1;
-            assert!(cycle < 1000, "vector load should finish quickly");
-        }
+        drain(&mut vdp, &mut dmem, &mut ports, 0);
         assert_eq!(
             vdp.line_accesses(),
             1,
             "one wide access covers the whole register"
         );
         for off in 0..4 {
-            assert!(engine.element_ready(inst.vreg, off), "element {off} ready");
+            assert!(vdp.engine().element_ready(vreg, off), "element {off} ready");
         }
     }
 
     #[test]
     fn scalar_ports_need_one_access_per_element() {
-        let (mut engine, mut dmem, _, mut vdp) = setup();
+        let (mut dmem, _, mut vdp) = setup();
         let mut ports = PortSet::new(PortKind::Scalar, 1);
-        let inst = vectorize_load(&mut engine, 0x1000, 0x8000, 8);
-        vdp.dispatch(&inst, &engine);
-        let mut cycle = 0;
-        while vdp.active_instances() > 0 || !vdp.events.is_empty() {
-            ports.begin_cycle();
-            vdp.step(cycle, &mut engine, &mut dmem, &mut ports);
-            cycle += 1;
-            assert!(cycle < 1000);
-        }
+        let _ = vectorize_load(&mut vdp, 0x1000, 0x8000, 8);
+        drain(&mut vdp, &mut dmem, &mut ports, 0);
         assert_eq!(vdp.line_accesses(), 4);
     }
 
     #[test]
     fn strides_spanning_lines_need_multiple_accesses() {
-        let (mut engine, mut dmem, mut ports, mut vdp) = setup();
+        let (mut dmem, mut ports, mut vdp) = setup();
         // Stride 64 bytes: every element lives in its own 32-byte line.
-        let inst = vectorize_load(&mut engine, 0x1000, 0x8000, 64);
-        vdp.dispatch(&inst, &engine);
-        let mut cycle = 0;
-        while vdp.active_instances() > 0 || !vdp.events.is_empty() {
-            ports.begin_cycle();
-            vdp.step(cycle, &mut engine, &mut dmem, &mut ports);
-            cycle += 1;
-            assert!(cycle < 1000);
-        }
+        let _ = vectorize_load(&mut vdp, 0x1000, 0x8000, 64);
+        drain(&mut vdp, &mut dmem, &mut ports, 0);
         assert_eq!(vdp.line_accesses(), 4);
         assert_eq!(vdp.elements_started(), 4);
     }
 
     #[test]
     fn arith_instance_waits_for_source_elements() {
-        let (mut engine, mut dmem, mut ports, mut vdp) = setup();
-        let load = vectorize_load(&mut engine, 0x1000, 0x8000, 8);
+        let (mut dmem, mut ports, mut vdp) = setup();
+        // Decode through the engine alone so the two instances can be
+        // dispatched in the opposite order.
+        let dst = ArchReg::int(1);
+        let mut load = DecodeOutcome::Scalar;
+        for i in 0..4u64 {
+            let ctx = DecodeContext::load(0x1000, dst, 0x8000 + i * 8, 8);
+            load = vdp.engine_mut().decode(&ctx);
+        }
+        let DecodeOutcome::NewVector { instance: load } = load else {
+            panic!("expected NewVector, got {load:?}");
+        };
         let add = DecodeContext::arith(
             0x1004,
             OpClass::IntAlu,
             ArchReg::int(2),
-            [Some((ArchReg::int(1), 0)), None],
+            [Some((dst, 0)), None],
         );
-        let add_inst = match engine.decode(&add) {
+        let add_inst = match vdp.engine_mut().decode(&add) {
             DecodeOutcome::NewVector { instance } => instance,
             other => panic!("expected NewVector, got {other:?}"),
         };
         // Dispatch only the arithmetic instance: its sources are not ready, so
         // it must not make progress.
-        vdp.dispatch(&add_inst, &engine);
+        vdp.dispatch(&add_inst);
         for cycle in 0..5 {
             ports.begin_cycle();
-            vdp.step(cycle, &mut engine, &mut dmem, &mut ports);
+            vdp.step(cycle, &mut dmem, &mut ports);
         }
         assert_eq!(vdp.elements_started(), 0);
         // Now dispatch the load; once its elements arrive the add proceeds.
-        vdp.dispatch(&load, &engine);
-        let mut cycle = 5;
-        while vdp.active_instances() > 0 || !vdp.events.is_empty() {
-            ports.begin_cycle();
-            vdp.step(cycle, &mut engine, &mut dmem, &mut ports);
-            cycle += 1;
-            assert!(cycle < 1000);
-        }
+        vdp.dispatch(&load);
+        drain(&mut vdp, &mut dmem, &mut ports, 5);
         for off in 0..4 {
-            assert!(engine.element_ready(add_inst.vreg, off));
+            assert!(vdp.engine().element_ready(add_inst.vreg, off));
         }
         assert_eq!(vdp.elements_started(), 8);
     }
 
     #[test]
     fn validation_marks_words_useful_for_figure_13() {
-        let (mut engine, mut dmem, mut ports, mut vdp) = setup();
-        let inst = vectorize_load(&mut engine, 0x1000, 0x7fe8, 8);
-        let generation = engine.vreg_generation(inst.vreg);
-        vdp.dispatch(&inst, &engine);
-        for cycle in 0..200 {
-            ports.begin_cycle();
-            vdp.step(cycle, &mut engine, &mut dmem, &mut ports);
-        }
+        let (mut dmem, mut ports, mut vdp) = setup();
+        let vreg = vectorize_load(&mut vdp, 0x1000, 0x7fe8, 8);
+        let generation = vdp.engine().vreg_generation(vreg);
+        drain(&mut vdp, &mut dmem, &mut ports, 0);
         // Two of the four fetched words end up validated.
-        vdp.note_validation(inst.vreg, generation, 0);
-        vdp.note_validation(inst.vreg, generation, 1);
+        vdp.commit_validation(vreg, generation, 0, Some(ArchReg::int(1)));
+        vdp.commit_validation(vreg, generation, 1, Some(ArchReg::int(1)));
         let mut wide = WideBusStats::new(4);
         vdp.finalize(&mut wide);
         assert_eq!(wide.total(), 1);
@@ -518,13 +557,9 @@ mod tests {
 
     #[test]
     fn unused_speculative_access_is_counted() {
-        let (mut engine, mut dmem, mut ports, mut vdp) = setup();
-        let inst = vectorize_load(&mut engine, 0x1000, 0x7fe8, 8);
-        vdp.dispatch(&inst, &engine);
-        for cycle in 0..200 {
-            ports.begin_cycle();
-            vdp.step(cycle, &mut engine, &mut dmem, &mut ports);
-        }
+        let (mut dmem, mut ports, mut vdp) = setup();
+        let _ = vectorize_load(&mut vdp, 0x1000, 0x7fe8, 8);
+        drain(&mut vdp, &mut dmem, &mut ports, 0);
         let mut wide = WideBusStats::new(4);
         vdp.finalize(&mut wide);
         assert_eq!(wide.count_unused(), 1, "no element was ever validated");

@@ -438,7 +438,7 @@ fn run_stats_match_the_pre_refactor_build_exactly() {
 /// the dispatch and commit loops it shares with the fast model — reproduces
 /// the same counter sets on every cell.
 #[test]
-fn legacy_busy_path_matches_the_golden_stats_on_every_cell() {
+fn reference_model_matches_the_golden_stats_on_every_cell() {
     assert_every_cell_matches(Model::Reference);
 }
 
