@@ -40,8 +40,6 @@ pub struct TableOfLoads {
     threshold: u8,
     unbounded: bool,
     stamp: u64,
-    observations: u64,
-    replacements: u64,
 }
 
 impl TableOfLoads {
@@ -65,8 +63,6 @@ impl TableOfLoads {
             threshold,
             unbounded,
             stamp: 0,
-            observations: 0,
-            replacements: 0,
         }
     }
 
@@ -82,7 +78,6 @@ impl TableOfLoads {
     /// zero otherwise.  The last-address field is always updated.
     pub fn observe(&mut self, pc: u64, addr: u64) -> TlObservation {
         self.stamp += 1;
-        self.observations += 1;
         let stamp = self.stamp;
         let threshold = self.threshold;
         let ways = if self.unbounded {
@@ -121,7 +116,6 @@ impl TableOfLoads {
         if set.len() < ways {
             set.push(entry);
         } else {
-            self.replacements += 1;
             let victim = set
                 .iter_mut()
                 .min_by_key(|e| e.last_used)
@@ -144,18 +138,6 @@ impl TableOfLoads {
             confidence: e.confidence,
             vectorize: e.confidence >= self.threshold,
         })
-    }
-
-    /// Number of dynamic loads observed.
-    #[must_use]
-    pub fn observations(&self) -> u64 {
-        self.observations
-    }
-
-    /// Number of entries evicted because a set was full.
-    #[must_use]
-    pub fn replacements(&self) -> u64 {
-        self.replacements
     }
 
     /// Number of entries currently stored.
@@ -246,7 +228,6 @@ mod tests {
         assert!(t.peek(0x1000).is_some());
         assert!(t.peek(0x2000).is_none());
         assert!(t.peek(0x3000).is_some());
-        assert_eq!(t.replacements(), 1);
         assert_eq!(t.len(), 2);
     }
 
@@ -257,7 +238,6 @@ mod tests {
             t.observe(pc * 4, pc);
         }
         assert_eq!(t.len(), 100);
-        assert_eq!(t.replacements(), 0);
     }
 
     #[test]

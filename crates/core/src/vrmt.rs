@@ -121,7 +121,6 @@ pub struct Vrmt {
     ways: usize,
     unbounded: bool,
     stamp: u64,
-    evictions: u64,
     /// Per-vector-register entry counts (indexed by [`VregId::index`]), so
     /// [`Vrmt::references`] is O(1) instead of a whole-table walk.
     refs: Vec<u32>,
@@ -146,7 +145,6 @@ impl Vrmt {
             ways,
             unbounded,
             stamp: 0,
-            evictions: 0,
             refs: Vec::new(),
         }
     }
@@ -218,7 +216,6 @@ impl Vrmt {
             self.inc_ref(entry.vreg);
             None
         } else {
-            self.evictions += 1;
             let victim = set
                 .iter_mut()
                 .min_by_key(|s| s.last_used)
@@ -278,12 +275,6 @@ impl Vrmt {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Number of entries evicted by capacity conflicts.
-    #[must_use]
-    pub fn evictions(&self) -> u64 {
-        self.evictions
     }
 
     /// Iterates over all stored entries.
@@ -351,7 +342,6 @@ mod tests {
         assert!(t.lookup(0x1000).is_some()); // make 0x2000 the LRU
         let evicted = t.insert(entry(0x3000, v[2])).expect("eviction");
         assert_eq!(evicted.pc, 0x2000);
-        assert_eq!(t.evictions(), 1);
         assert!(t.lookup(0x2000).is_none());
     }
 

@@ -51,7 +51,6 @@
 //! ```
 
 pub mod config;
-pub mod fastmap;
 pub mod fu;
 pub mod pipeline;
 pub mod rob;

@@ -61,32 +61,24 @@
 //! waiter list instead.  The engine journals every register whose ready or
 //! poison flags or generation changed, and the scheduler drains that journal
 //! before each issue walk, moving the entries that are now satisfied into the
-//! ready set (event-driven, never polled).  Load/store disambiguation walks an
-//! indexed queue of in-flight stores rather than the whole ROB prefix.  The
+//! ready set (event-driven, never polled).  Load/store disambiguation walks
+//! the queue of in-flight stores rather than the whole ROB prefix.  The
 //! reference model instead scans the whole window every cycle.
 //!
 //! # Macro-stepping
 //!
-//! On top of the event-driven scheduler the fast model's main loop is itself
-//! event driven:
-//!
-//! * **Event-driven commit** — commit tracks the earliest cycle at which the
-//!   ROB head could possibly retire (its completion cycle when issued, the
-//!   next cycle otherwise) and is skipped entirely until then, instead of
-//!   probing the head every tick.  The skipped calls are provably pure, so
-//!   this applies under both models.
-//! * **Clock jumps** — when the machine is provably idle (fetch blocked or
-//!   stalled, nothing issuable in the ready set, no vector instance touching
-//!   memory), the loop consults the pending wakeup sources — the completion
-//!   heap, the ROB head's completion cycle, the vector data path's
-//!   element-ready events, the MSHR done-cycle deque and the front end's
-//!   ready cycle — and advances the clock straight to the earliest of them,
-//!   bulk-charging the per-cycle statistics (port-occupancy denominator,
-//!   decode-blocked cycles) for the skipped window.  Every counter stays
-//!   bit-identical to the per-cycle loop of [`Model::Reference`].
+//! On top of the event-driven scheduler the fast model's main loop jumps the
+//! clock: when the machine is provably idle (fetch blocked or stalled,
+//! nothing issuable in the ready set, no vector instance touching memory),
+//! the loop consults the pending wakeup sources — the completion heap, the
+//! ROB head's completion cycle, the vector data path's element-ready events,
+//! the MSHR done-cycle deque and the front end's ready cycle — and advances
+//! the clock straight to the earliest of them, bulk-charging the per-cycle
+//! statistics (port-occupancy denominator, decode-blocked cycles) for the
+//! skipped window.  Every counter stays bit-identical to the per-cycle loop
+//! of [`Model::Reference`].
 
 use crate::config::UarchConfig;
-use crate::fastmap::FastMap;
 use crate::fu::FuPool;
 use crate::rob::{Rob, RobCold, WaiterArena, WaiterStats, NO_WAITER};
 use crate::seqset::SeqSet;
@@ -132,9 +124,6 @@ fn issue_group_of(class: OpClass) -> u8 {
         _ => Q_OTHER,
     }
 }
-
-/// Address granule used by the store-overlap prefilter.
-const STORE_LINE_BYTES: u64 = 64;
 
 /// Cycle-attribution flag: the issue stage masked the load group because an
 /// older store's address was unknown this cycle.
@@ -277,8 +266,9 @@ pub struct Processor {
     pending_pos: usize,
     map_table: Vec<SrcMapping>,
     lsq_occupancy: usize,
-    /// Sequence numbers of in-flight stores, in program order: the indexed
-    /// store queue used for load/store disambiguation.
+    /// Sequence numbers of in-flight stores, in program order: the store
+    /// queue the fast model walks for load/store disambiguation
+    /// ([`Self::older_store_state`]).
     store_queue: VecDeque<u64>,
     model: Model,
     /// Wakeup scheduler: the single program-ordered set of issuable entries —
@@ -301,13 +291,6 @@ pub struct Processor {
     vec_drain_scratch: Vec<u64>,
     /// Wakeup scheduler: pending completion events `(cycle, producer seq)`.
     completions: BinaryHeap<Reverse<(u64, u64)>>,
-    /// In-flight stores whose address is not yet known (subset of
-    /// `store_queue`), for O(log n) disambiguation checks.
-    unknown_stores: SeqSet,
-    /// 64-byte granules covered by in-flight stores with known addresses,
-    /// with reference counts: a load whose granules miss this map cannot
-    /// overlap any in-flight store, skipping the exact walk entirely.
-    store_lines: FastMap<u64, u32>,
     /// Reusable scratch buffer for draining waiter lists.
     wake_scratch: Vec<u64>,
     /// Reusable scratch buffer for wide-bus peer loads.
@@ -321,10 +304,6 @@ pub struct Processor {
     /// only); consumed and cleared by [`Self::attribute_cycle`].
     cycle_flags: u8,
     cycle: u64,
-    /// Event-driven commit: the earliest cycle at which the ROB head could
-    /// retire, maintained by [`Self::commit`].  Commit is skipped entirely
-    /// before this cycle — the skipped probes are provably pure.
-    commit_gate: u64,
     /// Macro-step telemetry: number of clock jumps taken.
     macro_jumps: u64,
     /// Macro-step telemetry: total cycles skipped by clock jumps.
@@ -380,15 +359,12 @@ impl Processor {
             vec_waiters: Vec::new(),
             vec_drain_scratch: Vec::new(),
             completions: BinaryHeap::new(),
-            unknown_stores: SeqSet::new(),
-            store_lines: FastMap::default(),
             wake_scratch: Vec::new(),
             peer_scratch: Vec::new(),
             issue_trace: None,
             ledger: None,
             cycle_flags: 0,
             cycle: 0,
-            commit_gate: 0,
             macro_jumps: 0,
             macro_skipped_cycles: 0,
             vec_parked: 0,
@@ -529,9 +505,7 @@ impl Processor {
             let committed_before = if attributing { self.stats.committed } else { 0 };
             self.cycle += 1;
             self.begin_cycle();
-            if self.cycle >= self.commit_gate {
-                self.commit();
-            }
+            self.commit();
             self.issue();
             self.step_vector();
             self.dispatch();
@@ -841,9 +815,6 @@ impl Processor {
         }
         if r.inst.is_store() {
             self.store_queue.push_back(r.seq);
-            if self.model == Model::Fast {
-                self.unknown_stores.insert(r.seq);
-            }
         }
         let queue = if matches!(mode, ExecMode::Validation { .. }) {
             Q_VALIDATION
@@ -1186,10 +1157,7 @@ impl Processor {
                     self.rob.set_issued(seq, true);
                     self.rob.set_store_addr_known(seq, true);
                     self.rob.set_complete_cycle(seq, self.cycle + 1);
-                    let (addr, width) = (self.rob.addr(seq), self.rob.width(seq));
                     self.ready_all.remove_at(pos);
-                    self.unknown_stores.remove(seq);
-                    self.add_store_lines(addr, width);
                     self.trace_issue(seq);
                     issued += 1;
                 }
@@ -1235,74 +1203,28 @@ impl Processor {
         }
     }
 
-    /// Granules (64-byte lines) covered by the access `[addr, addr + width)`.
-    fn store_line_span(addr: u64, width: u64) -> (u64, u64) {
-        let first = addr / STORE_LINE_BYTES;
-        let last = (addr + width.max(1) - 1) / STORE_LINE_BYTES;
-        (first, last)
-    }
-
-    fn add_store_lines(&mut self, addr: u64, width: u64) {
-        let (first, last) = Self::store_line_span(addr, width);
-        for line in first..=last {
-            *self.store_lines.entry(line).or_insert(0) += 1;
-        }
-    }
-
-    fn remove_store_lines(&mut self, addr: u64, width: u64) {
-        let (first, last) = Self::store_line_span(addr, width);
-        for line in first..=last {
-            if let Some(count) = self.store_lines.get_mut(&line) {
-                *count -= 1;
-                if *count == 0 {
-                    self.store_lines.remove(&line);
-                }
-            }
-        }
-    }
-
-    /// Whether `[addr, addr + width)` might overlap an in-flight store with a
-    /// known address (conservative, granule-based prefilter).
-    fn may_overlap_store(&self, addr: u64, width: u64) -> bool {
-        if self.store_lines.is_empty() {
-            return false;
-        }
-        let (first, last) = Self::store_line_span(addr, width);
-        (first..=last).any(|line| self.store_lines.contains_key(&line))
-    }
-
     /// Whether every store older than `load_seq` has a known address, and, if
     /// one of them overlaps the load, the youngest such store for forwarding.
     ///
-    /// Fast paths: any older store with an unknown address answers `(false,
-    /// None)` in O(log n) via `unknown_stores`; a load whose granules miss
-    /// `store_lines` cannot overlap anything and answers `(true, None)`
-    /// without touching the store queue.  Only the rare potential-overlap
-    /// case walks the indexed store queue (in-flight stores, youngest first).
-    fn older_store_state_indexed(&self, load_seq: u64) -> (bool, Option<u64>) {
-        if self.unknown_stores.any_below(load_seq) {
-            return (false, None);
-        }
+    /// This is the pipeline's one load/store rule: a load waits until every
+    /// older store's address is known, then forwards from the youngest older
+    /// store it overlaps.  The fast model answers it with one forward walk
+    /// over the in-flight store queue (program order, oldest first), which
+    /// dispatch fills and commit drains; [`Self::older_store_state_naive`]
+    /// is the reference model's walk over the ROB prefix.
+    fn older_store_state(&self, load_seq: u64) -> (bool, Option<u64>) {
         let (laddr, lwidth) = (self.rob.addr(load_seq), self.rob.width(load_seq));
-        if !self.may_overlap_store(laddr, lwidth) {
-            return (true, None);
-        }
-        for &store_seq in self.store_queue.iter().rev() {
-            if store_seq >= load_seq {
-                continue; // younger than the load
+        let mut forward = None;
+        for &store_seq in self.store_queue.iter().take_while(|&&s| s < load_seq) {
+            if !self.rob.store_addr_known(store_seq) {
+                return (false, None);
             }
-            debug_assert!(
-                self.rob.store_addr_known(store_seq),
-                "unknown stores were filtered above"
-            );
             let (saddr, swidth) = (self.rob.addr(store_seq), self.rob.width(store_seq));
             if saddr < laddr + lwidth && laddr < saddr + swidth {
-                // Youngest overlapping store; all older addresses are known,
-                // so the search can stop here.
-                return (true, Some(store_seq));
+                forward = Some(store_seq);
             }
         }
-        (true, None)
+        (true, forward)
     }
 
     /// Attempts to issue one ready scalar-mode load this cycle.
@@ -1313,7 +1235,7 @@ impl Processor {
     /// the load's position in the ready set (the walk's cursor).
     fn try_issue_load_wakeup(&mut self, seq: u64, pos: usize) -> LoadAttempt {
         debug_assert_eq!(self.ready_all.get(pos), Some(ready_key(seq, Q_LOAD)));
-        let (addrs_known, forward) = self.older_store_state_indexed(seq);
+        let (addrs_known, forward) = self.older_store_state(seq);
         if !addrs_known {
             return LoadAttempt::BlockedOnUnknownStore;
         }
@@ -1369,7 +1291,7 @@ impl Processor {
                 if self.mem.line_addr(self.rob.addr(peer)) != line {
                     continue;
                 }
-                let (known, fwd) = self.older_store_state_indexed(peer);
+                let (known, fwd) = self.older_store_state(peer);
                 if !known || fwd.is_some() {
                     continue;
                 }
@@ -1402,21 +1324,10 @@ impl Processor {
             list.clear();
         }
         self.completions.clear();
-        self.unknown_stores.clear();
-        self.store_lines.clear();
         for seq in self.rob.seqs() {
             let _ = self.rob.swap_waiter_head(seq, NO_WAITER);
         }
         self.waiters.reset();
-        for pos in 0..self.store_queue.len() {
-            let store_seq = self.store_queue[pos];
-            if self.rob.store_addr_known(store_seq) {
-                let (addr, width) = (self.rob.addr(store_seq), self.rob.width(store_seq));
-                self.add_store_lines(addr, width);
-            } else {
-                self.unknown_stores.insert(store_seq);
-            }
-        }
         for seq in self.rob.seqs() {
             if self.rob.issued(seq)
                 && self.rob.complete_cycle(seq) > self.cycle
@@ -1487,9 +1398,8 @@ impl Processor {
         }
     }
 
-    /// Whether every store older than `load_seq` has a known address, and, if
-    /// one of them overlaps this load, returns its sequence number for
-    /// forwarding (naive reverse walk over the ROB prefix).
+    /// The reference model's answer to [`Self::older_store_state`]: a reverse
+    /// walk over the whole ROB prefix.
     fn older_store_state_naive(&self, load_seq: u64) -> (bool, Option<u64>) {
         let (laddr, lwidth) = (self.rob.addr(load_seq), self.rob.width(load_seq));
         let mut forward = None;
@@ -1613,8 +1523,6 @@ impl Processor {
             }
             committed += 1;
         }
-        self.stats.cycles = self.cycle;
-        self.recompute_commit_gate();
     }
 
     /// Commits a completed store at the ROB head: its L1-D access through a
@@ -1650,9 +1558,6 @@ impl Processor {
         }
         let popped = self.store_queue.pop_front();
         debug_assert_eq!(popped, Some(head), "stores commit in order");
-        if self.model == Model::Fast && self.rob.store_addr_known(head) {
-            self.remove_store_lines(addr, width);
-        }
         self.stats.committed_stores += 1;
         self.retire_head();
         true
@@ -1716,25 +1621,6 @@ impl Processor {
         self.last_commit_cycle = self.cycle;
     }
 
-    /// Event-driven commit: nothing can retire before the head completes.
-    /// An issued head pins the gate to its completion cycle; an unissued
-    /// or retry-blocked head (store waiting on a port/MSHR, an empty ROB,
-    /// leftover completed entries past the commit width) re-probes next
-    /// cycle.  The head and its completion cycle can only change inside
-    /// commit, so the gate stays valid while commit is skipped.
-    fn recompute_commit_gate(&mut self) {
-        self.commit_gate = if self.rob.is_empty() {
-            self.cycle + 1
-        } else {
-            let head = self.rob.head();
-            if !self.rob.completed(head, self.cycle) && self.rob.issued(head) {
-                self.rob.complete_cycle(head)
-            } else {
-                self.cycle + 1
-            }
-        };
-    }
-
     // -------------------------------------------------------- macro-stepping
 
     /// Clock jump: when every pipeline stage is provably inert until the next
@@ -1784,8 +1670,9 @@ impl Processor {
             // inert.
         }
         // Dispatch: the inputs of every break condition are frozen over the
-        // window — fetch is inert, commit is gated, nothing issues, and a
-        // producer completing in-window is a wakeup source below.  A §3.2
+        // window — fetch is inert, commit retires nothing (the ROB head's
+        // completion is a wakeup source below), nothing issues, and a
+        // producer completing in-window is a wakeup source too.  A §3.2
         // scalar-operand block charges one decode-blocked cycle per skipped
         // cycle, exactly like the per-cycle path.
         let mut charge_decode_block = false;
@@ -2377,6 +2264,63 @@ mod tests {
         // of a just-stored slot: the forwarding path must fire, and it must
         // fire on the same cycles under both models.
         let program = store_reload_loop(400);
+        assert_models_agree_on_four_way(&program, 100_000);
+        for kind in [PortKind::Scalar, PortKind::Wide] {
+            let cfg = UarchConfig::four_way(1, kind);
+            let stats = simulate(&cfg, &program, 100_000);
+            assert!(stats.store_forwards > 0, "{kind:?}: no load forwarded");
+        }
+    }
+
+    /// [`store_reload_loop`] with partial and line-crossing overlaps: each
+    /// iteration stores a doubleword to slot A and a word to A+4, reloads a
+    /// halfword at A+6 (overlapping both stores, so it must forward from the
+    /// younger word store) and a byte at A+1 (overlapping only the
+    /// doubleword), then stores an unaligned doubleword at B+60 of a 64-byte
+    /// aligned buffer, crossing a line boundary, and reloads a word at B+64.
+    /// The word store's data is the last stream load, so it completes after
+    /// the doubleword store: forwarding from the wrong one moves the reload's
+    /// issue cycle.
+    fn partial_overlap_loop(n: u64) -> Program {
+        let mut a = Asm::new();
+        let data: Vec<u64> = (0..4 * n).collect();
+        let buf = a.data_u64(&data);
+        let slot = a.data_u64(&[0]);
+        let line = a.data_bytes(&[0; 128], 64);
+        let (p, q, r, s, c) = (x(1), x(2), x(3), x(4), x(5));
+        let reloads = [x(10), x(11), x(12)];
+        let streams = [x(6), x(7), x(8), x(9)];
+        a.li(p, buf as i64);
+        a.li(q, slot as i64);
+        a.li(r, line as i64);
+        a.li(s, 0);
+        a.li(c, n as i64);
+        a.label("loop");
+        for (k, &v) in streams.iter().enumerate() {
+            a.ld(v, p, 8 * k as i64);
+        }
+        a.sd(c, q, 0);
+        a.sw(streams[3], q, 4);
+        a.lhu(reloads[0], q, 6);
+        a.lbu(reloads[1], q, 1);
+        a.sd(c, r, 60);
+        a.lwu(reloads[2], r, 64);
+        for &v in reloads.iter().chain(&streams) {
+            a.add(s, s, v);
+        }
+        a.addi(p, p, 32);
+        a.addi(c, c, -1);
+        a.bne(c, ArchReg::ZERO, "loop");
+        a.halt();
+        a.finish()
+    }
+
+    #[test]
+    fn partial_overlap_forwarding_agrees_on_kernels() {
+        // The disambiguation walk must pick the youngest overlapping store,
+        // count partial overlaps as overlaps, and see a store that crosses a
+        // line boundary from a load in the next line.
+        let program = partial_overlap_loop(400);
         assert_models_agree_on_four_way(&program, 100_000);
         for kind in [PortKind::Scalar, PortKind::Wide] {
             let cfg = UarchConfig::four_way(1, kind);

@@ -1,6 +1,6 @@
 //! Struct-of-arrays reorder buffer and the pooled waiter arena.
 //!
-//! The busy-cycle loops (issue walk, commit-gate recomputation, commit)
+//! The busy-cycle loops (issue walk, store-queue walk, commit)
 //! touch a handful of scalar fields of every in-flight instruction —
 //! `issued`, `complete_cycle`, the issue-group tag — thousands of times per
 //! simulated kernel.  Keeping those fields inside a ~150-byte AoS `RobEntry`

@@ -1,8 +1,7 @@
 //! An ordered set of sequence numbers backed by a sorted `Vec`.
 //!
-//! The wakeup scheduler keeps two program-ordered sets: `ready_all` (the
-//! issuable entries) and `unknown_stores` (in-flight stores whose address is
-//! not yet known).  Their populations are small (bounded by the instruction
+//! The wakeup scheduler keeps its issuable entries in one program-ordered
+//! set, `ready_all`.  Its population is small (bounded by the instruction
 //! window) and the operations are dominated by ordered scans and point
 //! insert/remove, for which a sorted vector's binary search plus `memmove`
 //! beats a B-tree — especially in unoptimised builds, where pointer-chasing
@@ -20,18 +19,6 @@ impl SeqSet {
     #[must_use]
     pub fn new() -> Self {
         SeqSet::default()
-    }
-
-    /// Number of elements.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Whether the set is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
     }
 
     /// Removes every element.
@@ -85,22 +72,10 @@ impl SeqSet {
         self.items.remove(pos)
     }
 
-    /// The smallest element.
-    #[must_use]
-    pub fn first(&self) -> Option<u64> {
-        self.items.first().copied()
-    }
-
     /// The element at `pos` in ascending order.
     #[must_use]
     pub fn get(&self, pos: usize) -> Option<u64> {
         self.items.get(pos).copied()
-    }
-
-    /// The smallest element strictly smaller than `bound`, if any exists.
-    #[must_use]
-    pub fn any_below(&self, bound: u64) -> bool {
-        self.items.first().is_some_and(|&first| first < bound)
     }
 
     /// Iterates in ascending order.
@@ -125,20 +100,18 @@ mod tests {
     #[test]
     fn ordered_insert_remove_and_queries() {
         let mut s = SeqSet::new();
-        assert!(s.is_empty());
+        assert_eq!(s.get(0), None);
         for seq in [5u64, 1, 9, 3, 7] {
             assert!(s.insert(seq));
         }
         assert!(!s.insert(5), "duplicates are rejected");
-        assert_eq!(s.len(), 5);
-        assert_eq!(s.first(), Some(1));
-        assert!(s.any_below(2));
-        assert!(!s.any_below(1));
+        assert_eq!(s.iter().copied().collect::<Vec<_>>(), vec![1, 3, 5, 7, 9]);
+        assert_eq!(s.get(0), Some(1));
         assert!(s.remove(5));
         assert!(!s.remove(5));
         assert_eq!(s.iter().copied().collect::<Vec<_>>(), vec![1, 3, 7, 9]);
         s.clear();
-        assert_eq!(s.first(), None);
+        assert_eq!(s.get(0), None);
     }
 
     #[test]

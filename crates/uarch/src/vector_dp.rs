@@ -104,8 +104,6 @@ pub struct VectorDatapath {
     records: Vec<Vec<AccessRecord>>,
     /// Histogram of already-resolved accesses by number of useful words.
     resolved: Vec<u64>,
-    /// Total element computations started (loads and arithmetic).
-    elements_started: u64,
     /// Line accesses performed on behalf of vector loads.
     line_accesses: u64,
 }
@@ -123,7 +121,6 @@ impl VectorDatapath {
             events: BinaryHeap::new(),
             records: Vec::new(),
             resolved: vec![0; dv.vector_length + 1],
-            elements_started: 0,
             line_accesses: 0,
         }
     }
@@ -181,12 +178,6 @@ impl VectorDatapath {
     #[must_use]
     pub fn next_event_cycle(&self) -> Option<u64> {
         self.events.peek().map(|Reverse(e)| e.cycle)
-    }
-
-    /// Total element computations started so far.
-    #[must_use]
-    pub fn elements_started(&self) -> u64 {
-        self.elements_started
     }
 
     /// Line accesses performed on behalf of vector loads.
@@ -344,7 +335,6 @@ impl VectorDatapath {
             PortKind::Scalar => pending & pending.wrapping_neg(),
         };
         self.line_accesses += 1;
-        self.elements_started += u64::from(batch.count_ones());
         let pending = pending & !batch;
         self.instances[idx].pending_loads = pending;
         for offset in lanes(batch) {
@@ -387,7 +377,6 @@ impl VectorDatapath {
             .all(|&(vreg, generation)| self.engine.element_resolved(vreg, generation, offset));
         if ready {
             if let Some(latency) = self.fus.try_issue(class) {
-                self.elements_started += 1;
                 self.events.push(Reverse(ReadyEvent {
                     cycle: now + latency,
                     vreg: inst.vreg,
@@ -492,10 +481,12 @@ mod tests {
     fn strides_spanning_lines_need_multiple_accesses() {
         let (mut dmem, mut ports, mut vdp) = setup();
         // Stride 64 bytes: every element lives in its own 32-byte line.
-        let _ = vectorize_load(&mut vdp, 0x1000, 0x8000, 64);
+        let vreg = vectorize_load(&mut vdp, 0x1000, 0x8000, 64);
         drain(&mut vdp, &mut dmem, &mut ports, 0);
         assert_eq!(vdp.line_accesses(), 4);
-        assert_eq!(vdp.elements_started(), 4);
+        for off in 0..4 {
+            assert!(vdp.engine().element_ready(vreg, off), "element {off} ready");
+        }
     }
 
     #[test]
@@ -529,14 +520,17 @@ mod tests {
             ports.begin_cycle();
             vdp.step(cycle, &mut dmem, &mut ports);
         }
-        assert_eq!(vdp.elements_started(), 0);
+        for off in 0..4 {
+            assert!(!vdp.engine().element_ready(add_inst.vreg, off));
+        }
+        assert_eq!(vdp.next_event_cycle(), None, "no element was started");
         // Now dispatch the load; once its elements arrive the add proceeds.
         vdp.dispatch(&load);
         drain(&mut vdp, &mut dmem, &mut ports, 5);
         for off in 0..4 {
+            assert!(vdp.engine().element_ready(load.vreg, off));
             assert!(vdp.engine().element_ready(add_inst.vreg, off));
         }
-        assert_eq!(vdp.elements_started(), 8);
     }
 
     #[test]

@@ -17,6 +17,9 @@ enum Step {
     StridedLoad { stride: u8 },
     /// Store the accumulator to a slot in a scratch array.
     Store { slot: u8 },
+    /// `acc += scratch[slot * 8 + offset]`, reading 1, 2, 4 or 8 bytes
+    /// (`width` 0..4): partial and unaligned overlaps with the stores.
+    Reload { slot: u8, offset: u8, width: u8 },
     /// Integer arithmetic on the accumulator.
     Alu { op: u8, imm: i8 },
     /// Reload a fixed global (stride-0 load).
@@ -27,6 +30,11 @@ fn step_strategy() -> impl Strategy<Value = Step> {
     prop_oneof![
         (1u8..=4).prop_map(|stride| Step::StridedLoad { stride }),
         (0u8..16).prop_map(|slot| Step::Store { slot }),
+        (0u8..16, 0u8..8, 0u8..4).prop_map(|(slot, offset, width)| Step::Reload {
+            slot,
+            offset,
+            width
+        }),
         (0u8..4, any::<i8>()).prop_map(|(op, imm)| Step::Alu { op, imm }),
         Just(Step::Global),
     ]
@@ -69,6 +77,20 @@ fn build_program(steps: &[Step], iterations: u8) -> Program {
             }
             Step::Store { slot } => {
                 a.sd(acc, scratch_base, i64::from(*slot) * 8);
+            }
+            Step::Reload {
+                slot,
+                offset,
+                width,
+            } => {
+                let at = i64::from(*slot) * 8 + i64::from(*offset);
+                match width % 4 {
+                    0 => a.lbu(val, scratch_base, at),
+                    1 => a.lhu(val, scratch_base, at),
+                    2 => a.lwu(val, scratch_base, at),
+                    _ => a.ld(val, scratch_base, at),
+                }
+                a.add(acc, acc, val);
             }
             Step::Alu { op, imm } => match op % 4 {
                 0 => a.addi(acc, acc, i64::from(*imm)),
