@@ -158,52 +158,8 @@ impl Emulator {
         Ok(self.exec(pc, inst))
     }
 
-    /// Retires up to `max_n` instructions in one call, appending the records
-    /// to `out` and returning how many were executed.
-    ///
-    /// This is the batched front-end hand-off: the PC is translated to a text
-    /// index **once** for the whole group and sequential flow advances the
-    /// index directly, instead of re-deriving it from the PC on every
-    /// instruction the way [`Self::step`] does.  The group ends after a taken
-    /// control transfer, which aligns group boundaries with a fetch group (at
-    /// most one taken branch per group).  It also ends when the program
-    /// halts; the `halt` instruction itself is retired as the last record and
-    /// [`Self::halted`] turns true.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EmuError::Halted`] if the program had already halted before
-    /// the call, and [`EmuError::InvalidPc`] if the PC is outside the text
-    /// segment before any instruction of the group could execute.  A PC that
-    /// leaves the text segment *mid*-group ends the group instead; the next
-    /// call reports the error.
-    pub fn step_group(&mut self, max_n: usize, out: &mut Vec<Retired>) -> Result<usize, EmuError> {
-        if self.halted {
-            return Err(EmuError::Halted);
-        }
-        if max_n == 0 {
-            return Ok(0);
-        }
-        let mut idx = text_index(self.pc, self.insts.len()).ok_or(EmuError::InvalidPc(self.pc))?;
-        let mut n = 0;
-        while n < max_n {
-            let Some(&inst) = self.insts.get(idx) else {
-                break; // ran off the text segment; the next call errors
-            };
-            let pc = Program::pc_of(idx);
-            let r = self.exec(pc, inst);
-            out.push(r);
-            n += 1;
-            if self.halted || r.taken {
-                break;
-            }
-            idx += 1;
-        }
-        Ok(n)
-    }
-
     /// Executes one already-fetched instruction at `pc` (the interpreter body
-    /// shared by [`Self::step`] and [`Self::step_group`]).
+    /// of [`Self::step`]).
     fn exec(&mut self, pc: u64, inst: Inst) -> Retired {
         let src1_value = self.read_src(inst.src1);
         let src2_value = self.read_src(inst.src2);
@@ -688,79 +644,6 @@ mod tests {
         assert_eq!(n, 8);
         assert_eq!(loads, 0);
         assert_eq!(emu.retired_count(), 8);
-    }
-
-    #[test]
-    fn step_group_matches_per_instruction_stepping() {
-        let build = || {
-            let mut a = Asm::new();
-            let buf = a.data_u64(&[5, 6, 7, 8]);
-            a.li(x(1), buf as i64);
-            a.li(x(2), 0);
-            a.li(x(3), 4);
-            a.label("loop");
-            a.ld(x(4), x(1), 0);
-            a.add(x(2), x(2), x(4));
-            a.addi(x(1), x(1), 8);
-            a.addi(x(3), x(3), -1);
-            a.bne(x(3), x(0), "loop");
-            a.halt();
-            a.finish()
-        };
-        let program = build();
-        let mut reference = Emulator::new(&program);
-        let expected = reference.run(1_000);
-
-        for group in [1usize, 3, 4, 8] {
-            let mut emu = Emulator::new(&program);
-            let mut got = Vec::new();
-            loop {
-                match emu.step_group(group, &mut got) {
-                    Ok(_) => {}
-                    Err(EmuError::Halted) => break,
-                    Err(e) => panic!("unexpected error: {e}"),
-                }
-                if emu.halted() {
-                    break;
-                }
-            }
-            assert_eq!(got, expected, "group={group}");
-            assert_eq!(emu.int_reg(x(2)), reference.int_reg(x(2)));
-        }
-    }
-
-    #[test]
-    fn step_group_stops_after_a_taken_transfer() {
-        let mut a = Asm::new();
-        a.li(x(1), 2);
-        a.label("loop");
-        a.addi(x(1), x(1), -1);
-        a.bne(x(1), x(0), "loop");
-        a.halt();
-        let program = a.finish();
-        let mut emu = Emulator::new(&program);
-        let mut out = Vec::new();
-        // First group: li, addi, bne (taken) — stops at the redirect.
-        let n = emu.step_group(16, &mut out).unwrap();
-        assert_eq!(n, 3);
-        assert!(out[2].taken);
-        // Second group runs to the halt and retires it.
-        let n = emu.step_group(16, &mut out).unwrap();
-        assert_eq!(n, 3, "addi, bne (not taken), halt");
-        assert!(emu.halted());
-        assert_eq!(emu.step_group(16, &mut out), Err(EmuError::Halted));
-        assert_eq!(out.len(), 6);
-    }
-
-    #[test]
-    fn step_group_zero_budget_is_a_no_op() {
-        let mut a = Asm::new();
-        a.halt();
-        let mut emu = Emulator::new(&a.finish());
-        let mut out = Vec::new();
-        assert_eq!(emu.step_group(0, &mut out), Ok(0));
-        assert!(out.is_empty());
-        assert!(!emu.halted());
     }
 
     #[test]

@@ -61,7 +61,6 @@ pub mod vector_dp;
 pub use config::{ConfigBuilder, FuClassConfig, FuConfig, UarchConfig, DEFAULT_BUS_WORDS};
 pub use fu::FuPool;
 pub use pipeline::{simulate, Model, Processor};
-pub use rob::WaiterStats;
 // Re-exported so pipeline consumers can read the cycle-attribution ledger
 // without a direct sdv-obs dependency.
 pub use sdv_obs::{CycleBucket, CycleLedger};

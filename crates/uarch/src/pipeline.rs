@@ -51,19 +51,21 @@
 //!
 //! The fast model's issue scheduler is event driven.  Each entry carries a
 //! count of incomplete scalar producers; completions are scheduled on a
-//! timing heap and, when they fire, wake their dependents through a producer
-//! → waiters table.  Entries whose operands are all available sit in a single
-//! program-ordered ready set, tagged with their issue group at dispatch;
-//! issue is one sorted walk over that set, and a structural hazard masks the
-//! whole group via a bitmask for the rest of the cycle.  Entries waiting on a
-//! *vector* element — validations, and entries whose scalar operands are
-//! ready but which read a vector element — are parked on a per-vector-register
-//! waiter list instead.  The engine journals every register whose ready or
-//! poison flags or generation changed, and the scheduler drains that journal
-//! before each issue walk, moving the entries that are now satisfied into the
-//! ready set (event-driven, never polled).  Load/store disambiguation walks
-//! the queue of in-flight stores rather than the whole ROB prefix.  The
-//! reference model instead scans the whole window every cycle.
+//! timing heap and, when they fire, wake their dependents through the
+//! producer's waiter list.  Entries whose operands are all available sit in
+//! a single program-ordered ready set, tagged with their issue group at
+//! dispatch; issue is one sorted walk over that set, and a structural hazard
+//! masks the whole group via a bitmask for the rest of the cycle.  Entries
+//! waiting on a *vector* element — validations, and entries whose scalar
+//! operands are ready but which read a vector element — are parked on a
+//! per-vector-register park list instead.  Both kinds of list are linked
+//! through ROB lanes allocated once up front ([`crate::rob`]).  The
+//! engine journals every register whose ready or poison flags or generation
+//! changed, and the scheduler drains that journal before each issue walk,
+//! moving the entries that are now satisfied into the ready set
+//! (event-driven, never polled).  Load/store disambiguation walks the queue
+//! of in-flight stores rather than the whole ROB prefix.  The reference
+//! model instead scans the whole window every cycle.
 //!
 //! # Macro-stepping
 //!
@@ -80,7 +82,7 @@
 
 use crate::config::UarchConfig;
 use crate::fu::FuPool;
-use crate::rob::{Rob, RobCold, WaiterArena, WaiterStats, NO_WAITER};
+use crate::rob::{waiter_seq, Rob, RobCold, NO_WAITER};
 use crate::seqset::SeqSet;
 use crate::stats::RunStats;
 use crate::vector_dp::VectorDatapath;
@@ -99,8 +101,9 @@ use std::collections::{BinaryHeap, VecDeque};
 /// masked only when an older store's address is unknown (loads otherwise
 /// have per-entry port and forwarding outcomes), `Q_OTHER` holds classes
 /// that need no functional unit, and `Q_VALIDATION` holds vector
-/// validations (polled, never masked, and free of issue bandwidth).  Groups tag entries in the
-/// single program-ordered ready set; masking is a bit in a `u16`.
+/// validations (parked until their element resolves, never masked, and free
+/// of issue bandwidth).  Groups tag entries in the single program-ordered
+/// ready set; masking is a bit in a `u16`.
 const Q_LOAD: u8 = 0;
 const Q_STORE: u8 = 1;
 const Q_ALU: u8 = 2;
@@ -123,6 +126,11 @@ fn issue_group_of(class: OpClass) -> u8 {
         OpClass::FpMul | OpClass::FpDiv => Q_FPMUL,
         _ => Q_OTHER,
     }
+}
+
+/// The fetch queue holds two fetch groups.
+fn fetch_queue_capacity(cfg: &UarchConfig) -> usize {
+    2 * cfg.fetch_width
 }
 
 /// Cycle-attribution flag: the issue stage masked the load group because an
@@ -251,19 +259,10 @@ pub struct Processor {
     /// The DV unit (§3): the vectorization engine inside the vector data
     /// path; `None` when the mechanism is disabled.
     dv: Option<VectorDatapath>,
+    /// The reorder buffer; its lanes also link the wakeup scheduler's
+    /// producer → dependent lists and the park lists of `vec_waiters`.
     rob: Rob,
-    /// Pooled waiter lists (one per producer, headed by the ROB's
-    /// `waiter_head` lane): pre-sized so steady-state dispatch never touches
-    /// the heap.
-    waiters: WaiterArena,
     fetch_queue: VecDeque<Retired>,
-    /// The current emulator group ([`Emulator::step_group`] output), consumed
-    /// as a slice by [`Self::fetch`]: the emulator runs ahead by at most one
-    /// fetch group, and `pending[pending_pos..]` are the retired records not
-    /// yet passed through the predictor and into the fetch queue.  The buffer
-    /// is reused across groups, so the steady state allocates nothing.
-    pending: Vec<Retired>,
-    pending_pos: usize,
     map_table: Vec<SrcMapping>,
     lsq_occupancy: usize,
     /// Sequence numbers of in-flight stores, in program order: the store
@@ -279,20 +278,17 @@ pub struct Processor {
     /// hazard masks a whole group via a bit in a `u16` without touching the
     /// ROB.
     ready_all: SeqSet,
-    /// Wakeup scheduler: per-vector-register lists of parked entries —
-    /// validations whose element is unresolved and entries whose scalar
-    /// operands are ready but which still wait on a vector element.  Each
-    /// parked entry sits on exactly one list (the register of an unresolved
-    /// element it needs) and is re-examined only when the engine's touched
-    /// journal reports that register ([`Self::drain_vector_wakeups`]).
-    /// Indexed by register; the lists keep their storage across uses.
-    vec_waiters: Vec<Vec<u64>>,
-    /// Reusable buffer swapped with a waiter list while it is drained.
-    vec_drain_scratch: Vec<u64>,
+    /// Wakeup scheduler: the head of each vector register's park list
+    /// ([`NO_WAITER`] = empty), linked through the ROB's `park_next` lane.
+    /// A list holds validations whose element is unresolved and entries
+    /// whose scalar operands are ready but which still wait on a vector
+    /// element.  Each parked entry sits on exactly one list (the register of
+    /// an unresolved element it needs) and is re-examined only when the
+    /// engine's touched journal reports that register
+    /// ([`Self::drain_vector_wakeups`]).  Indexed by register.
+    vec_waiters: Vec<u64>,
     /// Wakeup scheduler: pending completion events `(cycle, producer seq)`.
     completions: BinaryHeap<Reverse<(u64, u64)>>,
-    /// Reusable scratch buffer for draining waiter lists.
-    wake_scratch: Vec<u64>,
     /// Reusable scratch buffer for wide-bus peer loads.
     peer_scratch: Vec<u64>,
     /// Optional issue trace `(cycle, seq)` for scheduler-equivalence tests.
@@ -308,7 +304,7 @@ pub struct Processor {
     macro_jumps: u64,
     /// Macro-step telemetry: total cycles skipped by clock jumps.
     macro_skipped_cycles: u64,
-    /// Work counter: entries put on a vector-register waiter list (first
+    /// Work counter: entries put on a vector-register park list (first
     /// parks plus re-parks after a wakeup that left them unresolved).
     vec_parked: u64,
     /// Work counter: parked entries moved into the ready set.
@@ -345,21 +341,14 @@ impl Processor {
             fus: FuPool::new(cfg.scalar_fus),
             dv,
             rob: Rob::new(cfg.rob_size),
-            // Hard bound: every live waiter node's dependent is in flight and
-            // holds at most two source edges, so 2 × window nodes suffice.
-            waiters: WaiterArena::with_capacity(2 * cfg.rob_size),
-            fetch_queue: VecDeque::with_capacity(cfg.fetch_width * 2),
-            pending: Vec::with_capacity(cfg.fetch_width),
-            pending_pos: 0,
+            fetch_queue: VecDeque::with_capacity(fetch_queue_capacity(cfg)),
             map_table: vec![SrcMapping::Ready; NUM_ARCH_REGS],
             lsq_occupancy: 0,
             store_queue: VecDeque::new(),
             model: Model::default(),
             ready_all: SeqSet::new(),
-            vec_waiters: Vec::new(),
-            vec_drain_scratch: Vec::new(),
+            vec_waiters: vec![NO_WAITER; cfg.vectorization.map_or(0, |dv| dv.vector_registers)],
             completions: BinaryHeap::new(),
-            wake_scratch: Vec::new(),
             peer_scratch: Vec::new(),
             issue_trace: None,
             ledger: None,
@@ -391,13 +380,6 @@ impl Processor {
     #[must_use]
     pub fn model(&self) -> Model {
         self.model
-    }
-
-    /// Waiter-arena pool statistics — the hook behind the
-    /// zero-allocation-after-warmup test.
-    #[must_use]
-    pub fn waiter_stats(&self) -> WaiterStats {
-        self.waiters.stats()
     }
 
     /// Macro-stepping telemetry: `(clock jumps taken, total cycles skipped)`.
@@ -595,19 +577,14 @@ impl Processor {
             // The branch already committed (it resolved while we were not looking).
             self.fetch_blocked_on = None;
         }
-        let capacity = self.cfg.fetch_width * 2;
+        let capacity = fetch_queue_capacity(&self.cfg);
         if self.fetch_queue.len() >= capacity {
             return;
         }
 
         // Model the instruction-cache access for this fetch group, at the PC
-        // of the next instruction to enter the queue (the head of the pending
-        // group if the emulator has run ahead, the emulator's PC otherwise).
-        let group_pc = self
-            .pending
-            .get(self.pending_pos)
-            .map_or_else(|| self.emu.pc(), |r| r.pc);
-        let latency = self.mem.fetch_latency(group_pc);
+        // of the next instruction to enter the queue.
+        let latency = self.mem.fetch_latency(self.emu.pc());
         if latency > self.cfg.memory.l1_hit_cycles {
             self.fetch_ready_cycle = self.cycle + latency;
             return;
@@ -615,24 +592,14 @@ impl Processor {
 
         let mut fetched = 0;
         while fetched < self.cfg.fetch_width && self.fetch_queue.len() < capacity {
-            // Refill the group buffer from the emulator when it runs dry: one
-            // batched call retires up to a whole fetch group, reusing a single
-            // PC→index translation (and the buffer allocation) per group.
-            if self.pending_pos == self.pending.len() {
-                self.pending.clear();
-                self.pending_pos = 0;
-                let want = (self.cfg.fetch_width - fetched).min(capacity - self.fetch_queue.len());
-                match self.emu.step_group(want, &mut self.pending) {
-                    Ok(n) => debug_assert!(n > 0, "a non-empty group was requested"),
-                    Err(EmuError::Halted) => {
-                        self.emulator_done = true;
-                        break;
-                    }
-                    Err(e) => panic!("emulation error during fetch: {e}"),
+            let retired = match self.emu.step() {
+                Ok(r) => r,
+                Err(EmuError::Halted) => {
+                    self.emulator_done = true;
+                    break;
                 }
-            }
-            let retired = self.pending[self.pending_pos];
-            self.pending_pos += 1;
+                Err(e) => panic!("emulation error during fetch: {e}"),
+            };
             let mut mispredicted = false;
             let mut taken = false;
             if retired.inst.is_control() {
@@ -835,11 +802,12 @@ impl Processor {
 
     /// Scoreboard classification of the unissued entries `first..tail`:
     /// counts incomplete scalar producers, registers each entry as their
-    /// waiter, and routes it to the ready set or a vector-register waiter
-    /// list.  Used for a freshly dispatched group and for the whole window by the squash rebuild, which is why issued entries
-    /// are skipped.  Entries are visited in ascending order and the ready
-    /// set holds only older keys (or is empty, in the rebuild), so every
-    /// ready-set insert is a plain tail append.
+    /// waiter, and routes it to the ready set or a vector-register park
+    /// list.  Used for a freshly dispatched group and for the whole window
+    /// by the squash rebuild, which is why issued entries are skipped.
+    /// Entries are visited in ascending order and the ready set holds only
+    /// older keys (or is empty, in the rebuild), so every ready-set insert
+    /// is a plain tail append.
     fn classify_group(&mut self, first: u64) {
         for seq in first..self.rob.tail() {
             if self.rob.issued(seq) {
@@ -865,12 +833,11 @@ impl Processor {
             }
             let (src_scalar, src_vec) = (cold.src_scalar, cold.src_vec);
             let mut pending: u8 = 0;
-            for producer in src_scalar.into_iter().flatten() {
+            for (operand, producer) in src_scalar.into_iter().enumerate() {
+                let Some(producer) = producer else { continue };
                 if self.rob.contains(producer) && !self.rob.completed(producer, self.cycle) {
                     pending += 1;
-                    let head = self.rob.waiter_head(producer);
-                    let head = self.waiters.push(head, seq);
-                    let _ = self.rob.swap_waiter_head(producer, head);
+                    self.rob.add_waiter(producer, seq, operand);
                 }
             }
             let has_vec_wait = self.dv.is_some() && src_vec.iter().any(Option::is_some);
@@ -889,14 +856,16 @@ impl Processor {
         }
     }
 
-    /// Parks `seq` on the waiter list of vector register `vreg`, one of whose
-    /// elements it needs and which is not resolved yet.
+    /// Parks `seq` at the head of the park list of vector register `vreg`,
+    /// one of whose elements it needs and which is not resolved yet.
     fn park_on_vreg(&mut self, seq: u64, vreg: VregId) {
         let idx = vreg.index();
         if idx >= self.vec_waiters.len() {
-            self.vec_waiters.resize_with(idx + 1, Vec::new);
+            // Only an unbounded register file outgrows the configured count.
+            self.vec_waiters.resize(idx + 1, NO_WAITER);
         }
-        self.vec_waiters[idx].push(seq);
+        self.rob.set_park_next(seq, self.vec_waiters[idx]);
+        self.vec_waiters[idx] = seq;
         self.vec_parked += 1;
     }
 
@@ -917,17 +886,15 @@ impl Processor {
             .as_mut()
             .and_then(|dv| dv.engine_mut().pop_touched())
         {
-            let Some(list) = self.vec_waiters.get_mut(vreg.index()) else {
+            // Detach the list so re-parks onto the same register start a new
+            // one.
+            let Some(head) = self.vec_waiters.get_mut(vreg.index()) else {
                 continue;
             };
-            if list.is_empty() {
-                continue;
-            }
-            // Swap the list out so re-parks onto the same register land in
-            // an empty list that keeps the scratch buffer's storage.
-            let mut parked = std::mem::take(&mut self.vec_drain_scratch);
-            std::mem::swap(&mut parked, list);
-            for &seq in &parked {
+            let mut seq = std::mem::replace(head, NO_WAITER);
+            while seq != NO_WAITER {
+                // Read the link first: a re-park overwrites it.
+                let next = self.rob.park_next(seq);
                 debug_assert!(
                     self.rob.contains(seq) && !self.rob.issued(seq),
                     "parked entries are in flight and unissued"
@@ -948,9 +915,8 @@ impl Processor {
                         self.insert_ready(seq);
                     }
                 }
+                seq = next;
             }
-            parked.clear();
-            self.vec_drain_scratch = parked;
         }
     }
 
@@ -1036,18 +1002,16 @@ impl Processor {
         }
     }
 
-    /// Drains `seq`'s waiter list (if any) through [`Self::wake_dependents`],
-    /// returning the nodes to the arena.
+    /// Detaches `seq`'s waiter list and wakes each linked operand through
+    /// [`Self::wake_dependent`].  A dependent reading `seq` through both
+    /// operands is on the list twice and is woken twice.
     fn wake_waiters_of(&mut self, seq: u64) {
-        let head = self.rob.swap_waiter_head(seq, NO_WAITER);
-        if head == NO_WAITER {
-            return;
+        let mut node = self.rob.take_waiters(seq);
+        while node != NO_WAITER {
+            let next = self.rob.next_waiter(node);
+            self.wake_dependent(waiter_seq(node));
+            node = next;
         }
-        let mut deps = std::mem::take(&mut self.wake_scratch);
-        deps.clear();
-        self.waiters.drain_into(head, &mut deps);
-        self.wake_dependents(&deps);
-        self.wake_scratch = deps;
     }
 
     /// Fires every completion event due this cycle, decrementing dependents'
@@ -1065,27 +1029,26 @@ impl Processor {
         }
     }
 
-    /// Decrements the pending count of each dependent; entries whose operands
-    /// are now all available enter a ready queue.
-    fn wake_dependents(&mut self, deps: &[u64]) {
-        for &dep in deps {
-            if !self.rob.contains(dep) || self.rob.issued(dep) {
-                continue;
-            }
-            let pending = self.rob.pending_scalar(dep).saturating_sub(1);
-            self.rob.set_pending_scalar(dep, pending);
-            if pending > 0 {
-                continue;
-            }
-            if self.rob.has_vec_wait(dep) {
-                let src_vec = self.rob.cold(dep).src_vec;
-                if let Some(vreg) = self.first_unresolved_vec_source(&src_vec) {
-                    self.park_on_vreg(dep, vreg);
-                    continue;
-                }
-            }
-            self.insert_ready(dep);
+    /// Decrements the pending count of `dep`; once its operands are all
+    /// available it enters the ready set, or parks on the register of a
+    /// vector element it still needs.
+    fn wake_dependent(&mut self, dep: u64) {
+        if !self.rob.contains(dep) || self.rob.issued(dep) {
+            return;
         }
+        let pending = self.rob.pending_scalar(dep).saturating_sub(1);
+        self.rob.set_pending_scalar(dep, pending);
+        if pending > 0 {
+            return;
+        }
+        if self.rob.has_vec_wait(dep) {
+            let src_vec = self.rob.cold(dep).src_vec;
+            if let Some(vreg) = self.first_unresolved_vec_source(&src_vec) {
+                self.park_on_vreg(dep, vreg);
+                return;
+            }
+        }
+        self.insert_ready(dep);
     }
 
     fn issue_wakeup(&mut self) {
@@ -1320,15 +1283,10 @@ impl Processor {
             return;
         }
         self.ready_all.clear();
-        for list in &mut self.vec_waiters {
-            list.clear();
-        }
+        self.vec_waiters.fill(NO_WAITER);
         self.completions.clear();
         for seq in self.rob.seqs() {
-            let _ = self.rob.swap_waiter_head(seq, NO_WAITER);
-        }
-        self.waiters.reset();
-        for seq in self.rob.seqs() {
+            let _ = self.rob.take_waiters(seq);
             if self.rob.issued(seq)
                 && self.rob.complete_cycle(seq) > self.cycle
                 && self.rob.cold(seq).wakes_dependents()
@@ -1754,7 +1712,7 @@ impl Processor {
             // soon as the ready cycle arrives.
             return Some(self.fetch_ready_cycle.max(self.cycle + 1));
         }
-        if self.fetch_queue.len() >= self.cfg.fetch_width * 2 {
+        if self.fetch_queue.len() >= fetch_queue_capacity(&self.cfg) {
             return None; // full queue: frozen until dispatch drains it
         }
         Some(self.fetch_ready_cycle.max(self.cycle + 1))
@@ -2356,26 +2314,6 @@ mod tests {
         // The 8-way window holds more squashed work to rebuild.
         let cfg = UarchConfig::eight_way(1, PortKind::Wide).with_vectorization(true);
         assert_models_agree_under_store_squashes(&cfg);
-    }
-
-    #[test]
-    fn steady_state_dispatch_allocates_no_waiter_nodes() {
-        // The waiter arena is sized for the hard bound (two source edges per
-        // in-flight instruction), so a full run — warmup included — must
-        // never grow its node pool, while actually exercising it.
-        let program = four_stream_sum(2_000);
-        let cfg = UarchConfig::four_way(1, PortKind::Wide).with_vectorization(true);
-        let mut proc = Processor::new(&cfg, &program);
-        let stats = proc.run(1_000_000);
-        assert!(stats.committed > 0);
-        let waiters = proc.waiter_stats();
-        assert!(waiters.pushes > 0, "the wakeup scoreboard was exercised");
-        assert_eq!(
-            waiters.heap_growths, 0,
-            "steady-state dispatch must not allocate waiter nodes (pool capacity {})",
-            waiters.capacity
-        );
-        assert_eq!(waiters.live, 0, "every waiter list drained by halt");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Struct-of-arrays reorder buffer and the pooled waiter arena.
+//! Struct-of-arrays reorder buffer, which also threads the wakeup lists.
 //!
 //! The busy-cycle loops (issue walk, store-queue walk, commit)
 //! touch a handful of scalar fields of every in-flight instruction —
@@ -19,24 +19,31 @@
 //! `tail - head <= capacity`.  Push and retire never move data — commit
 //! reads the head's payload in place and [`Rob::advance_head`] bumps `head`.
 //!
-//! # Waiter arena
+//! # Wakeup lists
 //!
-//! The wakeup scheduler keeps, per producer, the list of dependents to wake
-//! at completion.  Per-entry `Vec<u64>`s allocate on first push and free (or
-//! round-trip through a recycling pool) at commit.  [`WaiterArena`] replaces
-//! them with intrusive singly-linked lists over one node pool: a push is a
-//! bump (or free-list pop), freeing a list is O(length) pointer writes, and
-//! the pool is pre-sized to the hard bound of `2 × window` live nodes (every
-//! in-flight instruction holds at most two source edges), so steady-state
-//! dispatch performs **zero** heap allocations — counted, and pinned by a
-//! unit test, via [`WaiterArena::stats`].
+//! The fast model's two kinds of wakeup list are singly linked through ROB
+//! lanes, so [`Rob::new`] allocates all of their storage.  A producer's
+//! waiter list links its dependents' operand slots: a node is
+//! `dependent_seq << 1 | operand`, and each entry owns two `waiter_next`
+//! links, one per source operand, because an instruction is on at most one
+//! producer's list per operand.  A vector register's park list links
+//! entries through the `park_next` lane (an entry is parked on at most one
+//! register); the per-register heads live with the scheduler.  [`NO_WAITER`]
+//! ends both kinds of list.
 
 use sdv_core::VregId;
 use sdv_emu::Retired;
 use sdv_isa::OpClass;
 
-/// Sentinel for "no node" in [`WaiterArena`] lists.
-pub const NO_WAITER: u32 = u32::MAX;
+/// Ends a waiter list or a park list ("no node").
+pub const NO_WAITER: u64 = u64::MAX;
+
+/// The dependent sequence number of a waiter node (`seq << 1 | operand`).
+#[inline]
+#[must_use]
+pub fn waiter_seq(node: u64) -> u64 {
+    node >> 1
+}
 
 /// Cold per-entry payload: written once at dispatch, read at issue (loads,
 /// validations) and commit.  Everything the busy loops probe repeatedly lives
@@ -65,105 +72,6 @@ impl RobCold {
     }
 }
 
-/// Pool statistics for [`WaiterArena`], the hook behind the
-/// zero-allocation-after-warmup test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WaiterStats {
-    /// Number of node-pool heap growths (reallocations) since construction.
-    /// Zero when the pre-sized pool never overflowed.
-    pub heap_growths: u64,
-    /// Total nodes ever handed out.
-    pub pushes: u64,
-    /// Nodes currently live (allocated and not yet freed).
-    pub live: usize,
-    /// Node-pool capacity in nodes.
-    pub capacity: usize,
-}
-
-/// A pool of singly-linked waiter nodes: `(dependent seq, next)` pairs.
-///
-/// Lists are identified by their head node index (`NO_WAITER` = empty) and
-/// owned by the ROB's `waiter_head` lane.  Duplicate dependents are
-/// deliberately kept — an instruction reading the same producer through both
-/// operands must be woken (pending-count decremented) twice.
-#[derive(Debug, Clone, Default)]
-pub struct WaiterArena {
-    dep: Vec<u64>,
-    next: Vec<u32>,
-    free: u32,
-    stats: WaiterStats,
-}
-
-impl WaiterArena {
-    /// Creates an arena pre-sized for `nodes` live nodes (use `2 × window`:
-    /// each in-flight instruction holds at most two source edges).
-    #[must_use]
-    pub fn with_capacity(nodes: usize) -> Self {
-        let mut a = WaiterArena {
-            dep: Vec::with_capacity(nodes),
-            next: Vec::with_capacity(nodes),
-            free: NO_WAITER,
-            stats: WaiterStats::default(),
-        };
-        a.stats.capacity = a.dep.capacity();
-        a
-    }
-
-    /// Pool statistics (the zero-allocation hook).
-    #[must_use]
-    pub fn stats(&self) -> WaiterStats {
-        self.stats
-    }
-
-    fn alloc(&mut self, dep: u64, next: u32) -> u32 {
-        self.stats.pushes += 1;
-        self.stats.live += 1;
-        if self.free != NO_WAITER {
-            let node = self.free;
-            self.free = self.next[node as usize];
-            self.dep[node as usize] = dep;
-            self.next[node as usize] = next;
-            return node;
-        }
-        if self.dep.len() == self.dep.capacity() {
-            self.stats.heap_growths += 1;
-        }
-        let node = u32::try_from(self.dep.len()).expect("waiter pool fits in u32");
-        self.dep.push(dep);
-        self.next.push(next);
-        self.stats.capacity = self.dep.capacity();
-        node
-    }
-
-    /// Prepends `dep` to the list headed by `head`; returns the new head.
-    #[must_use]
-    pub fn push(&mut self, head: u32, dep: u64) -> u32 {
-        self.alloc(dep, head)
-    }
-
-    /// Drains the list headed by `head` into `out` (appending) and returns
-    /// the nodes to the free list.
-    pub fn drain_into(&mut self, mut head: u32, out: &mut Vec<u64>) {
-        while head != NO_WAITER {
-            let node = head as usize;
-            out.push(self.dep[node]);
-            head = self.next[node];
-            self.next[node] = self.free;
-            self.free = node as u32;
-            self.stats.live -= 1;
-        }
-    }
-
-    /// Frees every node at once (squash rebuild).  Keeps the pool storage, so
-    /// this never gives memory back or allocates.
-    pub fn reset(&mut self) {
-        self.dep.clear();
-        self.next.clear();
-        self.free = NO_WAITER;
-        self.stats.live = 0;
-    }
-}
-
 /// The struct-of-arrays reorder buffer: a sequence-number-indexed ring with
 /// hot scalar lanes and a cold payload lane.
 ///
@@ -183,7 +91,10 @@ pub struct Rob {
     pending_scalar: Vec<u8>,
     has_vec_wait: Vec<bool>,
     queue: Vec<u8>,
-    waiter_head: Vec<u32>,
+    waiter_head: Vec<u64>,
+    /// Two links per entry, `slot << 1 | operand`.
+    waiter_next: Vec<u64>,
+    park_next: Vec<u64>,
 }
 
 impl Rob {
@@ -203,6 +114,8 @@ impl Rob {
             has_vec_wait: vec![false; cap],
             queue: vec![0; cap],
             waiter_head: vec![NO_WAITER; cap],
+            waiter_next: vec![NO_WAITER; 2 * cap],
+            park_next: vec![NO_WAITER; cap],
         }
     }
 
@@ -272,7 +185,7 @@ impl Rob {
 
     /// Retires the head entry in place: clears its cold payload and advances
     /// the head by one.  The caller must have read what it needs from
-    /// [`Self::cold`] and freed (or taken over) the entry's waiter list.
+    /// [`Self::cold`] and taken the entry's waiter list.
     pub fn advance_head(&mut self) {
         debug_assert!(!self.is_empty(), "advance on an empty window");
         let slot = (self.head & self.mask) as usize;
@@ -347,7 +260,8 @@ impl Rob {
         self.pending_scalar[s] = v;
     }
 
-    /// Whether `seq` has vector-element sources that must be polled.
+    /// Whether `seq` reads a vector element, so it parks on that element's
+    /// register once its scalar producers complete.
     #[inline]
     #[must_use]
     pub fn has_vec_wait(&self, seq: u64) -> bool {
@@ -368,18 +282,45 @@ impl Rob {
         self.queue[self.slot(seq)]
     }
 
-    /// Head node of `seq`'s waiter list ([`NO_WAITER`] = empty).
+    /// Links operand `operand` (0 or 1) of `dep` at the head of
+    /// `producer`'s waiter list.
     #[inline]
-    #[must_use]
-    pub fn waiter_head(&self, seq: u64) -> u32 {
-        self.waiter_head[self.slot(seq)]
+    pub fn add_waiter(&mut self, producer: u64, dep: u64, operand: usize) {
+        debug_assert!(operand < 2, "two source operands");
+        let link = (self.slot(dep) << 1) | operand;
+        let p = self.slot(producer);
+        self.waiter_next[link] = self.waiter_head[p];
+        self.waiter_head[p] = (dep << 1) | operand as u64;
     }
 
-    /// Replaces the head node of `seq`'s waiter list, returning the old head.
+    /// Detaches `producer`'s waiter list and returns its first node
+    /// ([`NO_WAITER`] = empty); walk it with [`Self::next_waiter`].
     #[inline]
-    pub fn swap_waiter_head(&mut self, seq: u64, head: u32) -> u32 {
+    pub fn take_waiters(&mut self, producer: u64) -> u64 {
+        let p = self.slot(producer);
+        std::mem::replace(&mut self.waiter_head[p], NO_WAITER)
+    }
+
+    /// The node after `node` in its waiter list.
+    #[inline]
+    #[must_use]
+    pub fn next_waiter(&self, node: u64) -> u64 {
+        let link = (self.slot(waiter_seq(node)) << 1) | (node & 1) as usize;
+        self.waiter_next[link]
+    }
+
+    /// The entry after `seq` in its vector register's park list.
+    #[inline]
+    #[must_use]
+    pub fn park_next(&self, seq: u64) -> u64 {
+        self.park_next[self.slot(seq)]
+    }
+
+    /// Links `seq` in front of `next` in a park list.
+    #[inline]
+    pub fn set_park_next(&mut self, seq: u64, next: u64) {
         let s = self.slot(seq);
-        std::mem::replace(&mut self.waiter_head[s], head)
+        self.park_next[s] = next;
     }
 
     // --------------------------------------------------------- cold lane
@@ -472,7 +413,7 @@ mod tests {
         assert!(rob.issued(3) && rob.complete_cycle(3) == 17);
         // Fresh entries start clean even in reused slots.
         assert!(!rob.issued(7) && rob.pending_scalar(7) == 0);
-        assert_eq!(rob.waiter_head(7), NO_WAITER);
+        assert_eq!(rob.take_waiters(7), NO_WAITER);
 
         for _ in 0..6 {
             rob.advance_head();
@@ -481,51 +422,25 @@ mod tests {
     }
 
     #[test]
-    fn waiter_arena_recycles_without_heap_growth() {
-        let mut arena = WaiterArena::with_capacity(4);
-        let mut head = NO_WAITER;
-        for dep in [10, 11, 12] {
-            head = arena.push(head, dep);
-        }
-        assert_eq!(arena.stats().live, 3);
-        let mut out = Vec::new();
-        arena.drain_into(head, &mut out);
-        // Prepend order: the latest push comes first.
-        assert_eq!(out, vec![12, 11, 10]);
-        assert_eq!(arena.stats().live, 0);
-
-        // Recycled nodes: no heap growth however many rounds run.
-        for _ in 0..100 {
-            let h = [1, 2, 3, 4]
-                .into_iter()
-                .fold(NO_WAITER, |h, dep| arena.push(h, dep));
-            out.clear();
-            arena.drain_into(h, &mut out);
-        }
-        let stats = arena.stats();
-        assert_eq!(stats.heap_growths, 0, "pool never regrew");
-        assert_eq!(stats.live, 0);
-        assert!(stats.pushes >= 403);
-
-        // Overflowing the pre-sized pool is counted.
-        let mut h = NO_WAITER;
-        for dep in 0..5 {
-            h = arena.push(h, dep);
-        }
-        assert!(arena.stats().heap_growths >= 1);
-        arena.reset();
-        assert_eq!(arena.stats().live, 0);
-    }
-
-    #[test]
     fn duplicate_dependents_are_kept() {
         // An instruction reading one producer through both operands must be
-        // woken twice; the arena must not dedup.
-        let mut arena = WaiterArena::with_capacity(8);
-        let head = arena.push(NO_WAITER, 42);
-        let head = arena.push(head, 42);
-        let mut out = Vec::new();
-        arena.drain_into(head, &mut out);
-        assert_eq!(out, vec![42, 42]);
+        // woken twice: each operand has its own link.
+        let mut rob = Rob::new(4);
+        for seq in 0..3 {
+            rob.push(cold(seq), 0);
+        }
+        rob.add_waiter(0, 1, 0);
+        rob.add_waiter(0, 2, 1);
+        rob.add_waiter(0, 1, 1);
+        let mut node = rob.take_waiters(0);
+        let mut woken = Vec::new();
+        // Bounded, so a list that links back into itself fails the assert.
+        while node != NO_WAITER && woken.len() < 4 {
+            woken.push((waiter_seq(node), node & 1));
+            node = rob.next_waiter(node);
+        }
+        // Prepend order: the latest link comes first.
+        assert_eq!(woken, vec![(1, 1), (2, 1), (1, 0)]);
+        assert_eq!(rob.take_waiters(0), NO_WAITER, "the list was detached");
     }
 }
